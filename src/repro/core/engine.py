@@ -22,9 +22,11 @@ config changes, not separate code paths.
 
 from __future__ import annotations
 
+import bisect
 import time
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from ..obs.flight import FlightRecorder
@@ -130,7 +132,6 @@ class Reconciler:
         # byte-identical with telemetry on or off.
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.graph = DependencyGraph()
-        self.uf = UnionFind()
         self.queue = ActiveQueue()
         self.stats = EngineStats()
         # Cluster membership and pooled-value caches (enrichment state).
@@ -142,7 +143,12 @@ class Reconciler:
         # sets mention it; the union-find notifies us of every merge.
         self._contacts_cache: dict[str, frozenset[str]] = {}
         self._contacts_rdeps: dict[str, set[str]] = {}
-        self.uf.add_union_listener(self._invalidate_contacts)
+        # Result cache: (class, root) -> sorted member ids, or None until
+        # the first _result() fills it from a store scan; kept current by
+        # a union-find listener and by _admit() for references added
+        # later, so each later result costs O(clusters), not O(store).
+        self._result_clusters: dict[tuple[str, str], list[str]] | None = None
+        self._use_union_find(UnionFind())
         # Value-pair score memo shared by every candidate pair of a
         # build (see perf.scoring.memoised_score for the semantics).
         self._pair_score_memo: dict = {}
@@ -336,6 +342,27 @@ class Reconciler:
             self._contacts_rdeps.setdefault(root, set()).add(element)
         return frozen
 
+    def _use_union_find(self, uf: UnionFind) -> None:
+        """Install *uf* as the partition (a fresh engine, or a checkpoint
+        restore): attach the merge listeners and drop the result cache,
+        which was keyed by the old partition's roots."""
+        self.uf = uf
+        self._result_clusters = None
+        uf.add_union_listener(self._invalidate_contacts)
+        uf.add_union_listener(self._merge_result_clusters)
+
+    def _admit(self, references: Iterable[Reference]) -> None:
+        """Register references just added to the store: a singleton
+        partition entry, a member list and a result-cache entry each."""
+        clusters = self._result_clusters
+        for reference in references:
+            ref_id = reference.ref_id
+            root = self.uf.find(ref_id)
+            self._members.setdefault(ref_id, [ref_id])
+            if clusters is not None:
+                members = clusters.setdefault((reference.class_name, root), [])
+                bisect.insort(members, ref_id)
+
     def _invalidate_contacts(self, survivor: str, absorbed: str) -> None:
         """Union-find merge hook: evict exactly the contact-root cache
         entries the merge invalidated — those whose set contains the
@@ -413,16 +440,7 @@ class Reconciler:
         }
         self.stats.build_seconds = time.perf_counter() - started
         self._sync_feature_cache_stats()
-        if self.stats.skipped_weak_fanout:
-            self._degrade(
-                DegradationEvent(
-                    kind="weak_fanout",
-                    detail=(
-                        f"skipped {self.stats.skipped_weak_fanout} weak-edge "
-                        f"bundles over the {_MAX_WEAK_FANOUT} fan-out ceiling"
-                    ),
-                )
-            )
+        self._report_weak_fanout(self.stats.skipped_weak_fanout)
         tel.emit(
             "info",
             "build_end",
@@ -774,22 +792,42 @@ class Reconciler:
                     for contact_id in reference.get(attribute):
                         inverse.setdefault(self._elem(contact_id), set()).add(owner)
             for node in nodes:
-                owners_left = inverse.get(node.left, ())
-                owners_right = inverse.get(node.right, ())
-                if not owners_left or not owners_right:
+                self._wire_weak_bundle(
+                    node, inverse.get(node.left, ()), inverse.get(node.right, ())
+                )
+
+    def _wire_weak_bundle(self, node: PairNode, owners_left, owners_right) -> None:
+        """Weak edges both ways between contact pair *node* and every
+        existing pair node of one owner from each side. A bundle over
+        the fan-out ceiling is skipped and counted instead (see
+        :meth:`_report_weak_fanout`)."""
+        if not owners_left or not owners_right:
+            return
+        if len(owners_left) * len(owners_right) > _MAX_WEAK_FANOUT:
+            self.stats.skipped_weak_fanout += 1
+            return
+        for owner_l in owners_left:
+            for owner_r in owners_right:
+                if owner_l == owner_r:
                     continue
-                if len(owners_left) * len(owners_right) > _MAX_WEAK_FANOUT:
-                    self.stats.skipped_weak_fanout += 1
+                owner_node = self.graph.get(owner_l, owner_r)
+                if owner_node is None or owner_node is node:
                     continue
-                for owner_l in owners_left:
-                    for owner_r in owners_right:
-                        if owner_l == owner_r:
-                            continue
-                        owner_node = self.graph.get(owner_l, owner_r)
-                        if owner_node is None or owner_node is node:
-                            continue
-                        self.graph.add_edge(node, owner_node, EdgeType.WEAK)
-                        self.graph.add_edge(owner_node, node, EdgeType.WEAK)
+                self.graph.add_edge(node, owner_node, EdgeType.WEAK)
+                self.graph.add_edge(owner_node, node, EdgeType.WEAK)
+
+    def _report_weak_fanout(self, skipped: int) -> None:
+        """Record a ``weak_fanout`` degradation for *skipped* bundles."""
+        if skipped:
+            self._degrade(
+                DegradationEvent(
+                    kind="weak_fanout",
+                    detail=(
+                        f"skipped {skipped} weak-edge bundles over the "
+                        f"{_MAX_WEAK_FANOUT} fan-out ceiling"
+                    ),
+                )
+            )
 
     def _install_distinct_pairs(self) -> None:
         """§3.4 modification 1: non-merge nodes and enemy constraints
@@ -1537,21 +1575,40 @@ class Reconciler:
         """
         return self._result()
 
+    def _merge_result_clusters(self, survivor: str, absorbed: str) -> None:
+        """Union-find merge hook: fold the absorbed root's cached
+        clusters into the survivor's, class by class."""
+        clusters = self._result_clusters
+        if clusters is None:
+            return
+        for class_name in self.store.schema.class_names:
+            moved = clusters.pop((class_name, absorbed), None)
+            if moved is None:
+                continue
+            kept = clusters.setdefault((class_name, survivor), [])
+            kept.extend(moved)
+            kept.sort()  # two sorted runs: a linear merge
+
     def _result(self) -> ReconciliationResult:
-        clusters: dict[str, dict[str, list[str]]] = {
-            class_name: {} for class_name in self.store.schema.class_names
+        clusters = self._result_clusters
+        if clusters is None:
+            clusters = {}
+            for reference in self.store:
+                root = self.uf.find(reference.ref_id)
+                clusters.setdefault((reference.class_name, root), []).append(
+                    reference.ref_id
+                )
+            for members in clusters.values():
+                members.sort()
+            self._result_clusters = clusters
+        partitions: dict[str, list[list[str]]] = {
+            class_name: [] for class_name in self.store.schema.class_names
         }
-        for reference in self.store:
-            root = self.uf.find(reference.ref_id)
-            clusters[reference.class_name].setdefault(root, []).append(
-                reference.ref_id
-            )
-        partitions = {
-            class_name: sorted(
-                (sorted(group) for group in groups.values()), key=lambda g: g[0]
-            )
-            for class_name, groups in clusters.items()
-        }
+        for (class_name, _root), members in clusters.items():
+            # Fresh copies: callers may mutate what they are given.
+            partitions[class_name].append(list(members))
+        for groups in partitions.values():
+            groups.sort(key=itemgetter(0))
         return ReconciliationResult(
             partitions=partitions,
             uf=self.uf,

@@ -16,6 +16,21 @@ references into it:
 Key-value agreement is resolved through the normal key channel (score
 1.0 forces a merge) rather than the build-time pre-merge, so no special
 casing is needed.
+
+Cost of one :meth:`IncrementalReconciler.add`, for a batch of *b*
+references:
+
+* O(b): the store checks (schema, duplicate ids, link targets of the
+  batch only), registering the batch in the partition, the member lists
+  and the result cache, and appending it to the weak-edge owner index;
+* O(touched clusters): blocking the batch into its buckets, scoring the
+  new pairs, wiring them (weak-edge owners are read through the members
+  of the two clusters a new node joins), and the iterate run, which
+  only reaches what the new nodes' evidence propagates to;
+* O(clusters): assembling the returned partition from the result
+  cache, one list copy per cluster plus a sort per class.
+
+The first add also builds the owner index over the whole store, once.
 """
 
 from __future__ import annotations
@@ -23,8 +38,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .engine import Reconciler
-from .model import DomainModel, EngineConfig
-from .nodes import EdgeType, NodeStatus, PairNode, pair_key
+from .model import DomainModel, EngineConfig, WeakDependency
+from .nodes import NodeStatus, PairNode, pair_key
 from .references import Reference, ReferenceStore
 from .result import ReconciliationResult
 
@@ -42,6 +57,10 @@ class IncrementalReconciler:
     ) -> None:
         self._reconciler = Reconciler(store, domain, config)
         self._initialized = False
+        # Per enabled weak dependency: contact ref id -> ids of the
+        # references listing it. Built over the store by the first add,
+        # then extended by each batch (the store only grows).
+        self._weak_owners: dict[WeakDependency, dict[str, list[str]]] | None = None
 
     @property
     def reconciler(self) -> Reconciler:
@@ -61,18 +80,20 @@ class IncrementalReconciler:
     def add(self, new_references: Sequence[Reference]) -> ReconciliationResult:
         """Fold *new_references* into the reconciled dataset.
 
-        Returns the updated full partition. The amount of recomputation
-        is proportional to the graph region the new references touch,
-        not to the dataset size.
+        Returns the updated full partition. The batch is checked in full
+        before anything changes (unknown class or attribute, duplicate
+        ids, dangling or mistyped links): a rejected batch leaves the
+        store and the partition as they were. The work done is O(batch)
+        plus O(clusters the batch touches), except for copying out the
+        returned partition, which is O(clusters); see the module
+        docstring for the breakdown.
         """
         if not self._initialized:
             raise RuntimeError("call initial() before add()")
         engine = self._reconciler
-        for reference in new_references:
-            engine.store.add(reference)
-            engine.uf.find(reference.ref_id)
-            engine._members.setdefault(reference.ref_id, [reference.ref_id])
-        engine.store.validate()
+        new_references = engine.store.extend(new_references)
+        engine._admit(new_references)
+        self._index_weak_owners(new_references)
 
         new_nodes_by_class: dict[str, list[PairNode]] = {}
         for class_name in engine.domain.class_order():
@@ -85,7 +106,9 @@ class IncrementalReconciler:
                 new_nodes_by_class[class_name] = self._build_new_nodes(
                     class_name, incoming
                 )
+        skipped = engine.stats.skipped_weak_fanout
         self._wire_new_nodes(new_nodes_by_class)
+        engine._report_weak_fanout(engine.stats.skipped_weak_fanout - skipped)
         if engine.config.constraints:
             self._install_new_constraints(new_references)
         for class_name in engine.domain.class_order():
@@ -158,34 +181,55 @@ class IncrementalReconciler:
                     engine._wire_strong(node, dependency)
         self._wire_new_weak_edges(new_nodes_by_class)
 
+    def _index_weak_owners(self, new_references: Sequence[Reference]) -> None:
+        """Bring the weak-edge owner index up to date with the store."""
+        engine = self._reconciler
+        if self._weak_owners is None:
+            self._weak_owners = {
+                dependency: {}
+                for dependency in engine.domain.weak_dependencies()
+                if engine.config.weak_enabled(dependency.class_name)
+            }
+            new_references = list(engine.store)  # the batch is in it already
+        for dependency, owners in self._weak_owners.items():
+            for reference in new_references:
+                if reference.class_name != dependency.class_name:
+                    continue
+                for attribute in dependency.attrs:
+                    for contact_id in reference.get(attribute):
+                        owners.setdefault(contact_id, []).append(reference.ref_id)
+
     def _wire_new_weak_edges(
         self, new_nodes_by_class: dict[str, list[PairNode]]
     ) -> None:
+        """The build's weak wiring for new nodes only. The build inverts
+        the whole class into ``element(contact) -> {element(owner)}``;
+        here each side's owner set is gathered from the index through
+        the members of that side's cluster, which gives the same sets."""
         engine = self._reconciler
-        for dependency in engine.domain.weak_dependencies():
-            if not engine.config.weak_enabled(dependency.class_name):
-                continue
-            nodes = new_nodes_by_class.get(dependency.class_name)
-            if not nodes:
-                continue
-            inverse: dict[str, set[str]] = {}
-            for reference in engine.store.of_class(dependency.class_name):
-                owner = engine._elem(reference.ref_id)
-                for attribute in dependency.attrs:
-                    for contact_id in reference.get(attribute):
-                        inverse.setdefault(engine._elem(contact_id), set()).add(owner)
-            for node in nodes:
-                owners_left = inverse.get(node.left, ())
-                owners_right = inverse.get(node.right, ())
-                for owner_l in owners_left:
-                    for owner_r in owners_right:
-                        if owner_l == owner_r:
-                            continue
-                        owner_node = engine.graph.get(owner_l, owner_r)
-                        if owner_node is None or owner_node is node:
-                            continue
-                        engine.graph.add_edge(node, owner_node, EdgeType.WEAK)
-                        engine.graph.add_edge(owner_node, node, EdgeType.WEAK)
+        for dependency, owners in self._weak_owners.items():
+            for node in new_nodes_by_class.get(dependency.class_name, ()):
+                engine._wire_weak_bundle(
+                    node,
+                    self._owner_elements(owners, node.left),
+                    self._owner_elements(owners, node.right),
+                )
+
+    def _owner_elements(
+        self, owners: dict[str, list[str]], element: str
+    ) -> set[str]:
+        """Elements of the references that list a member of *element*'s
+        cluster (just *element* itself without enrichment) as a contact."""
+        engine = self._reconciler
+        if engine.config.enrich:
+            members = engine._members.get(element) or (element,)
+        else:
+            members = (element,)
+        return {
+            engine._elem(owner)
+            for member in members
+            for owner in owners.get(member, ())
+        }
 
     def _install_new_constraints(self, new_references: Iterable[Reference]) -> None:
         engine = self._reconciler

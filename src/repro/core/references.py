@@ -92,6 +92,31 @@ class ReferenceStore:
         return iter(self._by_id.values())
 
     def add(self, reference: Reference) -> None:
+        self._check(reference)
+        self._insert(reference)
+
+    def extend(self, references: Iterable[Reference]) -> list[Reference]:
+        """Add a batch atomically and return it as a list.
+
+        Every check runs before anything is stored: class and attributes
+        (as in :meth:`add`), duplicate ids within the batch or against
+        the store, and the batch's association targets against the
+        store plus the batch (:meth:`validate`). On any error the store
+        is left unchanged.
+        """
+        batch = list(references)
+        seen: set[str] = set()
+        for reference in batch:
+            self._check(reference)
+            if reference.ref_id in seen:
+                raise ValueError(f"duplicate reference id {reference.ref_id!r}")
+            seen.add(reference.ref_id)
+        self.validate(batch)
+        for reference in batch:
+            self._insert(reference)
+        return batch
+
+    def _check(self, reference: Reference) -> None:
         if reference.class_name not in self.schema:
             raise SchemaError(
                 f"reference {reference.ref_id!r} has unknown class "
@@ -106,6 +131,8 @@ class ReferenceStore:
                     f"reference {reference.ref_id!r}: class "
                     f"{reference.class_name!r} has no attribute {attribute_name!r}"
                 )
+
+    def _insert(self, reference: Reference) -> None:
         self._by_id[reference.ref_id] = reference
         self._by_class[reference.class_name].append(reference)
 
@@ -136,16 +163,28 @@ class ReferenceStore:
     def class_counts(self) -> dict[str, int]:
         return {name: len(refs) for name, refs in self._by_class.items()}
 
-    def validate(self) -> None:
+    def validate(self, references: Iterable[Reference] | None = None) -> None:
         """Check that every association value points at a stored reference
         of the right class; raises :class:`SchemaError` otherwise.
         Targets in :attr:`known_external` (left behind in the parent
-        store this one was sliced from) are accepted as-is."""
-        for reference in self._by_id.values():
+        store this one was sliced from) are accepted as-is.
+
+        With *references*, only those are checked, against the store
+        plus *references* themselves (a batch about to be added may link
+        within itself). The store only grows, so a reference that passed
+        once cannot start to dangle: after one whole-store check, each
+        later batch needs checking alone."""
+        if references is None:
+            checked: Iterable[Reference] = self._by_id.values()
+            pending: dict[str, Reference] = {}
+        else:
+            checked = list(references)
+            pending = {reference.ref_id: reference for reference in checked}
+        for reference in checked:
             schema_class = self.schema.cls(reference.class_name)
             for attribute in schema_class.association_attributes:
                 for target_id in reference.get(attribute.name):
-                    target = self._by_id.get(target_id)
+                    target = self._by_id.get(target_id) or pending.get(target_id)
                     if target is None:
                         if target_id in self.known_external:
                             continue

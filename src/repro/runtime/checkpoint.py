@@ -117,7 +117,9 @@ def restore_engine(engine: Reconciler, state: dict) -> None:
             "checkpoint was written under a different engine configuration; "
             "resume with the original config"
         )
-    engine.uf = UnionFind.from_state_dict(state["uf"])
+    # A fresh union-find: the engine re-attaches its merge listeners
+    # (runtime state, never serialised) and drops its result cache.
+    engine._use_union_find(UnionFind.from_state_dict(state["uf"]))
     engine.queue = ActiveQueue.from_snapshot(state["queue"])
     engine.graph = DependencyGraph.from_snapshot(state["graph"])
     stats_data = dict(state["stats"])
@@ -132,10 +134,6 @@ def restore_engine(engine: Reconciler, state: dict) -> None:
     engine._contacts_cache = {}
     engine._contacts_rdeps = {}
     engine._pair_score_memo = {}
-    # The restored union-find is a fresh object: re-attach the engine's
-    # cache-invalidation listener (listeners are runtime state and are
-    # deliberately not serialised).
-    engine.uf.add_union_listener(engine._invalidate_contacts)
     engine.stop_reason = state.get("stop_reason", "converged")
     engine._built = state["built"]
     engine._per_class_nodes = {}

@@ -9,6 +9,8 @@ from repro.core import (
     Reference,
     ReferenceStore,
 )
+from repro.core import engine as engine_module
+from repro.core.schema import SchemaError
 from repro.domains import PimDomainModel
 
 from .conftest import example1_references
@@ -153,3 +155,83 @@ class TestIncremental:
         )
         full.run()
         assert delta < full.stats.recomputations * 0.5
+
+
+def _initialised_example1():
+    base, batch = split_example1()
+    domain = PimDomainModel()
+    incremental = IncrementalReconciler(
+        ReferenceStore(domain.schema, base), domain, EngineConfig()
+    )
+    incremental.initial()
+    return incremental, batch
+
+
+def _with_p8(batch, **values):
+    return [
+        Reference("p8", "Person", values) if ref.ref_id == "p8" else ref
+        for ref in batch
+    ]
+
+
+def _bad_batches(batch):
+    """label -> (batch wrong in exactly that one way, expected error)."""
+    p8 = next(ref for ref in batch if ref.ref_id == "p8").values
+    return {
+        "dangling": (_with_p8(batch, **p8, coAuthor=("ghost",)), SchemaError),
+        "mistyped link": (_with_p8(batch, **p8, coAuthor=("a1",)), SchemaError),
+        "unknown attribute": (_with_p8(batch, **p8, shoeSize=("9",)), SchemaError),
+        "unknown class": (batch + [Reference("z1", "Robot", {})], SchemaError),
+        "duplicate in batch": (batch + [batch[0]], ValueError),
+        "duplicate of stored": (batch + [Reference("p1", "Person", {})], ValueError),
+    }
+
+
+class TestAtomicAdd:
+    @pytest.mark.parametrize("label", list(_bad_batches(split_example1()[1])))
+    def test_rejected_batch_changes_nothing(self, label):
+        incremental, batch = _initialised_example1()
+        engine = incremental.reconciler
+        bad, error = _bad_batches(batch)[label]
+        before = engine._result().partitions
+        size = len(engine.store)
+        with pytest.raises(error):
+            incremental.add(bad)
+        assert len(engine.store) == size
+        assert all(ref.ref_id not in engine.store for ref in batch)
+        assert all(ref.ref_id not in engine.uf for ref in batch)
+        assert engine._result().partitions == before
+        # The corrected retry is accepted and merges as a clean add does.
+        result = incremental.add(batch)
+        assert result.clusters("Person") == [
+            ["p1", "p4"],
+            ["p2", "p5", "p8", "p9"],
+            ["p3", "p6", "p7"],
+        ]
+
+    def test_returned_partition_is_a_copy(self):
+        incremental, batch = _initialised_example1()
+        # p9 first: p7 and p8 link to each other, so they come together.
+        first = incremental.add(batch[2:])
+        first.partitions["Person"][0].append("intruder")
+        first.partitions["Person"].clear()
+        second = incremental.add(batch[:2])
+        assert second.clusters("Person") == [
+            ["p1", "p4"],
+            ["p2", "p5", "p8", "p9"],
+            ["p3", "p6", "p7"],
+        ]
+
+
+class TestWeakFanoutOnAdd:
+    def test_add_skips_and_reports_bundles_over_the_ceiling(self, monkeypatch):
+        incremental, batch = _initialised_example1()
+        engine = incremental.reconciler
+        assert engine.stats.skipped_weak_fanout == 0
+        monkeypatch.setattr(engine_module, "_MAX_WEAK_FANOUT", 0)
+        result = incremental.add(batch)
+        skipped = engine.stats.skipped_weak_fanout
+        assert skipped > 0
+        kinds = [event.kind for event in result.degradations]
+        assert kinds == ["weak_fanout"]
+        assert f"skipped {skipped} weak-edge bundles" in result.degradations[0].detail

@@ -120,3 +120,39 @@ class TestReferenceStore:
         assert len(example1_store.of_class("Person")) == 9
         assert len(example1_store.of_class("Article")) == 2
         assert len(example1_store.of_class("Venue")) == 2
+
+    def test_validate_checks_only_the_given_references(self):
+        store = ReferenceStore(
+            PIM_SCHEMA,
+            [
+                Reference("r1", "Person", {"coAuthor": ("ghost",)}),
+                Reference("r2", "Person", {}),
+            ],
+        )
+        batch = [
+            Reference("r3", "Person", {"coAuthor": ("r2", "r4")}),
+            Reference("r4", "Person", {"coAuthor": ("r3",)}),
+        ]
+        # Targets resolve against the store plus the batch; r1 is not
+        # checked again.
+        store.validate(batch)
+        with pytest.raises(SchemaError):
+            store.validate([Reference("r5", "Person", {"coAuthor": ("r6",)})])
+        with pytest.raises(SchemaError):
+            store.validate()
+
+    def test_extend_is_all_or_nothing(self):
+        store = ReferenceStore(PIM_SCHEMA, [Reference("r1", "Person", {})])
+        good = Reference("r2", "Person", {"coAuthor": ("r1", "r3")})
+        linked = Reference("r3", "Person", {"coAuthor": ("r2",)})
+        for bad in (
+            Reference("r4", "Person", {"coAuthor": ("ghost",)}),
+            Reference("r1", "Person", {}),
+            Reference("r2", "Person", {}),
+            Reference("r4", "Robot", {}),
+        ):
+            with pytest.raises((SchemaError, ValueError)):
+                store.extend([good, linked, bad])
+            assert len(store) == 1
+        assert store.extend([good, linked]) == [good, linked]
+        assert [ref.ref_id for ref in store.of_class("Person")] == ["r1", "r2", "r3"]
