@@ -2,11 +2,8 @@
 """Chaos soak harness for the supervised execution layer.
 
 Runs dataset B under randomized-but-seeded fault schedules — worker
-kills (once / persistent), worker hangs, injected comparator faults
-for real candidate pairs, speculative-iterate faults (children
-SIGKILLed or raising mid-chunk), and sharded-runner faults (a shard's
-engine process SIGKILLed or raising; the runner's ladder re-runs it
-in-parent) — and asserts the robustness contract of the supervised
+kills (once / persistent), worker hangs and injected comparator faults
+for real candidate pairs — and asserts the robustness contract of the supervised
 execution layer for every schedule:
 
 * the run never raises and never leaks a worker process;
@@ -54,24 +51,7 @@ FAULT_KINDS = (
     "kill_persistent",
     "hang_once",
     "raise_pair",
-    "iterate_kill",
-    "iterate_raise",
-    "shard_kill",
-    "shard_raise",
 )
-
-#: Schedules exercising the speculative iterate executor instead of the
-#: build pool: serial build (workers=1), speculative iterate. Their
-#: faults can only drop speculation chunks — the contract is always
-#: partition identity, never an oracle match.
-ITERATE_KINDS = ("iterate_kill", "iterate_raise")
-
-#: Schedules exercising the sharded runner (``--shards 2`` with worker
-#: processes): shard 0's engine process is SIGKILLed or raises before
-#: it runs. The runner's ladder re-runs the shard in-process in the
-#: parent (a ``shard_fallback`` degradation) and the merged result must
-#: stay byte-identical to the serial baseline.
-SHARD_KINDS = ("shard_kill", "shard_raise")
 
 DATASET = "B"
 DATASET_SEED = 0
@@ -118,21 +98,6 @@ def _chaos_for(kind: str, rng: Random, marker_dir: str, pair_pool):
         )
     if kind == "raise_pair":
         return ChaosInjector(raise_pairs=(rng.choice(pair_pool),))
-    if kind == "iterate_kill":
-        # Persistent: every forked iterate child SIGKILLs itself, so
-        # every chunk (and its retries) dies — the supervisor must walk
-        # its ladder down to the plain serial loop.
-        return ChaosInjector(kill_every=1)
-    if kind == "iterate_raise":
-        # A deterministic comparator bug in ~1/4 of iterate chunks:
-        # those chunks are dropped and their keys recomputed in-line.
-        return ChaosInjector(raise_pair_crc_mod=4, raise_pair_crc_rem=rng.randrange(4))
-    if kind == "shard_kill":
-        # Marker-claimed: only the first (child-process) attempt dies;
-        # the in-parent fallback rung is untouched by construction.
-        return ChaosInjector(shard_kill=0, marker_dir=marker_dir)
-    if kind == "shard_raise":
-        return ChaosInjector(shard_raise=0, marker_dir=marker_dir)
     raise SystemExit(f"unknown fault kind {kind!r}")
 
 
@@ -147,80 +112,19 @@ def _wait_for_children(deadline: float = 10.0) -> list:
     return multiprocessing.active_children()
 
 
-def _run_shard_schedule(row: dict, kind: str, args, baseline_text, markers):
-    """Sharded-runner schedule: kill/raise shard 0, demand identity.
-
-    The contract is strict: the run never raises (the ladder absorbs
-    the dead or raising shard process), leaks no worker, records the
-    fallback as a ``shard_fallback`` degradation, and the merged
-    partition is byte-identical to the clean serial baseline.
-    """
-    from repro.shard import merged_result, run_sharded
-
-    chaos = _chaos_for(kind, None, str(markers), None)
-    try:
-        sharded = run_sharded(
-            _store(args.scale),
-            PimDomainModel(),
-            EngineConfig(),
-            shards=2,
-            shard_workers=2,
-            chaos=chaos,
-        )
-        result = merged_result(sharded)
-    except Exception as exc:  # the contract: this must never happen
-        row["error"] = f"unhandled {type(exc).__name__}: {exc}"
-        return row
-    finally:
-        leaked = _wait_for_children()
-        row["leaked_workers"] = [child.pid for child in leaked]
-
-    row.update(
-        completed=result.completed,
-        stop_reason=result.stop_reason,
-        fixpoint_rounds=sharded.fixpoint.rounds,
-        degradations=sorted({e.kind for e in result.stats.degradations}),
-    )
-    if row["leaked_workers"]:
-        row["error"] = f"leaked workers: {row['leaked_workers']}"
-        return row
-    if not result.completed:
-        row["error"] = f"sharded run did not complete: {result.stop_reason}"
-        return row
-    if _partition_text(result) != baseline_text:
-        row["error"] = "sharded partitions differ from clean serial baseline"
-        return row
-    row["outcome"] = "identical"
-    row["ok"] = True
-    return row
-
-
 def _run_schedule(index: int, kind: str, rng: Random, args, baseline_text, pair_pool):
     row = {"schedule": index, "kind": kind, "ok": False}
     with tempfile.TemporaryDirectory() as tmp:
         markers = Path(tmp) / "markers"
         markers.mkdir()
-        if kind in SHARD_KINDS:
-            return _run_shard_schedule(row, kind, args, baseline_text, markers)
         poison_log = Path(tmp) / "poisoned_pairs.jsonl"
         chaos = _chaos_for(kind, rng, str(markers), pair_pool)
-        if kind in ITERATE_KINDS:
-            # Serial build keeps build-side chaos out of the way; the
-            # fault schedule targets only the speculative iterate.
-            config = EngineConfig(
-                iterate_workers=args.iterate_workers,
-                iterate_batch=32,
-                task_timeout=TASK_TIMEOUT,
-                retry_backoff=RETRY_BACKOFF,
-                poison_log=str(poison_log),
-            )
-        else:
-            config = EngineConfig(
-                workers=args.workers,
-                task_timeout=TASK_TIMEOUT,
-                retry_backoff=RETRY_BACKOFF,
-                poison_log=str(poison_log),
-            )
+        config = EngineConfig(
+            workers=args.workers,
+            task_timeout=TASK_TIMEOUT,
+            retry_backoff=RETRY_BACKOFF,
+            poison_log=str(poison_log),
+        )
         engine = Reconciler(_store(args.scale), PimDomainModel(), config)
         engine.chaos = chaos
         try:
@@ -241,12 +145,6 @@ def _run_schedule(index: int, kind: str, rng: Random, args, baseline_text, pair_
                 "task_timeouts": stats.task_timeouts,
                 "pool_rebuilds": stats.pool_rebuilds,
                 "pairs_poisoned": stats.pairs_poisoned,
-                "speculation_dropped": stats.speculation_dropped,
-            },
-            speculation={
-                "speculated": stats.speculated_nodes,
-                "hits": stats.speculation_hits,
-                "invalidated": stats.speculation_invalidated,
             },
             degradations=sorted({e.kind for e in stats.degradations}),
         )
@@ -307,16 +205,6 @@ def _expected_counters_fired(row: dict) -> str | None:
         return "hang schedule recorded no task timeout"
     if kind == "raise_pair" and not counters.get("pairs_poisoned"):
         return "raise schedule poisoned no pair"
-    if kind in ITERATE_KINDS and not counters.get("speculation_dropped"):
-        return "iterate fault schedule dropped no speculation chunk"
-    if kind == "iterate_kill" and "parallel_fallback" not in row.get(
-        "degradations", []
-    ):
-        return "persistent iterate kills did not descend the ladder to serial"
-    if kind in ITERATE_KINDS and counters.get("pairs_poisoned"):
-        return "iterate fault schedule must never poison a pair"
-    if kind in SHARD_KINDS and "shard_fallback" not in row.get("degradations", []):
-        return "shard fault schedule recorded no shard_fallback degradation"
     if kind == "none" and any(counters.values()):
         return f"clean schedule recorded supervision activity: {counters}"
     return None
@@ -328,10 +216,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scale", type=float, default=0.15)
     parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument(
-        "--iterate-workers", type=int, default=2,
-        help="speculative iterate workers for iterate_* schedules",
-    )
     parser.add_argument(
         "--faults", default=None, metavar="KIND[,KIND...]",
         help=f"pin the schedule kinds (cycled) from {', '.join(FAULT_KINDS)}",

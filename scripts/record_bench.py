@@ -85,8 +85,6 @@ def _measure(
     scale: float,
     workers: int = 1,
     manifest_dir: Path | None = None,
-    iterate_workers: int = 1,
-    iterate_batch: int = 64,
 ) -> tuple[object, dict]:
     # Module-level LRU caches would let dataset N+1 free-ride on
     # dataset N's comparisons; clear them so every row is cold.
@@ -95,9 +93,6 @@ def _measure(
     config_kwargs: dict = {}
     if workers > 1:
         config_kwargs["workers"] = workers
-    if iterate_workers > 1:
-        config_kwargs["iterate_workers"] = iterate_workers
-        config_kwargs["iterate_batch"] = iterate_batch
     config = EngineConfig(**config_kwargs)
     # Span tracing + the metrics registry make every row attributable
     # to a phase (which build stage, which cache) instead of a single
@@ -138,20 +133,6 @@ def _measure(
             "task_timeouts": stats.task_timeouts,
             "pool_rebuilds": stats.pool_rebuilds,
             "pairs_poisoned": stats.pairs_poisoned,
-        },
-        # Speculative-iterate counters: all zero on a serial row. The
-        # hit rate is the fraction of speculated nodes whose score was
-        # validated and committed in place of an in-line recomputation.
-        "speculation": {
-            "iterate_workers": stats.iterate_workers,
-            "speculated": stats.speculated_nodes,
-            "hits": stats.speculation_hits,
-            "invalidated": stats.speculation_invalidated,
-            "dropped": stats.speculation_dropped,
-            "hit_rate": _rate(
-                stats.speculation_hits,
-                stats.speculated_nodes - stats.speculation_hits,
-            ),
         },
         # Phase-attributed telemetry snapshot: a regression in
         # total_seconds points at the phase (and cache) that moved.
@@ -236,147 +217,6 @@ def _block(scale: float, runs_dir: Path | None = None, base_dir: Path | None = N
     return {"scale": scale, "datasets": rows}
 
 
-SPECULATIVE_SCALES = (0.3, 1.0, 2.0)
-SPECULATIVE_WORKERS = 4
-SPECULATIVE_BATCH = 256
-
-
-def _speculative_block() -> dict:
-    """Serial vs speculative iterate rows: dataset B across the three
-    PIM scales, plus Cora (which has one natural size).
-
-    Each entry pairs the serial iterate time with the speculative one
-    and asserts partition identity; iterate-phase speedup is only
-    meaningful when ``machine.cpu_count`` exceeds the worker count —
-    on fewer cores the workers time-slice and speculation can only add
-    overhead, which the recorded numbers then show honestly.
-    """
-    entries = []
-    targets = [("B", scale) for scale in SPECULATIVE_SCALES] + [("cora", 1.0)]
-    for name, scale in targets:
-        serial_result, serial_row = _measure(name, scale)
-        spec_result, spec_row = _measure(
-            name,
-            scale,
-            iterate_workers=SPECULATIVE_WORKERS,
-            iterate_batch=SPECULATIVE_BATCH,
-        )
-        identical = spec_result.partitions == serial_result.partitions
-        serial_iterate = serial_row["iterate_seconds"]
-        spec_iterate = spec_row["iterate_seconds"]
-        speedup = round(serial_iterate / spec_iterate, 3) if spec_iterate else None
-        entries.append(
-            {
-                "dataset": name,
-                "scale": scale,
-                "identical_partitions": identical,
-                "serial_iterate_seconds": serial_iterate,
-                "speculative_iterate_seconds": spec_iterate,
-                "iterate_speedup": speedup,
-                "iterate_workers": SPECULATIVE_WORKERS,
-                "iterate_batch": SPECULATIVE_BATCH,
-                "speculation": spec_row["speculation"],
-            }
-        )
-        print(
-            f"  {name:>4s}@{scale}: iterate {serial_iterate:6.3f}s -> "
-            f"{spec_iterate:6.3f}s ({speedup}x) "
-            f"hit_rate={spec_row['speculation']['hit_rate']} "
-            f"{'identical' if identical else 'DIVERGED'}",
-            file=sys.stderr,
-        )
-    return {"workers": SPECULATIVE_WORKERS, "entries": entries}
-
-
-SHARDING_TARGETS = (("B", 1.0), ("B", 2.0), ("cora", 1.0))
-SHARDING_SHARDS = 2
-
-
-def _sharding_block() -> dict:
-    """Serial vs sharded (``--shards 2 --shard-workers 2``) rows.
-
-    Each entry asserts partition identity and records the shard plan's
-    shape — components, cut-pair count/fraction, packing Gini — the
-    cross-shard fixpoint's rounds, and per-shard wall-clock + peak RSS
-    (measured in the shard's own worker process, so the RSS column is
-    the real per-shard memory footprint, the number that decides
-    whether a dataset fits a smaller machine when sharded).
-    """
-    from repro.shard import merged_result, run_sharded
-
-    entries = []
-    for name, scale in SHARDING_TARGETS:
-        clear_similarity_caches()
-        dataset = _generate(name, scale)
-        domain = _domain(name)
-        serial = Reconciler(dataset.store, domain, EngineConfig()).run()
-        clear_similarity_caches()
-        sharded = run_sharded(
-            dataset.store,
-            domain,
-            EngineConfig(),
-            shards=SHARDING_SHARDS,
-            shard_workers=SHARDING_SHARDS,
-        )
-        result = merged_result(sharded)
-        plan = sharded.plan
-        identical = result.partitions == serial.partitions
-        entries.append(
-            {
-                "dataset": name,
-                "scale": scale,
-                "shards": plan.shards,
-                "identical_partitions": identical,
-                "components": plan.component_count,
-                "candidate_pairs": plan.candidate_pairs,
-                "cut_pairs": len(plan.cut_pairs),
-                "cut_fraction": round(plan.cut_fraction, 6),
-                "gini": round(plan.gini, 4),
-                "fixpoint_rounds": sharded.fixpoint.rounds,
-                "fixpoint_messages": sharded.fixpoint.messages,
-                "per_shard": [
-                    {
-                        "shard": outcome.shard,
-                        "references": outcome.references,
-                        "seconds": outcome.seconds,
-                        "peak_rss_kb": outcome.peak_rss_kb,
-                        "in_process": outcome.ran_in_process,
-                    }
-                    for outcome in sharded.outcomes
-                ],
-            }
-        )
-        rss = "/".join(str(o.peak_rss_kb) for o in sharded.outcomes)
-        print(
-            f"  {name:>4s}@{scale}: components={plan.component_count} "
-            f"cut={len(plan.cut_pairs)} ({plan.cut_fraction:.4f}) "
-            f"rounds={sharded.fixpoint.rounds} rss_kb={rss} "
-            f"{'identical' if identical else 'DIVERGED'}",
-            file=sys.stderr,
-        )
-    return {
-        "shards": SHARDING_SHARDS,
-        "shard_workers": SHARDING_SHARDS,
-        "entries": entries,
-    }
-
-
-def _iterate_check(scale: float, iterate_workers: int) -> bool:
-    """Partition identity, serial vs speculative iterate, dataset B."""
-    serial_result, _ = _measure(REGRESSION_DATASET, scale)
-    spec_result, spec_row = _measure(
-        REGRESSION_DATASET, scale, iterate_workers=iterate_workers
-    )
-    identical = spec_result.partitions == serial_result.partitions
-    print(
-        f"  {REGRESSION_DATASET:>4s}: iterate_workers={iterate_workers} "
-        f"hit_rate={spec_row['speculation']['hit_rate']} "
-        f"{'identical' if identical else 'DIVERGED'}",
-        file=sys.stderr,
-    )
-    return identical
-
-
 def _workers_check(scale: float, workers: int) -> bool:
     ok = True
     for name in DATASETS:
@@ -433,11 +273,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also verify workers=4 partitions match serial on every dataset",
     )
     parser.add_argument(
-        "--iterate-check", action="store_true",
-        help="also verify --iterate-workers 2 partitions match serial on "
-        "dataset B (quick scale)",
-    )
-    parser.add_argument(
         "--check-against", metavar="BASELINE",
         help="fail (exit 1) if dataset B regresses >2x vs this baseline JSON",
     )
@@ -448,8 +283,8 @@ def main(argv: list[str] | None = None) -> int:
         "machine": {
             "python": platform.python_version(),
             "platform": platform.platform(),
-            # Parallel rows (workers / iterate_workers) only measure a
-            # real speedup when this exceeds the worker count.
+            # Parallel rows (workers) only measure a real speedup when
+            # this exceeds the worker count.
             "cpu_count": os.cpu_count(),
         },
         "baseline_pre_pr": BASELINE_PRE_PR,
@@ -464,20 +299,12 @@ def main(argv: list[str] | None = None) -> int:
     if not args.quick:
         print(f"full block (scale {FULL_SCALE}):", file=sys.stderr)
         payload["full"] = _block(FULL_SCALE, runs_root / "full", base_dir)
-        print("speculative iterate block:", file=sys.stderr)
-        payload["speculative_iterate"] = _speculative_block()
-        print("sharding block:", file=sys.stderr)
-        payload["sharding"] = _sharding_block()
 
     failures = []
     if args.workers_check:
         print("workers check (quick scale):", file=sys.stderr)
         if not _workers_check(QUICK_SCALE, workers=4):
             failures.append("workers=4 partitions diverged from serial")
-    if args.iterate_check:
-        print("iterate check (quick scale):", file=sys.stderr)
-        if not _iterate_check(QUICK_SCALE, iterate_workers=2):
-            failures.append("iterate_workers=2 partitions diverged from serial")
     if args.check_against:
         print(f"regression check vs {args.check_against}:", file=sys.stderr)
         if not _check_regression(payload, Path(args.check_against)):

@@ -180,32 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default 1 = serial)",
         )
         perf.add_argument(
-            "--iterate-workers", type=int, default=1, metavar="N",
-            help="forked workers speculatively scoring the iterate loop's "
-            "upcoming queue window; results are byte-identical to the "
-            "serial loop (default 1 = no speculation)",
-        )
-        perf.add_argument(
-            "--iterate-batch", type=int, default=64, metavar="KEYS",
-            help="speculation window: how many queue-head keys may be in "
-            "flight at once (default 64; execution-shaping only, never "
-            "affects results)",
-        )
-        perf.add_argument(
-            "--shards", type=int, default=1, metavar="N",
-            help="partition the references into N shards (connected "
-            "components of the interaction graph, packed by candidate-"
-            "pair weight) and run a full engine per shard, then "
-            "reconcile the cut to fixpoint; results are byte-identical "
-            "to --shards 1 (default 1 = whole-graph run)",
-        )
-        perf.add_argument(
-            "--shard-workers", type=int, default=1, metavar="N",
-            help="run up to N shard engines concurrently, each in its "
-            "own forked process (default 1 = shards run serially in-"
-            "process); only meaningful with --shards",
-        )
-        perf.add_argument(
             "--stats", action="store_true",
             help="print engine statistics (timings, counters, cache hit "
             "rates) to stderr after the run",
@@ -482,104 +456,6 @@ def _dump_bundle(run_dir: Path, reconciler, *, reason, exc=None, stop_reason=Non
         return None
 
 
-def _run_sharded_cli(
-    dataset, domain, config, algorithm, options, telemetry, run_dir, shards
-):
-    """The ``--shards N`` execution path of :func:`_run`.
-
-    Returns the same ``(dataset, engine-like, result)`` triple. The
-    merged run writes the same artifacts a whole-graph run does — the
-    provenance log holds the canonically re-sequenced decisions of all
-    shards, and the manifest's invariant core is byte-identical to the
-    serial run's (the shard plan and per-shard engine rows land in the
-    execution section). Differences from the whole-graph path, all
-    reported rather than silent: run guards and crash bundles are
-    per-engine and do not apply; convergence samples are keyed by the
-    global recomputation counter, so a sharded run records none;
-    ``--resume`` names the sharded checkpoint *root* (the directory
-    holding ``shard-<i>/`` subdirectories), not a checkpoint file.
-    """
-    from .shard import (
-        build_sharded_manifest,
-        merge_provenance,
-        merged_result,
-        run_sharded,
-    )
-
-    shard_workers = int(getattr(options, "shard_workers", 1) or 1)
-    resume_root = getattr(options, "resume", None) if options is not None else None
-    checkpoint_dir = getattr(options, "checkpoint_dir", None)
-    if resume_root:
-        checkpoint_dir = resume_root
-    chaos = None
-    chaos_env = os.environ.get("REPRO_CHAOS")
-    if chaos_env:
-        from .runtime.faults import ChaosInjector
-
-        spec = json.loads(chaos_env)
-        marker = spec.pop("marker_dir", None)
-        if marker is None and run_dir is not None:
-            marker = str(run_dir / "chaos_markers")
-        if "raise_pairs" in spec:
-            spec["raise_pairs"] = tuple(tuple(pair) for pair in spec["raise_pairs"])
-        chaos = ChaosInjector(marker_dir=marker, **spec)
-    sharded = run_sharded(
-        dataset.store,
-        domain,
-        config,
-        shards=shards,
-        shard_workers=shard_workers,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=int(getattr(options, "checkpoint_every", 500) or 500),
-        resume=bool(resume_root),
-        chaos=chaos,
-        telemetry=telemetry,
-    )
-    result = merged_result(sharded)
-    degraded = render_degradations(result)
-    if degraded:
-        print(degraded, file=sys.stderr)
-    if telemetry is not None:
-        if telemetry.metrics is not None:
-            telemetry.metrics.absorb_run_info(
-                dataset=dataset.name, algorithm=algorithm
-            )
-        telemetry.emit(
-            "info",
-            "run_end",
-            completed=result.completed,
-            stop_reason=result.stop_reason,
-            merges=result.stats.merges,
-            recomputations=result.stats.recomputations,
-        )
-        _export_telemetry(telemetry, options)
-    provenance_path = getattr(options, "provenance", None)
-    if provenance_path:
-        # Shard engines record provenance in memory; the merged,
-        # canonically re-sequenced trail replaces whatever the parent
-        # sink may have created at this path (it records nothing).
-        with open(provenance_path, "w") as handle:
-            for row in merge_provenance(sharded):
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
-    if options is not None and getattr(options, "stats", False):
-        print(render_stats(result.stats), file=sys.stderr)
-    if run_dir is not None:
-        artifacts = _run_artifacts(options, run_dir)
-        manifest = build_sharded_manifest(
-            dataset=dataset,
-            sharded=sharded,
-            result=result,
-            config=config,
-            algorithm=algorithm,
-            artifacts=artifacts,
-        )
-        manifest_path = write_manifest(manifest, run_dir)
-        print(f"wrote run manifest to {manifest_path}", file=sys.stderr)
-    from .shard.merge import MergedRun
-
-    return dataset, MergedRun(stats=result.stats, config=config), result
-
-
 def _run(directory: str, algorithm: str, options=None, telemetry=None):
     lenient = bool(getattr(options, "lenient", False))
     run_dir = _apply_run_dir(options)
@@ -595,13 +471,7 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
     domain = _domain_for(dataset.name)
     config = _config_for(algorithm, domain)
     workers = int(getattr(options, "workers", 1) or 1)
-    iterate_workers = int(getattr(options, "iterate_workers", 1) or 1)
     overrides: dict = {}
-    if iterate_workers > 1:
-        overrides["iterate_workers"] = iterate_workers
-        iterate_batch = getattr(options, "iterate_batch", None)
-        if iterate_batch:
-            overrides["iterate_batch"] = int(iterate_batch)
     if workers > 1:
         overrides["workers"] = workers
         if run_dir is not None:
@@ -641,19 +511,6 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
             algorithm=algorithm,
             references=len(dataset.store),
             workers=workers,
-            iterate_workers=iterate_workers,
-        )
-    shards = int(getattr(options, "shards", 1) or 1)
-    if shards > 1:
-        return _run_sharded_cli(
-            dataset,
-            domain,
-            config,
-            algorithm,
-            options,
-            telemetry,
-            run_dir,
-            shards,
         )
     resume_path = getattr(options, "resume", None) if options is not None else None
     if resume_path:

@@ -43,17 +43,6 @@ class BlockingIndex:
         statistics (Gini, max-block share) in the hotspot sketch."""
         return {key: len(bucket) for key, bucket in self._buckets.items()}
 
-    def iter_blocks(self) -> Iterator[tuple[str, tuple[str, ...]]]:
-        """Yield ``(key, members)`` per block in sorted key order.
-
-        Members keep their insertion order. Oversized blocks are
-        included — the shard planner needs every co-blocking link, even
-        the ones :meth:`pairs` skips, so a block stays shard-pure and a
-        shard's blocking index skips exactly the blocks the whole-graph
-        index would."""
-        for key in sorted(self._buckets):
-            yield key, tuple(self._buckets[key])
-
     def add_and_pairs(self, ref_id: str, keys: Iterable[str]) -> list[PairKey]:
         """Add *ref_id* and return its candidate pairs against the
         previous members of its buckets (incremental reconciliation).

@@ -91,15 +91,6 @@ class EngineStats:
     task_timeouts: int = 0
     pool_rebuilds: int = 0
     pairs_poisoned: int = 0
-    #: iterate worker processes actually used (1 = serial iterate).
-    iterate_workers: int = 1
-    # Speculative-iterate counters (see repro.perf.speculate). All
-    # execution-dependent: they never appear in a manifest's invariant
-    # view, and defaults keep old checkpoints loadable.
-    speculated_nodes: int = 0
-    speculation_hits: int = 0
-    speculation_invalidated: int = 0
-    speculation_dropped: int = 0
     #: ActiveQueue deque rebuilds triggered by stale-entry buildup.
     queue_compactions: int = 0
     per_class_nodes: dict[str, int] = field(default_factory=dict)
@@ -175,15 +166,10 @@ class Reconciler:
         # Set when a mid-build scorer failure disabled parallelism for
         # the remaining classes (the scorer is already shut down).
         self._parallel_disabled = False
-        #: read-set capture hook for speculative iterate: ``None`` in
-        #: the parent (zero overhead beyond one attribute test per
-        #: evidence read); a :class:`~repro.perf.speculate.ReadRecorder`
-        #: inside iterate workers while :meth:`_compute` runs.
-        self._read_recorder = None
         # Convergence sampling (run manifests): (gold entity_of, every).
         self._convergence: tuple[dict[str, str], int] | None = None
         # Cross-process telemetry relay, created lazily the first time
-        # a parallel scorer/speculator is built with live sinks; stays
+        # a parallel scorer is built with live sinks; stays
         # None (zero cost) when telemetry is off or provenance-only.
         self._relay = None
         #: always-on black-box: bounded ring buffers of recent events,
@@ -287,13 +273,6 @@ class Reconciler:
     def _element_values(self, element: str) -> Mapping[str, tuple[str, ...]]:
         """Pooled attribute values of the element's cluster (enrichment)
         or the single reference's own values."""
-        if self._read_recorder is not None:
-            # In enrich mode an element *is* a cluster root and its
-            # pooled values can only change when that root merges; in
-            # non-enrich mode values are immutable and the entry is
-            # harmless. Either way, recording the element makes a
-            # speculative score invalid the moment the cluster moves.
-            self._read_recorder.roots.add(element)
         if not self.config.enrich:
             return self.store.get(element).values
         cached = self._values_cache.get(element)
@@ -730,32 +709,8 @@ class Reconciler:
             if linked is not None:
                 self.graph.add_edge(linked, node, EdgeType.REAL)
 
-    def _element_in_store(self, element: str) -> bool:
-        """Whether every reference behind *element* is in this store.
-
-        Always true for a whole-dataset run; false only for a sharded
-        sub-store whose split plan left an association target in
-        another shard — such elements carry no local evidence and no
-        node may be forced for them (the cross-shard fixpoint supplies
-        the global view instead)."""
-        if self.config.enrich:
-            members = self._members.get(element)
-            if members is None:
-                return element in self.store
-            return all(ref_id in self.store for ref_id in members)
-        return element in self.store
-
     def _wire_strong(self, node: PairNode, dependency) -> None:
         for key, linked in self._linked_element_pairs(node, dependency.attr):
-            if (
-                linked is None
-                and dependency.ensure_target_nodes
-                and not (
-                    self._element_in_store(key[0])
-                    and self._element_in_store(key[1])
-                )
-            ):
-                continue
             if linked is None and dependency.ensure_target_nodes:
                 linked = self._make_pair_node(
                     dependency.target_class,
@@ -920,29 +875,20 @@ class Reconciler:
             if checkpointer.maybe_save(self, 0) is not None:
                 tel.emit("info", "checkpoint_saved", step=0)
                 tel.instant("checkpoint", step=0)
-        speculator = self._make_speculator()
-        try:
-            step, trip, chunk_start, chunk_step, chunk_merges = self._iterate_loop(
-                guard=guard,
-                checkpointer=checkpointer,
-                step_hook=step_hook,
-                speculator=speculator,
-                budget=budget,
-                instrumented=instrumented,
-                recompute_hist=recompute_hist,
-                queue_hist=queue_hist,
-                chunk_queue_hist=chunk_queue_hist,
-                tracer=tracer,
-                chunk_start=chunk_start,
-                chunk_step=chunk_step,
-                chunk_merges=chunk_merges,
-            )
-        finally:
-            # Close the pool (and unhook the ledger) on *every* exit
-            # path — injected faults and guard trips included — so a
-            # speculative run can never leak worker processes.
-            if speculator is not None:
-                speculator.close()
+        step, trip, chunk_start, chunk_step, chunk_merges = self._iterate_loop(
+            guard=guard,
+            checkpointer=checkpointer,
+            step_hook=step_hook,
+            budget=budget,
+            instrumented=instrumented,
+            recompute_hist=recompute_hist,
+            queue_hist=queue_hist,
+            chunk_queue_hist=chunk_queue_hist,
+            tracer=tracer,
+            chunk_start=chunk_start,
+            chunk_step=chunk_step,
+            chunk_merges=chunk_merges,
+        )
         if self._convergence is not None:
             self._sample_convergence(final=True)
         if tracer is not None:
@@ -996,7 +942,6 @@ class Reconciler:
         guard,
         checkpointer,
         step_hook,
-        speculator,
         budget,
         instrumented,
         recompute_hist,
@@ -1007,16 +952,9 @@ class Reconciler:
         chunk_step,
         chunk_merges,
     ):
-        """The §3.2 pop/process loop, extracted so :meth:`run` can hold
-        the speculator in a try/finally.
-
-        With *speculator* set, each pop first claims any validated
-        speculative score for its key; the loop structure, pop order,
-        push no-op semantics and every side effect stay exactly the
-        serial ones — speculation only replaces the in-line
-        :meth:`_compute` call with a proven-equal cached value. Returns
-        ``(step, trip, chunk_start, chunk_step, chunk_merges)`` for the
-        caller's final trace flush.
+        """The §3.2 pop/process loop. Returns ``(step, trip,
+        chunk_start, chunk_step, chunk_merges)`` for the caller's final
+        trace flush.
         """
         tel = self.telemetry
         # Hoisted like the telemetry extras: with the sketch detached
@@ -1055,30 +993,20 @@ class Reconciler:
                     break
             if step_hook is not None:
                 step_hook(self, step)
-            if speculator is not None:
-                speculator.maybe_refill(self.queue)
             try:
                 key = self.queue.pop()
             except QueueEmpty:  # lazy-discard race: only stale keys left
                 break
             node = self.graph.get_key(key)
             if node is None or node.status is not NodeStatus.ACTIVE:
-                # Drop (never block on) any in-flight speculation for a
-                # key whose node died while queued — transitive merges
-                # resolve whole swaths of queued pairs, and waiting on a
-                # child for a result the loop won't use wastes the
-                # wavefront.
-                if speculator is not None:
-                    speculator.forget(key)
                 continue
-            speculative = speculator.claim(key) if speculator is not None else None
             node.status = NodeStatus.INACTIVE
             pair_started = time.perf_counter() if hotspots is not None else 0.0
             if instrumented:
                 if queue_hist is not None:
                     queue_hist.observe(len(self.queue) + 1)
                     step_started = time.perf_counter()
-                changed = self._process(node, speculative=speculative)
+                self._process(node)
                 if recompute_hist is not None:
                     recompute_hist.observe(time.perf_counter() - step_started)
                 if step % _ITERATE_CHUNK == _ITERATE_CHUNK - 1:
@@ -1106,61 +1034,17 @@ class Reconciler:
                         chunk_step = step + 1
                         chunk_merges = self.stats.merges
             else:
-                changed = self._process(node, speculative=speculative)
+                self._process(node)
             if hotspots is not None:
                 hotspots.note_pair(
                     node.key, node.class_name, time.perf_counter() - pair_started
                 )
-            if speculator is not None and changed:
-                speculator.note_commit(key, node.key)
             step += 1
             if checkpointer is not None:
                 if checkpointer.maybe_save(self, step) is not None:
                     tel.emit("info", "checkpoint_saved", step=step)
                     tel.instant("checkpoint", step=step)
         return step, trip, chunk_start, chunk_step, chunk_merges
-
-    def _make_speculator(self):
-        """A speculative batched iterate executor, or ``None`` to run
-        the loop serially (``iterate_workers=1``, or an environment
-        the fork-based executor cannot run in — recorded as a
-        ``speculation_fallback`` degradation, never an error)."""
-        self.stats.iterate_workers = 1
-        if self.config.iterate_workers <= 1:
-            return None
-        from ..perf.speculate import SpeculativeExecutor
-        from ..runtime.supervisor import IterateSupervisor, RetryPolicy
-
-        try:
-            supervisor = IterateSupervisor(
-                self,
-                self.config.iterate_workers,
-                RetryPolicy(
-                    max_retries=self.config.max_task_retries,
-                    task_timeout=self.config.task_timeout,
-                    backoff_base=self.config.retry_backoff,
-                ),
-                telemetry=self.telemetry,
-                on_degrade=self._degrade,
-                chaos=self.chaos,
-                relay=self._get_relay(),
-                flight=self.flight,
-            )
-        except Exception as exc:
-            self._degrade(
-                DegradationEvent(
-                    kind="speculation_fallback",
-                    detail=f"serial iterate: {exc}",
-                )
-            )
-            return None
-        self.stats.iterate_workers = self.config.iterate_workers
-        return SpeculativeExecutor(
-            self,
-            supervisor,
-            batch=self.config.iterate_batch,
-            telemetry=self.telemetry,
-        )
 
     @classmethod
     def resume(
@@ -1197,21 +1081,9 @@ class Reconciler:
         )
         return engine
 
-    def _process(self, node: PairNode, speculative=None) -> bool:
-        """Take the decision for one popped node.
-
-        *speculative*, when given, is a validated
-        :class:`~repro.perf.speculate.SpecResult` for this node: its
-        score and capture stand in for :meth:`_compute` (every read the
-        worker made is proven untouched since, so the value is exactly
-        what the in-line compute would return). All side effects —
-        marking, merging, propagation, provenance — always happen here,
-        so a speculative step is byte-identical to a serial one.
-
-        Returns True when the node's *observable* state changed (score
-        or status), i.e. when neighbours that read this node during a
-        speculation must be invalidated.
-        """
+    def _process(self, node: PairNode) -> None:
+        """Take the decision for one popped node: score it, then mark,
+        merge or defer, propagate, and record provenance."""
         prov = self.telemetry.provenance
         # Flight-recorder decision ring: fed unconditionally (not just
         # under --provenance) so a crash bundle always carries the tail
@@ -1234,15 +1106,10 @@ class Reconciler:
                     trigger_pair=trigger_pair,
                     recompute_index=node.recompute_count,
                 )
-            return True
+            return
         old_score = node.score
         capture: dict | None = {} if prov is not None else None
-        if speculative is not None:
-            new_score = speculative.score
-            if capture is not None and speculative.capture is not None:
-                capture.update(speculative.capture)
-        else:
-            new_score = self._compute(node, capture)
+        new_score = self._compute(node, capture)
         node.recompute_count += 1
         self.stats.recomputations += 1
         if new_score is None:  # a conflict: mark non-merge (or late merge)
@@ -1256,7 +1123,7 @@ class Reconciler:
                 fl.note_decision(node.key, node.class_name, decision, node.score)
             if prov is not None:
                 self._record_decision(prov, node, capture, decision)
-            return True
+            return
         # Monotone by construction; the max() enforces the §3.2
         # termination requirement even for imperfect domain functions.
         node.score = max(old_score, new_score)
@@ -1270,7 +1137,7 @@ class Reconciler:
                 fl.note_decision(node.key, node.class_name, decision, node.score)
             if prov is not None:
                 self._record_decision(prov, node, capture, decision)
-            return True
+            return
         if increased and self.config.propagate:
             for neighbour in self.graph.real_out_nodes(node):
                 self._activate(neighbour, front=False, cause="real", source=node)
@@ -1278,7 +1145,6 @@ class Reconciler:
             fl.note_decision(node.key, node.class_name, "defer", node.score)
         if prov is not None:
             self._record_decision(prov, node, capture, "defer")
-        return node.score != old_score
 
     def _record_decision(
         self, prov, node: PairNode, capture: dict | None, decision: str
@@ -1318,8 +1184,7 @@ class Reconciler:
             node.class_name, left_values, right_values
         ):
             # Pure sentinel: the caller (:meth:`_process`) applies the
-            # non-merge marking, so speculative workers can run
-            # ``_compute`` without mutating their forked state.
+            # non-merge marking, so scoring never mutates engine state.
             if capture is not None:
                 capture["conflict"] = True
             return None
@@ -1370,15 +1235,6 @@ class Reconciler:
             return None
         left_elements = sorted({self._elem(t) for t in left_targets})
         right_elements = sorted({self._elem(t) for t in right_targets})
-        recorder = self._read_recorder
-        if recorder is not None:
-            # The link structure read below is a function of the target
-            # elements' roots and the linked nodes' scores; record the
-            # roots once and every consulted pair node below.
-            for element in left_elements:
-                recorder.roots.add(self.uf.find(element))
-            for element in right_elements:
-                recorder.roots.add(self.uf.find(element))
         scored: list[tuple[float, str, str]] = []
         for element_l in left_elements:
             for element_r in right_elements:
@@ -1386,12 +1242,6 @@ class Reconciler:
                     scored.append((1.0, element_l, element_r))
                     continue
                 linked = self.graph.get(element_l, element_r)
-                if recorder is not None:
-                    recorder.pairs.add(
-                        linked.key
-                        if linked is not None
-                        else self.graph.resolve(pair_key(element_l, element_r))
-                    )
                 if linked is not None and not linked.is_non_merge:
                     score = 1.0 if linked.is_merged else linked.score
                     if score > 0.0:
@@ -1418,15 +1268,7 @@ class Reconciler:
         collapsed into one real-world article (or article pair) are one
         unit of evidence, not many."""
         seen_entity_pairs: set = set()
-        recorder = self._read_recorder
         for neighbour in self.graph.strong_in_nodes(node):
-            if recorder is not None:
-                # The count depends on each neighbour's merged status
-                # (flips via a commit on its key) and on its element
-                # roots (the entity-pair dedup); record both.
-                recorder.pairs.add(neighbour.key)
-                recorder.roots.add(self.uf.find(neighbour.left))
-                recorder.roots.add(self.uf.find(neighbour.right))
             if neighbour.is_merged:
                 seen_entity_pairs.add(
                     pair_key(self.uf.find(neighbour.left), self.uf.find(neighbour.right))
@@ -1440,20 +1282,12 @@ class Reconciler:
             return 0
         left_roots = self._contact_roots(node.left, node.class_name)
         right_roots = self._contact_roots(node.right, node.class_name)
-        recorder = self._read_recorder
-        if recorder is not None:
-            # Every contact root read feeds the common-contact count; a
-            # later merge moving any of them must invalidate the score.
-            recorder.roots.update(left_roots)
-            recorder.roots.update(right_roots)
         if not left_roots or not right_roots:
             return 0
         common = left_roots & right_roots
         if not common:
             return 0
         exclude = {self.uf.find(node.left), self.uf.find(node.right)}
-        if recorder is not None:
-            recorder.roots.update(exclude)
         return len(common - exclude)
 
     def _mark_non_merge(self, node: PairNode) -> None:

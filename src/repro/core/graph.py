@@ -60,13 +60,6 @@ class DependencyGraph:
     def nodes(self) -> Iterator[PairNode]:
         return iter(self._nodes.values())
 
-    def value_node_keys(self) -> list[tuple[str, str, str]]:
-        """Registry keys ``(channel, left_value, right_value)`` of every
-        value node. Value nodes deduplicate globally by this key, so a
-        sharded run's merged value-node count is the size of the *union*
-        of its shards' key sets — never the sum."""
-        return list(self._value_nodes)
-
     def node_count(self) -> int:
         """Total element-pair nodes ever created (pair + value nodes),
         the graph-size statistic of Table 6."""

@@ -309,17 +309,6 @@ class EngineConfig:
     #: supervised build; None skips the file (poisons still land in
     #: stats / degradations / provenance).
     poison_log: str | None = None
-    #: worker processes for speculative scoring during *iterate*; 1 runs
-    #: the plain serial loop. Speculation is a validated cache in front
-    #: of ``_compute`` (see :mod:`repro.perf.speculate`), so any value
-    #: yields byte-identical partitions, provenance, and merge counters;
-    #: like ``workers`` it never enters checkpoint fingerprints.
-    iterate_workers: int = 1
-    #: in-flight speculation window: how many queue-head keys may be
-    #: speculatively scored ahead of the commit cursor. Larger windows
-    #: amortise IPC but speculate further past uncommitted merges
-    #: (lower hit rate). Execution-shaping only — never affects results.
-    iterate_batch: int = 64
 
     def with_mode(self, mode: Mode) -> "EngineConfig":
         return replace(self, propagate=mode.propagate, enrich=mode.enrich)

@@ -43,11 +43,6 @@ class ActiveQueue:
         self.pushed_back = 0
         #: deque rebuilds triggered by stale-entry accumulation.
         self.compactions = 0
-        #: monotone count of successful :meth:`discard` calls; lets the
-        #: speculative executor skip dead-entry sweeps when nothing was
-        #: discarded since its last sweep. Not persisted: both sides of
-        #: that comparison restart from scratch on resume.
-        self.discards = 0
         for key in initial:
             self.push_back(key)
 
@@ -102,41 +97,6 @@ class ActiveQueue:
                 return key
         raise QueueEmpty("active queue has no live keys")
 
-    def peek_batch(self, limit: int, max_scan: int | None = None) -> list[PairKey]:
-        """The first *limit* live keys in pop order, without removing
-        them.
-
-        Non-destructive on purpose: the iterate loop's push no-op
-        semantics (re-activating a queued key must not re-enqueue it)
-        and front/back ordering only stay byte-identical to the serial
-        run if the queue itself is never drained ahead of commits.
-        Speculation peeks here, scores in parallel, and lets the
-        ordinary :meth:`pop` loop consume the keys one by one.
-
-        *max_scan* bounds how many deque entries are examined — a
-        caller peeking every few pops cannot afford an unbounded stale
-        sweep on a mostly-consumed queue. A short read is fine for the
-        speculative executor: keys beyond the bound surface on a later
-        peek once the head advances.
-        """
-        if limit <= 0:
-            return []
-        members = self._members
-        seen: set[PairKey] = set()
-        batch: list[PairKey] = []
-        scanned = 0
-        for key in self._deque:
-            if max_scan is not None:
-                scanned += 1
-                if scanned > max_scan:
-                    break
-            if key in members and key not in seen:
-                seen.add(key)
-                batch.append(key)
-                if len(batch) >= limit:
-                    break
-        return batch
-
     def discard(self, key: PairKey) -> None:
         """Remove *key* wherever it sits (used when fusion deletes its
         node). Lazy strategy: drop membership now; a stale key left in
@@ -146,7 +106,6 @@ class ActiveQueue:
         whole lifetime."""
         if key in self._members:
             self._members.discard(key)
-            self.discards += 1
             self._maybe_compact()
 
     def _maybe_compact(self) -> None:

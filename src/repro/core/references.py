@@ -67,18 +67,12 @@ class ReferenceStore:
         self,
         schema: Schema,
         references: Iterable[Reference] = (),
-        *,
-        known_external: Iterable[str] = (),
     ) -> None:
         self.schema = schema
         self._by_id: dict[str, Reference] = {}
         self._by_class: dict[str, list[Reference]] = {
             name: [] for name in schema.class_names
         }
-        #: ids that exist in a *parent* store this one was sliced from —
-        #: association targets pointing at them are not dangling (the
-        #: shard runner's sub-stores keep their cross-shard links).
-        self.known_external = frozenset(known_external)
         for reference in references:
             self.add(reference)
 
@@ -166,8 +160,6 @@ class ReferenceStore:
     def validate(self, references: Iterable[Reference] | None = None) -> None:
         """Check that every association value points at a stored reference
         of the right class; raises :class:`SchemaError` otherwise.
-        Targets in :attr:`known_external` (left behind in the parent
-        store this one was sliced from) are accepted as-is.
 
         With *references*, only those are checked, against the store
         plus *references* themselves (a batch about to be added may link
@@ -186,8 +178,6 @@ class ReferenceStore:
                 for target_id in reference.get(attribute.name):
                     target = self._by_id.get(target_id) or pending.get(target_id)
                     if target is None:
-                        if target_id in self.known_external:
-                            continue
                         raise SchemaError(
                             f"{reference.ref_id}.{attribute.name} points at "
                             f"missing reference {target_id!r}"
@@ -198,26 +188,6 @@ class ReferenceStore:
                             f"{target_id!r} of class {target.class_name!r}, "
                             f"expected {attribute.target!r}"
                         )
-
-    def subset(self, ref_ids: Iterable[str]) -> "ReferenceStore":
-        """A new store holding only *ref_ids*, in this store's order.
-
-        Preserving iteration order matters: premerge buckets, blocking
-        indexes and queue seeding all walk the store in order, and the
-        shard-equivalence guarantee relies on a shard seeing its
-        references in exactly the relative order the whole-graph run
-        sees them. The parent's remaining ids become the subset's
-        ``known_external`` set, so association targets left in the
-        parent are not treated as dangling by :meth:`validate` —
-        cross-shard links under a split plan survive intact."""
-        wanted = set(ref_ids)
-        return ReferenceStore(
-            self.schema,
-            (ref for ref in self._by_id.values() if ref.ref_id in wanted),
-            known_external=self.known_external.union(
-                ref_id for ref_id in self._by_id if ref_id not in wanted
-            ),
-        )
 
     def atomic_kind(self, class_name: str, attribute: str) -> bool:
         return (

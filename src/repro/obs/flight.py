@@ -65,7 +65,7 @@ class FlightRecorder:
       ``_process`` (recorded unconditionally, independent of the
       provenance sink, so a crash bundle always carries the decision
       tail even on runs without ``--provenance``);
-    * ``chunks`` — supervised/speculative chunk timings;
+    * ``chunks`` — supervised scoring-chunk timings;
     * ``degradations`` — every :class:`DegradationEvent` the engine
       recorded.
 

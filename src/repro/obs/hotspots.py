@@ -25,7 +25,7 @@ attached or set to ``None``.  The summary lives in the manifest's
 run) and is rendered by ``repro hotspots`` / ``repro report``.
 
 Attribution is parent-process only: pair timings observed inside
-forked scoring/iterate children die with the child.  That is
+scoring workers die with the worker.  That is
 acceptable for a workload profile (the parent still times every
 supervised chunk and every serial recompute) and keeps the sketch free
 of cross-process plumbing.

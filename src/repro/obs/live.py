@@ -182,7 +182,6 @@ def watch_snapshot(events: list[dict]) -> dict:
         "algorithm": None,
         "references": None,
         "workers": None,
-        "iterate_workers": None,
         "resumed": False,
         "phase": "starting",
         "step": None,
@@ -204,7 +203,6 @@ def watch_snapshot(events: list[dict]) -> dict:
             snap["algorithm"] = event.get("algorithm")
             snap["references"] = event.get("references")
             snap["workers"] = event.get("workers")
-            snap["iterate_workers"] = event.get("iterate_workers")
         elif name == "resume":
             snap["resumed"] = True
         elif name == "build_start":
@@ -259,10 +257,7 @@ def render_watch(snap: dict) -> str:
             f" · recomputations {_fmt_count(snap['recomputations'])}"
         )
     if snap["workers"] is not None:
-        lines.append(
-            f"workers: {snap['workers']} build / "
-            f"{snap['iterate_workers']} iterate"
-        )
+        lines.append(f"workers: {snap['workers']} build")
     lines.append(
         f"checkpoints: {snap['checkpoints']}"
         f" · degradations: {snap['degradations']}"

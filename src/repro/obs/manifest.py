@@ -158,7 +158,6 @@ def build_manifest(
     algorithm: str = "depgraph",
     artifacts: dict | None = None,
     resumed: bool = False,
-    shards: dict | None = None,
 ) -> dict:
     """Assemble the manifest for one finished run.
 
@@ -168,12 +167,6 @@ def build_manifest(
     artifact kind (``provenance`` / ``events`` / ``trace`` /
     ``metrics`` / ``partition``) to a path, preferably relative to the
     run directory.
-
-    *shards* (sharded runs only) is the shard runner's summary — plan
-    balance, per-shard engines, cross-shard fixpoint rounds. It lands
-    in the ``execution`` section: how the work was split is execution
-    shape, never outcome (a sharded run's invariant core must equal
-    the serial run's).
     """
     from ..runtime.checkpoint import config_fingerprint
 
@@ -216,20 +209,9 @@ def build_manifest(
             "cache_hit_rates": _cache_rates(stats),
             "prefilter_skips": stats.prefilter_skips,
             "parallel_workers": stats.parallel_workers,
-            # Speculation counters are execution-dependent (they vary
-            # with timing and worker count even though results never
-            # do), so they live here, NOT in the identity-checked
-            # "counters" section.
-            "iterate_workers": getattr(stats, "iterate_workers", 1),
-            "speculation": {
-                "speculated": getattr(stats, "speculated_nodes", 0),
-                "hits": getattr(stats, "speculation_hits", 0),
-                "invalidated": getattr(stats, "speculation_invalidated", 0),
-                "dropped": getattr(stats, "speculation_dropped", 0),
-            },
             "queue_compactions": getattr(stats, "queue_compactions", 0),
             # Cross-process telemetry: what the relay harvested from
-            # worker/child lanes (None when no relay was attached) and
+            # scoring-worker lanes (None when no relay was attached) and
             # the registry's histogram digests. Execution-only by
             # construction — worker timings vary run to run.
             "worker_telemetry": relay.summary() if relay is not None else None,
@@ -238,9 +220,6 @@ def build_manifest(
             # channels + blocking skew). Wall-time attributions vary
             # run to run, so the whole summary is execution-only.
             "hotspots": hotspots.summary() if hotspots is not None else None,
-            # Sharded execution summary (None for whole-graph runs):
-            # component plan, per-shard engine rows, fixpoint rounds.
-            "shards": shards,
             "generated_at": round(time.time(), 3),
         },
         "artifacts": dict(artifacts or {}),

@@ -186,10 +186,6 @@ class MetricsRegistry:
         "task_timeouts": ("repro_task_timeouts_total", "scoring tasks that exceeded their deadline"),
         "pool_rebuilds": ("repro_pool_rebuilds_total", "worker-pool rebuilds after crashes or timeouts"),
         "pairs_poisoned": ("repro_pairs_poisoned_total", "candidate pairs quarantined as poisoned"),
-        "speculated_nodes": ("repro_speculated_nodes_total", "pair nodes scored speculatively ahead of their pop"),
-        "speculation_hits": ("repro_speculation_hits_total", "speculative scores validated and committed"),
-        "speculation_invalidated": ("repro_speculation_invalidated_total", "speculative scores invalidated by intervening commits"),
-        "speculation_dropped": ("repro_speculation_dropped_total", "speculation chunks dropped after exhausting retries"),
         "queue_compactions": ("repro_queue_compactions_total", "active-queue deque compactions"),
     }
 

@@ -91,8 +91,8 @@ class DecisionRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionRecord":
-        # Tolerate extra keys: sharded runs annotate each row with its
-        # shard/phase attribution, and future writers may add more.
+        # Tolerate extra keys: logs written by other versions of the
+        # engine may carry fields this record does not know.
         known = {f.name for f in fields(cls)}
         data = {key: value for key, value in data.items() if key in known}
         data["pair"] = tuple(data["pair"])

@@ -1,22 +1,19 @@
 """Cross-process telemetry relay: worker-side capture, parent-side merge.
 
-The expensive work happens outside the parent process — chunked pair
-scoring in pool workers (:mod:`repro.perf.parallel`) and speculative
-iterate in raw-forked children (:mod:`repro.perf.speculate`) — but the
+The expensive build work happens outside the parent process — chunked
+pair scoring in pool workers (:mod:`repro.perf.parallel`) — but the
 telemetry sinks (tracer, metrics registry, event log) live in the
 parent and are not shareable across ``fork``. The relay bridges that
 gap without any extra IPC channel:
 
-* A :class:`WorkerTelemetry` recorder is installed in each worker
-  (``_init_worker`` for pool workers, created per-chunk in forked
-  iterate children). It buffers spans, counters, histogram
+* A :class:`WorkerTelemetry` recorder is installed in each pool worker
+  by ``_init_worker``. It buffers spans, counters, histogram
   observations and events **locally** — plain lists and dicts, no
   locks, no sockets.
 * :meth:`WorkerTelemetry.drain` turns the buffers into one picklable
   payload dict (or ``None`` when nothing was recorded) and clears
-  them; the payload piggybacks on the chunk result — the pool's
-  return value or the fork child's result pipe — so shipping
-  telemetry costs zero additional round-trips.
+  them; the payload piggybacks on the chunk result the pool returns,
+  so shipping telemetry costs zero additional round-trips.
 * The parent's :class:`TelemetryRelay` absorbs payloads into the real
   sinks: spans become foreign-lane trace events with the worker's
   true ``pid``/``tid`` plus ``process_name`` metadata, counters and
@@ -26,9 +23,9 @@ gap without any extra IPC channel:
 **Clock alignment.** Workers record *absolute* ``time.perf_counter``
 readings. On Linux that clock is ``CLOCK_MONOTONIC``, which is
 system-wide, so the parent aligns a worker span by subtracting the
-tracer's epoch (clamping at zero). The alignment is exact for forked
-children and pool workers on the same host; there is no cross-host
-story, and none is needed.
+tracer's epoch (clamping at zero). The alignment is exact for pool
+workers on the same host; there is no cross-host story, and none is
+needed.
 
 **Ordering.** Payloads are absorbed in chunk-completion order, which
 is not span start order; consumers of the trace must sort by ``ts``
@@ -55,15 +52,12 @@ WORKER_METRIC_HELP = {
     "repro_worker_pair_memo_hits_total": "worker-side pair-memo hits",
     "repro_worker_pair_memo_misses_total": "worker-side pair-memo misses",
     "repro_worker_prefilter_skips_total": "worker-side upper-bound prefilter skips",
-    "repro_iterate_child_chunks_total": "speculative iterate chunks completed by forked children",
-    "repro_iterate_child_keys_total": "keys speculated in forked iterate children",
-    "repro_lane_deaths_total": "worker/child processes that died or hung under supervision",
+    "repro_lane_deaths_total": "worker processes that died or hung under supervision",
 }
 
 #: histogram metrics shipped as observations (latency buckets apply).
 _OBSERVATION_HELP = {
     "repro_worker_chunk_seconds": "wall-clock seconds per scoring chunk, measured in the worker",
-    "repro_iterate_child_chunk_seconds": "wall-clock seconds per speculative chunk, measured in the child",
 }
 
 
@@ -81,10 +75,10 @@ class _WorkerStats:
 class WorkerTelemetry:
     """In-worker recorder: buffers locally, ships via :meth:`drain`.
 
-    Created once per pool worker (buffers survive across chunks and
-    are drained per chunk) or once per forked iterate child. All
-    timestamps are absolute ``perf_counter`` readings; the parent
-    relay aligns them to the tracer epoch.
+    Created once per pool worker; buffers survive across chunks and
+    are drained per chunk. All timestamps are absolute
+    ``perf_counter`` readings; the parent relay aligns them to the
+    tracer epoch.
     """
 
     __slots__ = ("pid", "tid", "process_name", "spans", "counters", "observations", "events")
@@ -242,7 +236,7 @@ class TelemetryRelay:
         Rings exist for crash bundles only: when a run dies, the bundle
         ships the last few things every (recently active) worker lane
         reported. Lanes are evicted least-recently-shipping first so a
-        speculative run forking hundreds of children stays bounded.
+        build whose pool is rebuilt many times stays bounded.
         """
         ring = self.lane_rings.pop(pid, None)
         if ring is None:
@@ -275,15 +269,16 @@ class TelemetryRelay:
             for pid, ring in sorted(self.lane_rings.items())
         }
 
-    def lane_died(self, pid: int | None, reason: str, *, lane: str = "scoring worker") -> None:
+    def lane_died(self, pid: int | None, reason: str) -> None:
         """Attribute a supervision intervention to the lane that died.
 
-        Called by the supervisor when it kills/rebuilds a pool or gives
-        up on a forked child: records a ``lane_died`` instant on that
-        pid's trace lane, bumps ``repro_lane_deaths_total``, and logs a
-        warning event — so a retry or pool rebuild in the trace is
-        visibly anchored to the process that caused it.
+        Called by the supervisor when it kills or rebuilds a pool:
+        records a ``lane_died`` instant on that pid's trace lane, bumps
+        ``repro_lane_deaths_total``, and logs a warning event — so a
+        retry or pool rebuild in the trace is visibly anchored to the
+        process that caused it.
         """
+        lane = "scoring worker"
         record = {"pid": pid, "reason": reason, "lane": lane}
         self.lane_deaths.append(record)
         self.counters["repro_lane_deaths_total"] = (
@@ -307,10 +302,9 @@ class TelemetryRelay:
     def summary(self) -> dict:
         """Manifest-ready digest of what the relay saw.
 
-        Lanes are rolled up by role rather than listed per pid — a long
-        speculative run forks hundreds of short-lived children and the
-        manifest should not grow with them (the trace has the full
-        per-pid story).
+        Lanes are rolled up by role rather than listed per pid — every
+        pool rebuild brings fresh worker pids and the manifest should
+        not grow with them (the trace has the full per-pid story).
         """
         by_role: dict[str, int] = {}
         for name in self.lane_names.values():

@@ -49,18 +49,6 @@ def render_stats(stats) -> str:
                 **supervision
             )
         )
-    speculated = getattr(stats, "speculated_nodes", 0)
-    if speculated:
-        # Mirrors the supervision line: present only when the iterate
-        # loop actually ran speculatively.
-        hits = getattr(stats, "speculation_hits", 0)
-        lines.append(
-            f"  speculation: workers={getattr(stats, 'iterate_workers', 1)} "
-            f"speculated={speculated} "
-            f"hit rate {hit_rate(hits, speculated - hits)} "
-            f"invalidated={getattr(stats, 'speculation_invalidated', 0)} "
-            f"dropped={getattr(stats, 'speculation_dropped', 0)}"
-        )
     lines += [
         f"  candidate_pairs={stats.candidate_pairs} pair_nodes={stats.pair_nodes} "
         f"value_nodes={stats.value_nodes} graph_nodes={stats.graph_nodes}",
@@ -273,10 +261,6 @@ def _doctor_hints(bundle: dict | None, manifest: dict | None) -> list:
         hints.append(
             "parallel scoring degraded (pool rebuilt or serial fallback); "
             "results are unchanged but slower"
-        )
-    if kinds & {"speculation_fallback", "speculation_dropped"}:
-        hints.append(
-            "speculative iterate degraded; results are unchanged but slower"
         )
     hotspots = (manifest.get("execution") or {}).get("hotspots") if manifest else None
     if hotspots:

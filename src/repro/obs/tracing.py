@@ -6,7 +6,7 @@ so the file loads directly into ``chrome://tracing`` or Perfetto.
 Spans nest naturally through a stack. Every event carries the real
 ``pid``/``tid`` of the process that did the work: the engine's own
 spans use the tracer's process, and spans harvested from pool workers
-or forked iterate children arrive through :meth:`complete_foreign`
+arrive through :meth:`complete_foreign`
 with the worker's ids, so Perfetto renders one lane per process and
 the parallelism is visible instead of flattened onto a fake ``pid 1``.
 Lane labels travel as Chrome ``"M"`` (metadata) ``process_name`` /

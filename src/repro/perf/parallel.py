@@ -35,7 +35,6 @@ from .scoring import pair_evidence
 __all__ = [
     "ParallelScorer",
     "domain_spec",
-    "iterate_chunk",
     "make_chunks",
     "rebuild_domain",
 ]
@@ -94,8 +93,8 @@ _WORKER: dict = {}
 def rebuild_domain(spec: str):
     """Instantiate a fresh domain from a :func:`domain_spec` string.
 
-    The inverse of :func:`domain_spec`; shared by the scoring workers
-    and the shard runner's per-shard engine processes."""
+    The inverse of :func:`domain_spec`, run by each scoring worker at
+    pool start-up."""
     module_name, _, qualname = spec.partition(":")
     cls = getattr(importlib.import_module(module_name), qualname)
     return cls()
@@ -174,45 +173,6 @@ def _score_chunk(payload):
     recorder.absorb_pair_stats(stats)
     recorder.observe("repro_worker_chunk_seconds", duration)
     return results, recorder.drain()
-
-
-def iterate_chunk(engine, keys, chaos, chunk_index: int, relay: bool = False):
-    """Child-side entry for one speculative iterate chunk.
-
-    Runs inside a process forked directly off the engine's own, so
-    *engine* is the inherited copy-on-write snapshot — no spec, no
-    values shipping, just the key list. The same fault seam as build
-    chunks applies, under the pseudo class name ``__iterate__``;
-    *chunk_index* is the parent's submission counter, so chaos
-    schedules target iterate chunks as deterministically as build
-    chunks.
-
-    Returns ``(payloads, telemetry_payload)``; the telemetry half is
-    ``None`` unless the parent attached a relay. Both travel over the
-    child's result pipe in one pickle.
-    """
-    if chaos is not None:
-        from ..runtime.faults import mark_forked_worker
-
-        mark_forked_worker()
-        chaos.before_chunk("__iterate__", list(keys), chunk_index)
-    from .speculate import speculate_keys
-
-    if not relay:
-        return speculate_keys(engine, keys), None
-    from ..obs.relay import WorkerTelemetry
-
-    recorder = WorkerTelemetry("iterate child")
-    start = time.perf_counter()
-    payloads = speculate_keys(engine, keys)
-    duration = time.perf_counter() - start
-    recorder.add_span(
-        "speculate_chunk", start, duration, keys=len(keys), chunk=chunk_index
-    )
-    recorder.count("repro_iterate_child_chunks_total")
-    recorder.count("repro_iterate_child_keys_total", len(keys))
-    recorder.observe("repro_iterate_child_chunk_seconds", duration)
-    return payloads, recorder.drain()
 
 
 class ParallelScorer:

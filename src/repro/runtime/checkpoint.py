@@ -2,7 +2,7 @@
 
 A checkpoint is one JSON document::
 
-    {"version": 1, "checksum": "<sha256 of canonical payload>", "payload": {...}}
+    {"version": 2, "checksum": "<sha256 of canonical payload>", "payload": {...}}
 
 where the payload captures the *complete* mutable engine state at an
 iterate-step boundary: union-find parents/sizes/enemies, the active
@@ -36,9 +36,10 @@ the checkpointed recomputation counter — never steps or wall-clock —
 a resumed run reproduces an uninterrupted run's samples exactly. That
 is what lets ``run.json`` manifests satisfy their invariance contract
 (:func:`repro.obs.manifest.invariant_view`) across interruptions.
-Checkpoints written before the field existed restore with an empty
-sample list (the dataclass default), so old checkpoint files stay
-loadable.
+
+The version changes whenever the payload's shape does, so a file from
+another code generation is refused with a typed :class:`CheckpointError`
+instead of failing inside ``EngineStats``.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ __all__ = [
     "save_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def config_fingerprint(config) -> dict:

@@ -61,19 +61,6 @@ class CrashAtStep:
             raise InjectedFault(f"injected crash at iterate step {step}")
 
 
-#: True only inside a raw-forked iterate worker (set by the child right
-#: after fork). Lets ``before_chunk`` tell such children apart from the
-#: parent, which multiprocessing's parentage check cannot.
-_FORKED_WORKER = False
-
-
-def mark_forked_worker() -> None:
-    """Record that this process is a forked iterate worker; kill/hang
-    chaos families may fire here, never in the parent."""
-    global _FORKED_WORKER
-    _FORKED_WORKER = True
-
-
 @dataclass(frozen=True)
 class ChaosInjector:
     """Deterministic build-time chaos for the supervised scorer.
@@ -100,31 +87,16 @@ class ChaosInjector:
     fault is persistent — every fresh worker fires again, which drives
     the scorer down its full degradation ladder.
 
-    The speculative iterate executor reuses the same seam under the
-    pseudo class name ``__iterate__``: each forked iterate child calls
-    ``before_chunk`` once, with the parent's monotone submission index.
-    Because every child sees exactly one chunk, ``kill_every`` (kill
-    when ``chunk_index % kill_every == 0``) expresses persistent kills
-    there — ``kill_at_chunk`` alone would fire once and let the retry
-    (a fresh index) through.
-
     Frozen and built from plain values, so it pickles into workers.
     """
 
     kill_at_chunk: int | None = None
-    kill_every: int | None = None
     hang_at_chunk: int | None = None
     hang_seconds: float = 30.0
     raise_pairs: tuple = ()
     raise_pair_crc_mod: int | None = None
     raise_pair_crc_rem: int = 0
     marker_dir: str | None = None
-    #: shard-runner faults: SIGKILL the engine process of shard N
-    #: (child processes only), or raise :class:`InjectedFault` before
-    #: shard N runs (any process). Both marker-claimed, so they fire at
-    #: most once and the supervisor ladder's retry goes through.
-    shard_kill: int | None = None
-    shard_raise: int | None = None
 
     def _claim(self, name: str) -> bool:
         if self.marker_dir is None:
@@ -149,32 +121,8 @@ class ChaosInjector:
             return digest % self.raise_pair_crc_mod == self.raise_pair_crc_rem
         return False
 
-    def before_shard(self, shard_index: int, *, in_child: bool) -> None:
-        """Shard-runner seam, consulted before a shard engine runs.
-
-        ``shard_kill`` fires only inside a shard child process (the
-        in-parent serial rung must always survive); ``shard_raise``
-        fires wherever the shard is about to run — the runner's retry
-        ladder is what recovers."""
-        if (
-            self.shard_kill is not None
-            and shard_index == self.shard_kill
-            and in_child
-            and self._claim(f"shard_kill_{shard_index}")
-        ):
-            os.kill(os.getpid(), signal.SIGKILL)
-        if (
-            self.shard_raise is not None
-            and shard_index == self.shard_raise
-            and self._claim(f"shard_raise_{shard_index}")
-        ):
-            raise InjectedFault(f"injected shard fault for shard {shard_index}")
-
     def before_chunk(self, class_name: str, pairs, chunk_index: int) -> None:
-        # Iterate children are raw os.fork() processes, invisible to
-        # multiprocessing's parentage check — they announce themselves
-        # via mark_forked_worker() instead.
-        in_worker = _FORKED_WORKER or multiprocessing.parent_process() is not None
+        in_worker = multiprocessing.parent_process() is not None
         if (
             in_worker
             and self.kill_at_chunk is not None
@@ -182,14 +130,6 @@ class ChaosInjector:
             and self._claim("kill")
         ):
             # Claim the marker *before* dying or it would never stick.
-            os.kill(os.getpid(), signal.SIGKILL)
-        if (
-            in_worker
-            and self.kill_every is not None
-            and chunk_index >= 0
-            and chunk_index % self.kill_every == 0
-        ):
-            # Deliberately marker-free: persistent by construction.
             os.kill(os.getpid(), signal.SIGKILL)
         if (
             in_worker

@@ -34,12 +34,7 @@ harness) can verify the damage is exactly the quarantined pairs.
 
 from __future__ import annotations
 
-import gc
-import os
-import pickle
 import random
-import select
-import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
@@ -51,14 +46,13 @@ from ..perf.parallel import (
     _init_worker,
     _score_chunk,
     domain_spec,
-    iterate_chunk,
     make_chunks,
 )
 from ..perf.scoring import pair_evidence
 from .fsutil import atomic_write_text
 from .guards import DegradationEvent
 
-__all__ = ["IterateSupervisor", "RetryPolicy", "SupervisedScorer"]
+__all__ = ["RetryPolicy", "SupervisedScorer"]
 
 
 @dataclass(frozen=True)
@@ -542,365 +536,3 @@ class SupervisedScorer:
                 self.poison_path,
                 "".join(json.dumps(item) + "\n" for item in self.poisoned),
             )
-
-
-class IterateSupervisor:
-    """Supervised fork-per-chunk execution of *speculative iterate*.
-
-    Build-time scoring ships values to a long-lived pool because its
-    inputs are immutable for a whole class pass. The iterate loop is
-    the opposite: the state a speculation reads drifts with every
-    commit, so a long-lived pool's snapshot ages within milliseconds
-    and the hit rate collapses. Instead, every chunk **forks directly
-    off the parent** at submission time — copy-on-write gives the
-    child a perfectly current snapshot for the price of one ``fork``,
-    the child scores its keys and streams the pickled payloads back
-    over a pipe, then ``os._exit``\\ s (no interpreter teardown, so
-    inherited telemetry buffers are never double-flushed).
-
-    The supervision semantics mirror :class:`SupervisedScorer`'s —
-    same :class:`RetryPolicy` (seeded backoff, per-task deadline),
-    same degradation ladder (full concurrency → halved → serial) and
-    the same counters/telemetry vocabulary — with one deliberate
-    difference: a chunk that keeps failing is **dropped**, never
-    poisoned. Speculation is an optimization layer; a dropped key is
-    simply computed in-line by the parent, so no fault in this module
-    can ever change a decision. The terminal ladder rung (serial)
-    disables speculation outright instead of scoring in-parent, which
-    would just run the loop twice.
-    """
-
-    def __init__(
-        self,
-        engine,
-        workers: int,
-        policy: RetryPolicy | None = None,
-        *,
-        telemetry=None,
-        on_degrade=None,
-        chaos=None,
-        relay=None,
-        flight=None,
-    ) -> None:
-        if workers < 2:
-            raise ValueError("IterateSupervisor needs at least 2 workers")
-        if not hasattr(os, "fork"):  # pragma: no cover - non-POSIX
-            raise ValueError(
-                "speculative iterate needs os.fork (children inherit "
-                "the engine snapshot copy-on-write)"
-            )
-        self.engine = engine
-        self.workers = workers
-        self.policy = policy or RetryPolicy()
-        self.telemetry = telemetry
-        self.on_degrade = on_degrade
-        self.chaos = chaos
-        self._relay = relay
-        self._flight = flight
-        metrics = getattr(telemetry, "metrics", None)
-        self._chunk_hist = (
-            metrics.histogram(
-                "repro_supervised_chunk_seconds",
-                "parent-observed seconds from chunk submission to harvest",
-            )
-            if metrics is not None
-            else None
-        )
-        # Degradation ladder: full concurrency → halved → serial (= no
-        # speculation). Descents change how much work is speculated,
-        # never what the run computes.
-        self._ladder = [workers]
-        half = workers // 2
-        if half >= 2 and half != workers:
-            self._ladder.append(half)
-        self._rung = 0
-        self._serial = False
-        self._rng = random.Random(self.policy.seed)
-        self._chunk_index = 0
-        #: pid → read fd of every child not yet reaped, so teardown can
-        #: kill stragglers and close their pipes.
-        self._live: dict[int, int] = {}
-        self.counters = {
-            "task_retry": 0,
-            "task_timeout": 0,
-            "speculation_dropped": 0,
-        }
-
-    # -- reporting ------------------------------------------------------
-    @property
-    def current_workers(self) -> int:
-        """Concurrent chunk children the ladder currently grants."""
-        return 1 if self._serial else self._ladder[self._rung]
-
-    @property
-    def speculation_enabled(self) -> bool:
-        """False once the ladder bottomed out at serial."""
-        return not self._serial
-
-    def _emit(self, level: str, event: str, **fields) -> None:
-        if self.telemetry is not None:
-            self.telemetry.emit(level, event, **fields)
-
-    def _degrade(self, kind: str, detail: str) -> None:
-        if self.on_degrade is not None:
-            self.on_degrade(DegradationEvent(kind=kind, detail=detail))
-
-    # -- chunk lifecycle ------------------------------------------------
-    def submit(self, keys: list):
-        """Fork one speculation chunk; ``None`` when the fork failed
-        (the ladder has already reacted)."""
-        try:
-            return self._fork_chunk(list(keys))
-        except OSError as exc:  # pragma: no cover - fork exhaustion
-            self._descend(f"fork failed: {exc}")
-            return None
-
-    def _fork_chunk(self, keys: list) -> "_ChunkHandle":
-        index = self._chunk_index
-        self._chunk_index += 1
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # child: score, stream, vanish
-            try:
-                # A cyclic-GC pass in the child would COW-fault every
-                # heap page just to collect garbage that os._exit is
-                # about to reclaim wholesale.
-                gc.disable()
-                os.close(read_fd)
-                payloads = iterate_chunk(
-                    self.engine, keys, self.chaos, index, self._relay is not None
-                )
-                data = pickle.dumps(payloads, protocol=pickle.HIGHEST_PROTOCOL)
-                view = memoryview(data)
-                while view:
-                    written = os.write(write_fd, view)
-                    view = view[written:]
-                os.close(write_fd)
-            except BaseException:
-                # Any failure (chaos raise included): die with the
-                # payload unfinished; the parent's harvest treats the
-                # short read as a chunk failure.
-                pass
-            finally:
-                # Skip interpreter teardown entirely: inherited file
-                # buffers must not be re-flushed from the child.
-                os._exit(0)
-        os.close(write_fd)
-        self._live[pid] = read_fd
-        handle = _ChunkHandle(keys, pid, read_fd, index)
-        handle.forked_at = time.perf_counter()
-        return handle
-
-    def harvest(self, handle) -> list | None:
-        """Per-key payloads for a submitted chunk, or ``None`` when
-        the chunk was dropped after exhausting its retries.
-
-        Every failure mode — child killed mid-chunk, deadline
-        exceeded, truncated or unpicklable payload — funnels into the
-        same retry-then-descend-then-drop path; nothing raises.
-        """
-        outcome, detail = self._read_chunk(handle)
-        if outcome == "ok":
-            return detail
-        for attempt in range(1, self.policy.max_retries + 1):
-            self.counters["task_retry"] += 1
-            self._emit(
-                "warning",
-                "task_retry",
-                class_name="__iterate__",
-                pairs=len(handle.keys),
-                attempt=attempt,
-                max_retries=self.policy.max_retries,
-            )
-            self._degrade(
-                "task_retry",
-                f"retry {attempt}/{self.policy.max_retries} for a "
-                f"{len(handle.keys)}-key iterate chunk",
-            )
-            time.sleep(self.policy.backoff(attempt, self._rng))
-            try:
-                # The retry forks a *fresh* child, so it speculates
-                # against newer state than the original submission —
-                # validation against the older epoch only
-                # over-approximates, never under.
-                retry = self._fork_chunk(handle.keys)
-            except OSError as exc:  # pragma: no cover - fork exhaustion
-                self._descend(f"fork failed: {exc}")
-                return None
-            outcome, detail = self._read_chunk(retry)
-            if outcome == "ok":
-                return detail
-        self._descend(detail)
-        self.counters["speculation_dropped"] += len(handle.keys)
-        self._emit(
-            "warning",
-            "speculation_dropped",
-            keys=len(handle.keys),
-            reason=detail,
-        )
-        self._degrade(
-            "speculation_dropped",
-            f"dropped speculation for {len(handle.keys)} key(s): {detail}",
-        )
-        return None
-
-    def _read_chunk(self, handle):
-        """Drain one child's pipe: ``("ok", payloads)`` or a failure."""
-        deadline = self.policy.task_timeout
-        parts: list[bytes] = []
-        failure = None
-        try:
-            while True:
-                if deadline is not None:
-                    ready, _, _ = select.select([handle.fd], [], [], deadline)
-                    if not ready:
-                        self._note_timeout(handle)
-                        failure = (
-                            "timeout",
-                            f"timed out after {deadline}s",
-                        )
-                        self._kill(handle.pid)
-                        break
-                part = os.read(handle.fd, 1 << 16)
-                if not part:
-                    break
-                parts.append(part)
-        finally:
-            os.close(handle.fd)
-            self._reap(handle.pid)
-        if failure is not None:
-            self._note_lane_death(handle.pid, failure[1])
-            return failure
-        try:
-            message = pickle.loads(b"".join(parts))
-        except Exception:
-            self._note_lane_death(handle.pid, "died mid-chunk")
-            return ("crash", "iterate child died mid-chunk")
-        if not (isinstance(message, tuple) and len(message) == 2):
-            payloads, telemetry_payload = None, None
-        else:
-            payloads, telemetry_payload = message
-        if not isinstance(payloads, list) or len(payloads) != len(handle.keys):
-            self._note_lane_death(handle.pid, "malformed chunk")
-            return ("crash", "iterate child returned a malformed chunk")
-        if telemetry_payload is not None and self._relay is not None:
-            self._relay.absorb(telemetry_payload)
-        elapsed = time.perf_counter() - handle.forked_at
-        if self._chunk_hist is not None:
-            self._chunk_hist.observe(elapsed)
-        if self._flight is not None:
-            self._flight.note_chunk(
-                "iterate fork", elapsed, keys=len(handle.keys)
-            )
-        return ("ok", payloads)
-
-    def _note_lane_death(self, pid: int, reason: str) -> None:
-        """One iterate child gave up: tell the relay and the recorder."""
-        if self._relay is not None:
-            self._relay.lane_died(pid, reason, lane="iterate child")
-        if self._flight is not None:
-            self._flight.note_event(
-                "lane_died", pid=pid, reason=reason, lane="iterate child"
-            )
-
-    def _note_timeout(self, handle) -> None:
-        self.counters["task_timeout"] += 1
-        self._emit(
-            "warning",
-            "task_timeout",
-            class_name="__iterate__",
-            pairs=len(handle.keys),
-            timeout=self.policy.task_timeout,
-        )
-        self._degrade(
-            "task_timeout",
-            f"a {len(handle.keys)}-key iterate chunk exceeded its "
-            f"{self.policy.task_timeout}s deadline",
-        )
-
-    def _descend(self, reason: str) -> None:
-        """Walk the ladder one rung down: fewer concurrent children,
-        then no speculation at all."""
-        if self._serial:
-            return
-        if self._rung + 1 < len(self._ladder):
-            self._rung += 1
-            self._emit(
-                "warning",
-                "pool_rebuild",
-                workers=self._ladder[self._rung],
-                cause="ladder_descent",
-            )
-            self._degrade(
-                "pool_rebuild",
-                f"degraded to {self._ladder[self._rung]} iterate "
-                f"children: {reason}",
-            )
-        else:
-            self._serial = True
-            self._emit(
-                "warning", "degradation", kind="parallel_fallback", cause=reason
-            )
-            self._degrade(
-                "parallel_fallback",
-                f"speculative iterate disabled, loop continues serially: "
-                f"{reason}",
-            )
-
-    # -- teardown -------------------------------------------------------
-    def _kill(self, pid: int) -> None:
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except OSError:  # pragma: no cover - already gone
-            pass
-
-    def _reap(self, pid: int) -> None:
-        if pid not in self._live:
-            return
-        try:
-            os.waitpid(pid, 0)
-        except ChildProcessError:  # pragma: no cover - already reaped
-            pass
-        del self._live[pid]
-
-    def shutdown(self) -> None:
-        """Kill and reap any children still in flight (abandoned
-        chunks whose keys were dropped from the queue, or an engine
-        tearing down mid-run), closing their pipes."""
-        for pid, fd in list(self._live.items()):
-            self._kill(pid)
-            self._reap(pid)
-            try:
-                os.close(fd)
-            except OSError:  # pragma: no cover - already closed
-                pass
-
-
-class _ChunkHandle:
-    """One in-flight speculation chunk: its keys, child, and pipe.
-
-    ``fork_seq`` (the ledger sequence at fork), ``started`` (trace
-    clock) and ``remaining`` (keys not yet claimed or forgotten) are
-    stamped and maintained by the executor after submission.
-    """
-
-    __slots__ = (
-        "keys",
-        "pid",
-        "fd",
-        "index",
-        "fork_seq",
-        "started",
-        "remaining",
-        "forked_at",
-    )
-
-    def __init__(self, keys: list, pid: int, fd: int, index: int) -> None:
-        self.keys = keys
-        self.pid = pid
-        self.fd = fd
-        self.index = index
-        self.fork_seq = 0
-        self.started = 0.0
-        self.remaining = len(keys)
-        self.forked_at = 0.0

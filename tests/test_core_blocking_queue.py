@@ -133,6 +133,27 @@ class TestActiveQueue:
         assert queue.pushed_front == 1
 
 
+class TestQueueCompaction:
+    """The lazy-discard leak fix: heavy discarding compacts the deque
+    instead of accumulating stale slots forever."""
+
+    def test_discard_heavy_queue_compacts(self):
+        queue = ActiveQueue((f"k{i}", f"m{i}") for i in range(100))
+        for i in range(80):
+            queue.discard((f"k{i}", f"m{i}"))
+        assert queue.compactions >= 1
+        assert len(queue._deque) <= 2 * len(queue._members)
+        # Pop order of the survivors is untouched.
+        popped = [queue.pop() for _ in range(len(queue))]
+        assert popped == [(f"k{i}", f"m{i}") for i in range(80, 100)]
+
+    def test_tiny_queues_never_compact(self):
+        queue = ActiveQueue((f"k{i}", f"m{i}") for i in range(10))
+        for i in range(10):
+            queue.discard((f"k{i}", f"m{i}"))
+        assert queue.compactions == 0
+
+
 def test_pim_blocking_keys_bridge_names_and_emails():
     from repro.domains import PimDomainModel
 

@@ -9,13 +9,16 @@ only merge more (monotonicity at the system level).
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import EngineConfig, Reconciler, Reference, ReferenceStore
 from repro.core.nodes import NodeStatus
+from repro.datasets import generate_cora_dataset, generate_pim_dataset
+from repro.datasets.cora import CoraConfig
 from repro.datasets.generator.names import NamePool, format_name
-from repro.domains import PimDomainModel
+from repro.domains import CoraDomainModel, PimDomainModel
 
 _STYLES = ("first_last", "last_comma_initials", "initial_last", "nickname", "first_only")
 _DOMAINS = ("x.edu", "y.org", "mail.com")
@@ -138,3 +141,38 @@ def _pairs(cluster):
         for i in range(len(cluster))
         for j in range(i + 1, len(cluster))
     }
+
+
+def _invariant_world(name: str):
+    if name == "cora":
+        config = CoraConfig(n_papers=25, n_citations=200, n_authors=50, n_venues=10)
+        return generate_cora_dataset(config), CoraDomainModel()
+    return generate_pim_dataset(name, scale=0.15), PimDomainModel()
+
+
+class TestEngineInvariants:
+    """Order-free partition invariants of the serial engine on every
+    dataset: distinct pairs are never co-clustered, and each class's
+    clusters are sorted, disjoint and cover all of its references."""
+
+    def _check(self, store, domain, partitions):
+        for left, right in domain.distinct_pairs(store):
+            for clusters in partitions.values():
+                for cluster in clusters:
+                    assert not (left in cluster and right in cluster), (
+                        f"enemies {left}/{right} co-clustered"
+                    )
+        for class_name, clusters in partitions.items():
+            seen = set()
+            for cluster in clusters:
+                assert cluster == sorted(cluster)
+                for ref_id in cluster:
+                    assert ref_id not in seen, f"{ref_id} in two clusters"
+                    seen.add(ref_id)
+            assert seen == {r.ref_id for r in store.of_class(class_name)}
+
+    @pytest.mark.parametrize("name", ["A", "B", "C", "D", "cora"])
+    def test_partition_invariants(self, name):
+        dataset, domain = _invariant_world(name)
+        result = Reconciler(dataset.store, domain, EngineConfig()).run()
+        self._check(dataset.store, domain, result.partitions)

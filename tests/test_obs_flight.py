@@ -75,7 +75,7 @@ class TestFlightRecorder:
     def test_snapshot_is_json_serializable(self):
         recorder = FlightRecorder()
         recorder.note_event("iterate_start", queued=5)
-        recorder.note_chunk("iterate fork", 0.001, keys=3)
+        recorder.note_chunk("supervised", 0.001, pairs=3)
         json.dumps(recorder.snapshot())
 
 
@@ -266,7 +266,7 @@ class TestCrashBundle:
             "events": [("info", "chunk_done", {})],
         }
         relay.absorb(dict(payload))
-        relay.lane_died(4242, "chaos", lane="scoring worker")
+        relay.lane_died(4242, "chaos")
         bundle = build_crash_bundle(reason="collapse", relay=relay)
         validate_crash_bundle(bundle)
         lanes = bundle["worker_lanes"]
@@ -289,7 +289,7 @@ class TestCrashBundle:
                     {
                         "pid": pid,
                         "tid": 1,
-                        "process_name": "iterate child",
+                        "process_name": "scoring worker",
                         "spans": [],
                         "counters": {"c": 1},
                         "observations": {},
@@ -349,10 +349,10 @@ def test_recorder_identity_serial(name):
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "cora"])
 def test_recorder_identity_parallel(name):
-    """Same contract under workers=2 + iterate_workers=2: the recorder
-    observes supervised chunks and lane rings without perturbing them."""
+    """Same contract under workers=2: the recorder observes supervised
+    chunks and lane rings without perturbing them."""
     dataset, domain_factory = _dataset(name)
-    config = EngineConfig(workers=2, iterate_workers=2, iterate_batch=16)
+    config = EngineConfig(workers=2)
     on = _observed_run(dataset, domain_factory, config, detach=False)
     off = _observed_run(dataset, domain_factory, config, detach=True)
     assert on[0].partitions == off[0].partitions

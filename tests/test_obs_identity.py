@@ -87,7 +87,7 @@ def test_parallel_run_identical_with_full_observability(name, tmp_path):
         provenance=True,
         provenance_path=tmp_path / "prov.jsonl",
     )
-    config = EngineConfig(workers=2, iterate_workers=2, iterate_batch=16)
+    config = EngineConfig(workers=2)
     engine = Reconciler(
         dataset.store, domain_factory(), config, telemetry=telemetry
     )

@@ -18,7 +18,7 @@ from repro.obs import (
 def _events_for_finished_run():
     return [
         {"event": "run_start", "dataset": "PIM B", "algorithm": "depgraph",
-         "references": 328, "workers": 2, "iterate_workers": 2},
+         "references": 328, "workers": 2},
         {"event": "build_start"},
         {"event": "build_end", "queued": 259},
         {"event": "iterate_start", "queued": 259},
@@ -78,7 +78,7 @@ class TestRenderers:
             "run: PIM B (depgraph) · 328 references\n"
             "phase: done\n"
             "progress: step 153 · queued 120 · merges 79 · recomputations 153\n"
-            "workers: 2 build / 2 iterate\n"
+            "workers: 2 build\n"
             "checkpoints: 1 · degradations: 0 · lane deaths: 1 "
             "· pairs poisoned: 0\n"
             "result: completed (converged)"

@@ -154,7 +154,7 @@ class TestParallelRunEndToEnd:
             trace=True,
             metrics=True,
         )
-        config = EngineConfig(workers=2, iterate_workers=2, iterate_batch=16)
+        config = EngineConfig(workers=2)
         engine = Reconciler(
             dataset.store, PimDomainModel(), config, telemetry=telemetry
         )
@@ -185,7 +185,6 @@ class TestParallelRunEndToEnd:
         _, _, telemetry = observed
         snapshot = telemetry.metrics.snapshot()
         assert snapshot["repro_worker_chunks_total"]["value"] > 0
-        assert snapshot["repro_iterate_child_chunks_total"]["value"] > 0
         assert snapshot["repro_worker_chunk_seconds"]["count"] > 0
         assert snapshot["repro_supervised_chunk_seconds"]["count"] > 0
         for name in snapshot:

@@ -2,6 +2,7 @@
 checkpoint/resume, graceful degradation and the fault injectors."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -197,6 +198,29 @@ class TestCheckpoint:
     def test_missing_checkpoint_is_refused(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "nope.json")
+
+    def test_version_1_checkpoint_is_refused(self, tmp_path):
+        # Version 1 stats carried five counters EngineStats no longer
+        # has; the version check must refuse such a file with a typed
+        # error before its stats reach EngineStats(**stats).
+        engine = _engine()
+        engine.build()
+        path = save_checkpoint(engine, tmp_path / "ckpt.json")
+        payload = json.loads(path.read_text())["payload"]
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        path.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "checksum": hashlib.sha256(body.encode()).hexdigest(),
+                    "payload": payload,
+                }
+            )
+        )
+        domain = PimDomainModel()
+        store = ReferenceStore(domain.schema, example1_references())
+        with pytest.raises(CheckpointError, match="version 1"):
+            Reconciler.resume(path, store=store, domain=domain)
 
     def test_config_mismatch_is_refused(self, tmp_path):
         engine = _engine()

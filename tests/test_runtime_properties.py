@@ -159,60 +159,6 @@ class TestParallelCrashResume:
         assert expected.partitions == serial.partitions
 
 
-class TestSpeculativeCrashResume:
-    """``--iterate-workers`` crossed with ``--workers`` and
-    ``--resume``: a run that speculates the iterate loop, crashes
-    mid-iterate and resumes must stay byte-identical to an
-    uninterrupted serial run. Checkpoints carry no speculation state —
-    the executor is rebuilt fresh after resume, and speculation is a
-    validated cache, so the continued pop/commit sequence is untouched."""
-
-    @staticmethod
-    def _speculative_config():
-        from dataclasses import replace
-
-        from repro.core import EngineConfig
-
-        return replace(
-            EngineConfig(), workers=2, iterate_workers=2, iterate_batch=16
-        )
-
-    @pytest.mark.parametrize("name", ["A", "B", "C", "D"])
-    def test_pim_datasets(self, name):
-        dataset = generate_pim_dataset(name, scale=0.12, seed=11)
-        domain = PimDomainModel()
-        refs = list(dataset.store)
-        serial = Reconciler(ReferenceStore(domain.schema, refs), domain).run()
-        expected, _, result = _crash_and_resume(
-            lambda: ReferenceStore(domain.schema, refs),
-            domain,
-            crash_step=25,
-            every=10,
-            config=self._speculative_config(),
-        )
-        assert result.partitions == serial.partitions
-        assert expected.partitions == serial.partitions
-
-    def test_cora_like(self):
-        from repro.datasets.cora import CoraConfig
-
-        dataset = generate_cora_dataset(
-            CoraConfig(n_papers=10, n_citations=80, n_authors=25, n_venues=5, seed=5)
-        )
-        domain = CoraDomainModel()
-        refs = list(dataset.store)
-        serial = Reconciler(ReferenceStore(domain.schema, refs), domain).run()
-        expected, _, result = _crash_and_resume(
-            lambda: ReferenceStore(domain.schema, refs),
-            domain,
-            crash_step=25,
-            every=10,
-            config=self._speculative_config(),
-        )
-        assert result.partitions == serial.partitions
-        assert expected.partitions == serial.partitions
-
-
 class TestQuarantineIngestion:
     """Acceptance criterion: a 5%-malformed corpus loads leniently with
     every bad record quarantined; strict mode fails fast naming the
