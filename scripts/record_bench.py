@@ -41,6 +41,8 @@ from repro.core import EngineConfig, Reconciler  # noqa: E402
 from repro.datasets import generate_cora_dataset, generate_pim_dataset  # noqa: E402
 from repro.domains import CoraDomainModel, PimDomainModel  # noqa: E402
 from repro.obs import (  # noqa: E402
+    FlightRecorder,
+    HotspotSketch,
     MetricsRegistry,
     Telemetry,
     Tracer,
@@ -98,7 +100,12 @@ def _measure(
     # to a phase (which build stage, which cache) instead of a single
     # wall-clock number; overhead is a handful of coarse spans.
     telemetry = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
-    engine = Reconciler(dataset.store, _domain(name), config, telemetry=telemetry)
+    engine = Reconciler(
+        dataset.store,
+        _domain(name),
+        config,
+        observers=[telemetry, FlightRecorder(), HotspotSketch()],
+    )
     if manifest_dir is not None and dataset.gold.entity_of:
         # Coarse sampling: bench manifests exist for cross-run diffing,
         # not convergence plots, so keep the committed files small.
@@ -164,7 +171,7 @@ def _measure(
 
 def _hotspot_digest(engine) -> dict | None:
     """Top-3 hot blocks + per-class skew from the engine's sketch."""
-    hotspots = getattr(engine, "hotspots", None)
+    hotspots = engine.observers.find(HotspotSketch)
     if hotspots is None:
         return None
     summary = hotspots.summary(top=3)

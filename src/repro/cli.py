@@ -57,16 +57,19 @@ from .evaluation.clustering import bcubed_scores
 from .evaluation.metrics import pairwise_scores
 from .obs import (
     LEVELS,
+    MANIFEST_FILENAME,
+    FlightRecorder,
+    HotspotSketch,
     ProvenanceLog,
+    RunDirError,
     Telemetry,
     build_manifest,
     diff_runs,
-    load_manifest,
+    load_run_dir,
     render_degradations,
     render_diff,
     render_quarantine,
     render_stats,
-    resolve_artifact,
     write_manifest,
 )
 
@@ -512,6 +515,15 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
             references=len(dataset.store),
             workers=workers,
         )
+    observers = [FlightRecorder(), HotspotSketch()]
+    if telemetry is not None:
+        observers.insert(0, telemetry)
+    hud = None
+    if getattr(options, "live", False):
+        from .obs.live import LiveHud
+
+        hud = LiveHud()
+        observers.append(hud)
     resume_path = getattr(options, "resume", None) if options is not None else None
     if resume_path:
         reconciler = Reconciler.resume(
@@ -519,10 +531,10 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
             store=dataset.store,
             domain=domain,
             config=config,
-            telemetry=telemetry,
+            observers=observers,
         )
     else:
-        reconciler = Reconciler(dataset.store, domain, config, telemetry=telemetry)
+        reconciler = Reconciler(dataset.store, domain, config, observers=observers)
     if run_dir is not None and dataset.gold.entity_of:
         # Convergence samples feed the manifest; keyed by the
         # (checkpointed) recomputation counter, so attaching after
@@ -547,18 +559,8 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
         from .obs.profile import SamplingProfiler
 
         profiler = SamplingProfiler().start()
-    hud = None
-    if getattr(options, "live", False):
-        from .obs.live import LiveHud
-
-        hud = LiveHud()
-        hud.phase("build")
     try:
-        result = reconciler.run(
-            guard=guard,
-            checkpointer=checkpointer,
-            step_hook=hud.step_hook if hud is not None else None,
-        )
+        result = reconciler.run(guard=guard, checkpointer=checkpointer)
     except BaseException as exc:
         # The flight recorder's whole purpose: an unhandled failure in
         # a --run-dir run leaves a post-mortem bundle behind. Dumping
@@ -575,7 +577,6 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
         raise
     finally:
         if hud is not None:
-            hud.phase("done")
             hud.close()
         if profiler is not None:
             profiler.stop()
@@ -727,9 +728,8 @@ def _cmd_explain(args) -> int:
     if getattr(args, "run", None):
         # Resolve the provenance log through the run's manifest, so
         # the caller names the run, not the raw artifact path.
-        manifest = load_manifest(args.run)
-        provenance_path = resolve_artifact(manifest, args.run, "provenance")
-        if provenance_path is None or not provenance_path.exists():
+        provenance_path = load_run_dir(args.run).artifact("provenance")
+        if provenance_path is None:
             print(
                 f"run {args.run} has no provenance artifact "
                 "(re-run with --run-dir or --provenance)",
@@ -738,8 +738,8 @@ def _cmd_explain(args) -> int:
             return 2
         recorded = ProvenanceLog.from_jsonl(provenance_path)
         # The engine reruns without a live provenance sink; the
-        # recorded log is swapped in afterwards so the explanation
-        # replays exactly what that run decided.
+        # explanation replays the recorded log instead, exactly what
+        # that run decided.
         telemetry = _telemetry_from(args)
     else:
         # Always record provenance for explain: the explanation replays
@@ -752,21 +752,18 @@ def _cmd_explain(args) -> int:
     if args.ref_a not in dataset.store or args.ref_b not in dataset.store:
         print("unknown reference id", file=sys.stderr)
         return 2
-    if recorded is not None:
-        reconciler.telemetry = Telemetry(provenance=recorded)
-    explanation = explain_merge(reconciler, args.ref_a, args.ref_b)
+    explanation = explain_merge(reconciler, args.ref_a, args.ref_b, provenance=recorded)
     print(explanation.describe())
     return 0
 
 
 def _load_run(path: str):
     """(manifest, provenance-or-None) for a run directory / run.json."""
-    manifest = load_manifest(path)
-    provenance = None
-    provenance_path = resolve_artifact(manifest, path, "provenance")
-    if provenance_path is not None and provenance_path.exists():
-        provenance = ProvenanceLog.from_jsonl(provenance_path)
-    return manifest, provenance
+    run = load_run_dir(path)
+    provenance_path = run.artifact("provenance")
+    if provenance_path is None:
+        return run.manifest, None
+    return run.manifest, ProvenanceLog.from_jsonl(provenance_path)
 
 
 def _cmd_diff(args) -> int:
@@ -801,11 +798,10 @@ def _cmd_diff(args) -> int:
 
 def _cmd_report(args) -> int:
     target = Path(args.target)
-    if (target.is_dir() and (target / "run.json").exists()) or target.name == "run.json":
+    if target.is_dir() or target.name == MANIFEST_FILENAME:
         from .obs.report_html import write_report as write_html_report
 
-        run_dir = target if target.is_dir() else target.parent
-        path = write_html_report(run_dir, args.output)
+        path = write_html_report(target, args.output)
         print(f"wrote HTML run report to {path}")
         return 0
     from .evaluation.report import write_report
@@ -822,16 +818,16 @@ def _watch_events_path(target: Path) -> Path:
     when a manifest exists (the run may have pointed --log-json
     elsewhere), falling back to ``DIR/events.jsonl`` — which also
     covers watching a run that has not written its manifest yet. A
-    file path is tailed as-is."""
+    torn manifest is an error. A file path is tailed as-is."""
     if not target.is_dir():
         return target
-    manifest_path = target / "run.json"
-    if manifest_path.exists():
-        manifest = load_manifest(manifest_path)
-        resolved = resolve_artifact(manifest, target, "events")
-        if resolved is not None:
-            return resolved
-    return target / "events.jsonl"
+    try:
+        resolved = load_run_dir(target).artifact("events")
+    except RunDirError as exc:
+        if not exc.missing:
+            raise
+        resolved = None
+    return resolved or target / "events.jsonl"
 
 
 def _cmd_watch(args) -> int:
@@ -861,9 +857,11 @@ def _cmd_doctor(args) -> int:
     bundle = load_crash_bundle(run_path)
     manifest = None
     try:
-        manifest = load_manifest(base)
-    except (FileNotFoundError, json.JSONDecodeError):
-        manifest = None
+        manifest = load_run_dir(base).manifest
+    except RunDirError as exc:
+        # A crashed run may have died before writing its manifest:
+        # the bundle alone is still worth diagnosing.
+        print(exc, file=sys.stderr)
     print(render_doctor(bundle, manifest))
     if bundle is None and manifest is None:
         return 2
@@ -877,11 +875,7 @@ def _cmd_doctor(args) -> int:
 def _cmd_hotspots(args) -> int:
     from .obs.render import render_hotspots
 
-    try:
-        manifest = load_manifest(args.run_dir)
-    except FileNotFoundError:
-        print(f"no run.json found at {args.run_dir}", file=sys.stderr)
-        return 2
+    manifest = load_run_dir(args.run_dir).manifest
     hotspots = (manifest.get("execution") or {}).get("hotspots")
     if not hotspots:
         print(
@@ -913,6 +907,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except RunDirError as exc:
+        # A run-dir command pointed at a missing or torn run.json.
+        print(exc, file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pipe reader (head, grep -q) closed early; not an
         # error.  Detach stdout so interpreter teardown doesn't retry

@@ -24,15 +24,13 @@ from __future__ import annotations
 
 import bisect
 import time
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 
-from ..obs.flight import FlightRecorder
-from ..obs.hotspots import HotspotSketch
-from ..obs.telemetry import NULL_TELEMETRY, Telemetry
-from ..perf.scoring import channel_value_pairs, pair_evidence
+from ..obs import FlightRecorder, HotspotSketch, Observer, Observers
+from ..perf.scoring import pair_evidence
 from ..runtime.errors import BudgetExceeded, DeadlineExceeded, GuardTripped, QueueEmpty
 from ..runtime.guards import DegradationEvent
 from .blocking import BlockingIndex
@@ -48,9 +46,6 @@ __all__ = ["Reconciler", "EngineStats"]
 
 # Guard against pathological weak-edge fan-out (popular contacts).
 _MAX_WEAK_FANOUT = 20_000
-
-# Iterate steps per progress event / trace chunk when telemetry is on.
-_ITERATE_CHUNK = 1_000
 
 
 @dataclass
@@ -105,7 +100,13 @@ class EngineStats:
 
 
 class Reconciler:
-    """Run the dependency-graph reconciliation over a reference store."""
+    """Run the dependency-graph reconciliation over a reference store.
+
+    Everything watching the run subscribes through one fan-out (see
+    :mod:`repro.obs.observer`). By default that is a flight recorder
+    and a hotspot sketch; an explicit sequence of subscribers is used
+    exactly as given, so an empty one gives the bare engine.
+    """
 
     def __init__(
         self,
@@ -113,15 +114,14 @@ class Reconciler:
         domain: DomainModel,
         config: EngineConfig | None = None,
         *,
-        telemetry: Telemetry | None = None,
+        observers: Iterable[Observer] | None = None,
     ) -> None:
         self.store = store
         self.domain = domain
         self.config = config or EngineConfig()
-        # Observability sinks; the shared null object costs one
-        # attribute read per instrumented block and keeps partitions
-        # byte-identical with telemetry on or off.
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.observers = Observers(
+            (FlightRecorder(), HotspotSketch()) if observers is None else observers
+        )
         self.graph = DependencyGraph()
         self.queue = ActiveQueue()
         self.stats = EngineStats()
@@ -153,10 +153,9 @@ class Reconciler:
         self._built = False
         #: why the last run stopped: "converged" or a degradation kind.
         self.stop_reason = "converged"
-        #: fault-injection seam for the supervised build (mirrors the
-        #: ``step_hook`` seam of :meth:`run`): an opaque object with a
-        #: ``before_chunk`` method, forwarded to scoring workers. None
-        #: in production.
+        #: fault-injection seam for the supervised build: an opaque
+        #: object with a ``before_chunk`` method, forwarded to scoring
+        #: workers. None in production.
         self.chaos = None
         #: pair keys scored as no-merge no matter what the evidence
         #: says. Populated from a supervised build's poisoned pairs;
@@ -168,26 +167,6 @@ class Reconciler:
         self._parallel_disabled = False
         # Convergence sampling (run manifests): (gold entity_of, every).
         self._convergence: tuple[dict[str, str], int] | None = None
-        # Cross-process telemetry relay, created lazily the first time
-        # a parallel scorer is built with live sinks; stays
-        # None (zero cost) when telemetry is off or provenance-only.
-        self._relay = None
-        #: always-on black-box: bounded ring buffers of recent events,
-        #: decisions, chunk timings and degradations, dumped as a crash
-        #: bundle when a run dies. Strictly observational (set to None
-        #: to prove byte-identity); never checkpointed or fingerprinted.
-        self.flight = FlightRecorder()
-        #: streaming heavy-hitter attribution (blocks/pairs/channels +
-        #: blocking skew); observational like the recorder, surfaced in
-        #: the manifest's execution section and `repro hotspots`.
-        self.hotspots = HotspotSketch()
-
-    def _get_relay(self):
-        if self._relay is None and self.telemetry.active:
-            from ..obs.relay import TelemetryRelay
-
-            self._relay = TelemetryRelay.for_telemetry(self.telemetry)
-        return self._relay
 
     def attach_convergence(
         self, gold_entity_of: Mapping[str, str], *, every: int = 250
@@ -235,7 +214,7 @@ class Reconciler:
             "recall": round(scores.recall, 6),
         }
         samples.append(point)
-        self.telemetry.emit("debug", "convergence_sample", **point)
+        self.observers.event("debug", "convergence_sample", **point)
 
     def _sync_feature_cache_stats(self) -> None:
         """Mirror the domain's :class:`~repro.perf.features.FeatureCache`
@@ -362,55 +341,41 @@ class Reconciler:
     def build(self) -> None:
         """Construct the dependency graph (two passes of §3.1)."""
         started = time.perf_counter()
-        tel = self.telemetry
-        tel.emit("info", "build_start", references=len(self.store))
-        if self.flight is not None:
-            self.flight.note_event("build_start", references=len(self.store))
-        with tel.span("build"):
-            self.store.validate()
-            if self.config.premerge_keys:
-                with tel.span("premerge"):
-                    self._premerge_by_keys()
-            self._register_members()
-            class_order = self.domain.class_order()
-            per_class_nodes: dict[str, list[PairNode]] = {}
-            scorer = self._make_scorer()
-            try:
-                for class_name in class_order:
-                    with tel.span(f"build_class:{class_name}", class_name=class_name):
-                        per_class_nodes[class_name] = self._build_class_nodes(
-                            class_name, scorer=scorer
-                        )
-                    if self.hotspots is not None:
-                        # The index is filled and iterated by now, so
-                        # sizes and oversized counts are both final.
-                        self.hotspots.note_blocks(
-                            class_name, self._block_indexes[class_name]
-                        )
-                    tel.emit(
-                        "debug",
-                        "build_phase",
-                        phase=f"class:{class_name}",
-                        nodes=len(per_class_nodes[class_name]),
-                    )
-            finally:
-                if scorer is not None:
-                    scorer.shutdown()
-                    self._absorb_supervision(scorer)
-            self._per_class_nodes = per_class_nodes
-            with tel.span("wire_association"):
-                self._wire_association_edges(per_class_nodes)
-            with tel.span("wire_weak"):
-                self._wire_weak_edges(per_class_nodes)
-            if self.config.constraints:
-                with tel.span("constraints"):
-                    self._install_distinct_pairs()
-            # Seed the queue: class order already respects "values before
-            # the references that depend on them".
+        self.observers.phase_begin(self, "build", references=len(self.store))
+        self.store.validate()
+        if self.config.premerge_keys:
+            with self.observers.phase(self, "premerge"):
+                self._premerge_by_keys()
+        self._register_members()
+        class_order = self.domain.class_order()
+        per_class_nodes: dict[str, list[PairNode]] = {}
+        scorer = self._make_scorer()
+        try:
             for class_name in class_order:
-                for node in per_class_nodes[class_name]:
-                    if node.status is NodeStatus.ACTIVE:
-                        self.queue.push_back(node.key)
+                with self.observers.phase(self, "build_class", class_name=class_name):
+                    nodes = self._build_class_nodes(class_name, scorer=scorer)
+                per_class_nodes[class_name] = nodes
+                self.observers.blocks(
+                    self, class_name, self._block_indexes[class_name], len(nodes)
+                )
+        finally:
+            if scorer is not None:
+                scorer.shutdown()
+                self._absorb_supervision(scorer)
+        self._per_class_nodes = per_class_nodes
+        with self.observers.phase(self, "wire_association"):
+            self._wire_association_edges(per_class_nodes)
+        with self.observers.phase(self, "wire_weak"):
+            self._wire_weak_edges(per_class_nodes)
+        if self.config.constraints:
+            with self.observers.phase(self, "constraints"):
+                self._install_distinct_pairs()
+        # Seed the queue: class order already respects "values before
+        # the references that depend on them".
+        for class_name in class_order:
+            for node in per_class_nodes[class_name]:
+                if node.status is NodeStatus.ACTIVE:
+                    self.queue.push_back(node.key)
         self.stats.pair_nodes = self.graph.pair_nodes_created
         self.stats.value_nodes = self.graph.value_nodes_created
         self.stats.graph_nodes = self.graph.node_count()
@@ -420,30 +385,22 @@ class Reconciler:
         self.stats.build_seconds = time.perf_counter() - started
         self._sync_feature_cache_stats()
         self._report_weak_fanout(self.stats.skipped_weak_fanout)
-        tel.emit(
-            "info",
-            "build_end",
+        self.observers.phase_end(
+            self,
+            "build",
             seconds=round(self.stats.build_seconds, 6),
             candidate_pairs=self.stats.candidate_pairs,
             pair_nodes=self.stats.pair_nodes,
             value_nodes=self.stats.value_nodes,
             queued=len(self.queue),
         )
-        if self.flight is not None:
-            self.flight.note_event(
-                "build_end",
-                seconds=round(self.stats.build_seconds, 6),
-                pair_nodes=self.stats.pair_nodes,
-                queued=len(self.queue),
-            )
         self._built = True
 
     def _degrade(self, event: DegradationEvent) -> None:
-        """Record a degradation in the stats *and* the event stream."""
+        """Record a degradation in the stats and report it: the one
+        path every degradation of a run takes."""
         self.stats.degradations.append(event)
-        if self.flight is not None:
-            self.flight.note_degradation(event.kind, event.detail)
-        self.telemetry.emit("warning", "degradation", kind=event.kind, detail=event.detail)
+        self.observers.degradation(event)
 
     def _premerge_by_keys(self) -> None:
         """§3.4's cheap pre-processing: union references that share a
@@ -484,12 +441,10 @@ class Reconciler:
                     task_timeout=self.config.task_timeout,
                     backoff_base=self.config.retry_backoff,
                 ),
-                telemetry=self.telemetry,
+                observers=self.observers,
                 on_degrade=self._degrade,
                 poison_path=self.config.poison_log,
                 chaos=self.chaos,
-                relay=self._get_relay(),
-                flight=self.flight,
             )
         except Exception as exc:
             self._degrade(
@@ -505,29 +460,20 @@ class Reconciler:
     def _absorb_supervision(self, scorer) -> None:
         """Fold a supervised scorer's outcome into engine state: the
         retry / timeout / rebuild / poison counters, the suppressed
-        pair keys (so force-created nodes respect poisons too), the
-        provenance records, and the worker count actually achieved."""
-        counters = getattr(scorer, "counters", None)
-        if counters is None:
-            return  # a bare ParallelScorer (tests) has no supervision
+        pair keys (so force-created nodes respect poisons too), a
+        ``pair_poisoned`` decision per poison, and the worker count
+        actually achieved."""
+        counters = scorer.counters
         self.stats.task_retries += counters["task_retry"]
         self.stats.task_timeouts += counters["task_timeout"]
         self.stats.pool_rebuilds += counters["pool_rebuild"]
         self.stats.pairs_poisoned += counters["pair_poisoned"]
         if not self._parallel_disabled:
             self.stats.parallel_workers = scorer.current_workers
-        prov = self.telemetry.provenance
         for entry in scorer.poisoned:
-            key = pair_key(entry["pair"][0], entry["pair"][1])
-            self.suppressed_pairs.add(key)
-            if prov is not None:
-                prov.record(
-                    pair=key,
-                    class_name=entry["class"],
-                    decision="pair_poisoned",
-                    score=0.0,
-                    threshold=self.domain.merge_threshold(entry["class"]),
-                )
+            node = PairNode(entry["class"], *entry["pair"], status=NodeStatus.NON_MERGE)
+            self.suppressed_pairs.add(node.key)
+            self.observers.decision(self, node, "pair_poisoned")
 
     def _build_class_nodes(
         self, class_name: str, scorer=None
@@ -654,12 +600,6 @@ class Reconciler:
                 self.graph.value_node(channel_name, value_l, value_r, score)
             )
         return node
-
-    @staticmethod
-    def _channel_value_pairs(channel, left_values, right_values):
-        """All comparable value pairs of one channel, both orientations
-        for cross-attribute channels (see perf.scoring)."""
-        return channel_value_pairs(channel, left_values, right_values)
 
     def _wire_association_edges(self, per_class_nodes) -> None:
         """Second pass of §3.1: edges along association attributes."""
@@ -810,7 +750,6 @@ class Reconciler:
         *,
         guard=None,
         checkpointer=None,
-        step_hook: Callable[["Reconciler", int], None] | None = None,
         raise_on_trip: bool = False,
     ) -> ReconciliationResult:
         """Execute the full algorithm and return the partition.
@@ -822,144 +761,45 @@ class Reconciler:
         typed exception instead). ``checkpointer`` (a
         :class:`~repro.runtime.checkpoint.Checkpointer`) periodically
         serialises the full engine state so a killed run can continue
-        via :meth:`resume`. ``step_hook`` is called with the engine and
-        the iterate-step index before each step — the fault-injection
-        seam; whatever it raises propagates (a simulated crash).
+        via :meth:`resume`. An exception raised by a subscriber's step
+        callback propagates (the fault-injection seam: a simulated crash).
         """
         if not self._built:
             self.build()
         started = time.perf_counter()
         if guard is not None:
             guard.start()
-        budget = self.config.max_recomputations
         self.stop_reason = "converged"
-        trip: GuardTripped | None = None
-        step = 0
-        tel = self.telemetry
-        if self.flight is not None:
-            self.flight.note_event("iterate_start", queued=len(self.queue))
-        # Per-step instrumentation is resolved once, outside the loop:
-        # with telemetry off every extra is None and the loop body is
-        # the exact pre-observability code path.
-        instrumented = tel.active
-        recompute_hist = queue_hist = chunk_queue_hist = None
-        tracer = None
-        chunk_start = 0.0
-        chunk_step = chunk_merges = 0
-        if instrumented:
-            tel.emit("info", "iterate_start", queued=len(self.queue))
-            if tel.metrics is not None:
-                from ..obs.metrics import DEPTH_BUCKETS
-
-                recompute_hist = tel.metrics.histogram(
-                    "repro_recompute_seconds", "per-node recomputation latency"
-                )
-                queue_hist = tel.metrics.histogram(
-                    "repro_queue_depth",
-                    "active-queue depth sampled at each pop",
-                    buckets=DEPTH_BUCKETS,
-                )
-                chunk_queue_hist = tel.metrics.histogram(
-                    "repro_iterate_queue_depth",
-                    "active-queue depth sampled once per iterate chunk",
-                    buckets=DEPTH_BUCKETS,
-                )
-            tracer = tel.tracer
-            if tracer is not None:
-                chunk_start = tracer.now()
-                iterate_offset = chunk_start
-                chunk_merges = self.stats.merges
-        if checkpointer is not None:
-            # Always leave at least one checkpoint behind, even if the
-            # run dies on its very first step.
-            if checkpointer.maybe_save(self, 0) is not None:
-                tel.emit("info", "checkpoint_saved", step=0)
-                tel.instant("checkpoint", step=0)
-        step, trip, chunk_start, chunk_step, chunk_merges = self._iterate_loop(
-            guard=guard,
-            checkpointer=checkpointer,
-            step_hook=step_hook,
-            budget=budget,
-            instrumented=instrumented,
-            recompute_hist=recompute_hist,
-            queue_hist=queue_hist,
-            chunk_queue_hist=chunk_queue_hist,
-            tracer=tracer,
-            chunk_start=chunk_start,
-            chunk_step=chunk_step,
-            chunk_merges=chunk_merges,
-        )
+        self.observers.phase_begin(self, "iterate", queued=len(self.queue))
+        # Always leave at least one checkpoint behind, even if the run
+        # dies on its very first step.
+        if checkpointer is not None and checkpointer.maybe_save(self, 0) is not None:
+            self.observers.event("info", "checkpoint_saved", step=0)
+        step, trip = self._iterate_loop(guard=guard, checkpointer=checkpointer)
         if self._convergence is not None:
             self._sample_convergence(final=True)
-        if tracer is not None:
-            if step > chunk_step:
-                tracer.complete(
-                    "iterate_chunk",
-                    chunk_start,
-                    tracer.now() - chunk_start,
-                    from_step=chunk_step,
-                    to_step=step,
-                    merges=self.stats.merges - chunk_merges,
-                )
-            tracer.complete(
-                "iterate",
-                iterate_offset,
-                tracer.now() - iterate_offset,
-                steps=step,
-                stop_reason=self.stop_reason,
-            )
         self.stats.iterate_seconds += time.perf_counter() - started
         self.stats.queue_front_pushes = self.queue.pushed_front
         self.stats.queue_back_pushes = self.queue.pushed_back
         self.stats.queue_compactions = self.queue.compactions
         self.stats.fusions = self.graph.fusions
         self._sync_feature_cache_stats()
-        if instrumented:
-            tel.emit(
-                "info",
-                "iterate_end",
-                stop_reason=self.stop_reason,
-                steps=step,
-                seconds=round(self.stats.iterate_seconds, 6),
-                merges=self.stats.merges,
-                non_merges=self.stats.non_merges,
-            )
-            if tel.metrics is not None:
-                tel.metrics.absorb_stats(self.stats)
-                if self.hotspots is not None:
-                    self.hotspots.export_metrics(tel.metrics)
-        if self.flight is not None:
-            self.flight.note_event(
-                "iterate_end", stop_reason=self.stop_reason, steps=step
-            )
+        self.observers.phase_end(
+            self,
+            "iterate",
+            stop_reason=self.stop_reason,
+            steps=step,
+            seconds=round(self.stats.iterate_seconds, 6),
+            merges=self.stats.merges,
+            non_merges=self.stats.non_merges,
+        )
         if trip is not None and raise_on_trip:
             raise trip
         return self._result()
 
-    def _iterate_loop(
-        self,
-        *,
-        guard,
-        checkpointer,
-        step_hook,
-        budget,
-        instrumented,
-        recompute_hist,
-        queue_hist,
-        chunk_queue_hist,
-        tracer,
-        chunk_start,
-        chunk_step,
-        chunk_merges,
-    ):
-        """The §3.2 pop/process loop. Returns ``(step, trip,
-        chunk_start, chunk_step, chunk_merges)`` for the caller's final
-        trace flush.
-        """
-        tel = self.telemetry
-        # Hoisted like the telemetry extras: with the sketch detached
-        # the loop body is the exact pre-observability code path.
-        hotspots = self.hotspots
+    def _iterate_loop(self, *, guard, checkpointer):
+        """The §3.2 pop/process loop. Returns ``(steps, trip)``."""
+        budget = self.config.max_recomputations
         step = 0
         trip: GuardTripped | None = None
         while self.queue:
@@ -991,8 +831,7 @@ class Reconciler:
                         self._degrade(exc.event)
                     trip = exc
                     break
-            if step_hook is not None:
-                step_hook(self, step)
+            self.observers.step(self, step)
             try:
                 key = self.queue.pop()
             except QueueEmpty:  # lazy-discard race: only stale keys left
@@ -1001,50 +840,11 @@ class Reconciler:
             if node is None or node.status is not NodeStatus.ACTIVE:
                 continue
             node.status = NodeStatus.INACTIVE
-            pair_started = time.perf_counter() if hotspots is not None else 0.0
-            if instrumented:
-                if queue_hist is not None:
-                    queue_hist.observe(len(self.queue) + 1)
-                    step_started = time.perf_counter()
-                self._process(node)
-                if recompute_hist is not None:
-                    recompute_hist.observe(time.perf_counter() - step_started)
-                if step % _ITERATE_CHUNK == _ITERATE_CHUNK - 1:
-                    if chunk_queue_hist is not None:
-                        chunk_queue_hist.observe(len(self.queue))
-                    tel.emit(
-                        "debug",
-                        "iterate_progress",
-                        step=step + 1,
-                        queued=len(self.queue),
-                        merges=self.stats.merges,
-                        recomputations=self.stats.recomputations,
-                    )
-                    if tracer is not None:
-                        now = tracer.now()
-                        tracer.complete(
-                            "iterate_chunk",
-                            chunk_start,
-                            now - chunk_start,
-                            from_step=chunk_step,
-                            to_step=step + 1,
-                            merges=self.stats.merges - chunk_merges,
-                        )
-                        chunk_start = now
-                        chunk_step = step + 1
-                        chunk_merges = self.stats.merges
-            else:
-                self._process(node)
-            if hotspots is not None:
-                hotspots.note_pair(
-                    node.key, node.class_name, time.perf_counter() - pair_started
-                )
+            self._process(node)
             step += 1
-            if checkpointer is not None:
-                if checkpointer.maybe_save(self, step) is not None:
-                    tel.emit("info", "checkpoint_saved", step=step)
-                    tel.instant("checkpoint", step=step)
-        return step, trip, chunk_start, chunk_step, chunk_merges
+            if checkpointer is not None and checkpointer.maybe_save(self, step) is not None:
+                self.observers.event("info", "checkpoint_saved", step=step)
+        return step, trip
 
     @classmethod
     def resume(
@@ -1054,7 +854,7 @@ class Reconciler:
         store: ReferenceStore,
         domain: DomainModel,
         config: EngineConfig | None = None,
-        telemetry: Telemetry | None = None,
+        observers: Iterable[Observer] | None = None,
     ) -> "Reconciler":
         """Rebuild an engine from a checkpoint written during a run.
 
@@ -1063,16 +863,16 @@ class Reconciler:
         mismatch). Calling :meth:`run` on the returned engine continues
         from the checkpointed step and — because iteration is
         deterministic — converges to the same partition an
-        uninterrupted run would have produced. *telemetry* is fresh
+        uninterrupted run would have produced. Subscribers are fresh
         runtime state, never part of the checkpoint: file-backed sinks
         open in append mode, so the continued run extends the original
         run's event log and audit trail coherently.
         """
         from ..runtime.checkpoint import load_checkpoint, restore_engine
 
-        engine = cls(store, domain, config, telemetry=telemetry)
+        engine = cls(store, domain, config, observers=observers)
         restore_engine(engine, load_checkpoint(path))
-        engine.telemetry.emit(
+        engine.observers.event(
             "info",
             "resume",
             checkpoint=str(path),
@@ -1083,32 +883,15 @@ class Reconciler:
 
     def _process(self, node: PairNode) -> None:
         """Take the decision for one popped node: score it, then mark,
-        merge or defer, propagate, and record provenance."""
-        prov = self.telemetry.provenance
-        # Flight-recorder decision ring: fed unconditionally (not just
-        # under --provenance) so a crash bundle always carries the tail
-        # of decisions leading up to the failure.
-        fl = self.flight
+        merge or defer, propagate, and report the decision."""
+        started = time.perf_counter() if self.observers.timing else None
         if self.uf.connected(node.left, node.right):
             node.status = NodeStatus.MERGED
             node.score = 1.0
-            if fl is not None:
-                fl.note_decision(node.key, node.class_name, "transitive_merge", 1.0)
-            if prov is not None:
-                trigger, trigger_pair = prov.take_activation(node.key)
-                prov.record(
-                    pair=node.key,
-                    class_name=node.class_name,
-                    decision="transitive_merge",
-                    score=1.0,
-                    threshold=self.domain.merge_threshold(node.class_name),
-                    trigger=trigger,
-                    trigger_pair=trigger_pair,
-                    recompute_index=node.recompute_count,
-                )
+            self.observers.decision(self, node, "transitive_merge", None, started)
             return
         old_score = node.score
-        capture: dict | None = {} if prov is not None else None
+        capture: dict | None = {} if self.observers.evidence else None
         new_score = self._compute(node, capture)
         node.recompute_count += 1
         self.stats.recomputations += 1
@@ -1119,62 +902,30 @@ class Reconciler:
                 if node.status is NodeStatus.MERGED
                 else "non_merge_conflict"
             )
-            if fl is not None:
-                fl.note_decision(node.key, node.class_name, decision, node.score)
-            if prov is not None:
-                self._record_decision(prov, node, capture, decision)
-            return
-        # Monotone by construction; the max() enforces the §3.2
-        # termination requirement even for imperfect domain functions.
-        node.score = max(old_score, new_score)
-        increased = node.score > old_score + self.config.epsilon
-        if node.score >= self.domain.merge_threshold(node.class_name):
-            self._merge(node)
-            decision = (
-                "merge" if node.status is NodeStatus.MERGED else "non_merge_enemy"
-            )
-            if fl is not None:
-                fl.note_decision(node.key, node.class_name, decision, node.score)
-            if prov is not None:
-                self._record_decision(prov, node, capture, decision)
-            return
-        if increased and self.config.propagate:
-            for neighbour in self.graph.real_out_nodes(node):
-                self._activate(neighbour, front=False, cause="real", source=node)
-        if fl is not None:
-            fl.note_decision(node.key, node.class_name, "defer", node.score)
-        if prov is not None:
-            self._record_decision(prov, node, capture, "defer")
-
-    def _record_decision(
-        self, prov, node: PairNode, capture: dict | None, decision: str
-    ) -> None:
-        """Append one audit record for the decision just taken."""
-        capture = capture or {}
-        trigger, trigger_pair = prov.take_activation(node.key)
-        prov.record(
-            pair=node.key,
-            class_name=node.class_name,
-            decision=decision,
-            score=node.score,
-            threshold=self.domain.merge_threshold(node.class_name),
-            s_rv=capture.get("s_rv", 0.0),
-            t_rv=self.domain.t_rv(node.class_name),
-            strong_support=capture.get("strong", 0),
-            weak_support=capture.get("weak", 0),
-            channels=capture.get("channels", {}),
-            trigger=trigger,
-            trigger_pair=trigger_pair,
-            recompute_index=node.recompute_count,
-        )
+        else:
+            # Monotone by construction; the max() enforces the §3.2
+            # termination requirement even for imperfect domain functions.
+            node.score = max(old_score, new_score)
+            increased = node.score > old_score + self.config.epsilon
+            if node.score >= self.domain.merge_threshold(node.class_name):
+                self._merge(node)
+                decision = (
+                    "merge" if node.status is NodeStatus.MERGED else "non_merge_enemy"
+                )
+            else:
+                if increased and self.config.propagate:
+                    for neighbour in self.graph.real_out_nodes(node):
+                        self._activate(neighbour, front=False, cause="real", source=node)
+                decision = "defer"
+        self.observers.decision(self, node, decision, capture, started)
 
     def _compute(self, node: PairNode, capture: dict | None = None) -> float | None:
         """S = S_rv + S_sb + S_wb (§4); None when marked non-merge.
 
-        *capture*, when given (provenance enabled), is filled with the
-        evidence the decision rested on — channel scores, S_rv and the
-        boolean supports actually used — without computing anything the
-        plain path would not.
+        *capture*, when given (an observer wants decision evidence), is
+        filled with the evidence the decision rested on — channel
+        scores, S_rv and the boolean supports actually used — without
+        computing anything the plain path would not.
         """
         config = self.config
         domain = self.domain
@@ -1185,8 +936,6 @@ class Reconciler:
         ):
             # Pure sentinel: the caller (:meth:`_process`) applies the
             # non-merge marking, so scoring never mutates engine state.
-            if capture is not None:
-                capture["conflict"] = True
             return None
         evidence: dict[str, float] = {}
         key_match = False
@@ -1219,13 +968,7 @@ class Reconciler:
                 if weak:
                     total += domain.gamma(node.class_name) * weak
         if capture is not None:
-            capture["channels"] = dict(evidence)
-            capture["s_rv"] = s_rv
-            capture["strong"] = strong
-            capture["weak"] = weak
-        hotspots = self.hotspots
-        if hotspots is not None:
-            hotspots.note_channels(evidence)
+            capture.update(channels=evidence, s_rv=s_rv, strong=strong, weak=weak)
         return min(total, 1.0)
 
     def _assoc_score(self, node: PairNode, channel) -> float | None:
@@ -1299,7 +1042,7 @@ class Reconciler:
             return None
         node.status = NodeStatus.NON_MERGE
         self.stats.non_merges += 1
-        self.telemetry.emit(
+        self.observers.event(
             "debug",
             "non_merge",
             left=node.left,
@@ -1328,7 +1071,7 @@ class Reconciler:
         absorbed = right_root if survivor == left_root else left_root
         node.status = NodeStatus.MERGED
         self.stats.merges += 1
-        self.telemetry.emit(
+        self.observers.event(
             "debug",
             "merge",
             left=node.left,
@@ -1366,11 +1109,7 @@ class Reconciler:
             return
         if node.score >= 1.0:
             return
-        prov = self.telemetry.provenance
-        if prov is not None:
-            prov.note_activation(
-                node.key, cause, source.key if source is not None else None
-            )
+        self.observers.activation(node, cause, source)
         node.status = NodeStatus.ACTIVE
         if front:
             self.queue.push_front(node.key)

@@ -8,7 +8,8 @@ the attribute values that matched, the strong-boolean implications
 (shared articles) and the weak-boolean support (common contacts).
 
 When the engine ran with a merge-provenance audit log
-(:class:`~repro.obs.provenance.ProvenanceLog`), each step *replays the
+(:class:`~repro.obs.provenance.ProvenanceLog`, recorded by a subscribed
+:class:`~repro.obs.telemetry.Telemetry`), each step *replays the
 actual decision record* — the channel scores, threshold, boolean
 supports and triggering propagation the engine saw at decision time —
 instead of recomputing similarities against post-hoc cluster state.
@@ -21,6 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from ..obs.telemetry import Telemetry
 from .engine import Reconciler
 from .nodes import NodeStatus
 
@@ -106,18 +108,12 @@ class MergeExplanation:
         return "\n".join(lines)
 
 
-def _provenance_of(reconciler: Reconciler):
-    telemetry = getattr(reconciler, "telemetry", None)
-    return getattr(telemetry, "provenance", None)
-
-
-def _step_from_node(reconciler: Reconciler, node) -> MergeStep:
+def _step_from_node(reconciler: Reconciler, node, prov) -> MergeStep:
     evidence: dict[str, tuple[str, str, float]] = {}
     for channel, value_nodes in node.value_evidence.items():
         best = max(value_nodes, key=lambda vn: vn.score, default=None)
         if best is not None:
             evidence[channel] = (best.left_value, best.right_value, best.score)
-    prov = _provenance_of(reconciler)
     record = prov.merge_record(node.left, node.right) if prov is not None else None
     if record is not None:
         # Replay the audited decision: supports, score and trigger as
@@ -145,20 +141,25 @@ def _step_from_node(reconciler: Reconciler, node) -> MergeStep:
     )
 
 
-def explain_merge(reconciler: Reconciler, source: str, target: str) -> MergeExplanation:
+def explain_merge(
+    reconciler: Reconciler, source: str, target: str, *, provenance=None
+) -> MergeExplanation:
     """Explain how *source* and *target* ended up in one cluster.
 
     Performs a breadth-first search over the merged pair nodes of the
     dependency graph restricted to the pair's cluster, so the returned
     steps form a shortest chain of actual merge decisions. Pre-merged
     references (key agreement before graph construction) contribute a
-    synthetic "key" step. With a provenance log attached to the
-    engine, every step replays its recorded decision, and a
-    non-reconciled pair reports its last recorded decision.
+    synthetic "key" step. With a provenance log — *provenance*, or by
+    default the one recorded by the engine's telemetry subscriber —
+    every step replays its recorded decision, and a non-reconciled pair
+    reports its last recorded decision.
     """
+    prov = provenance
+    if prov is None:
+        prov = getattr(reconciler.observers.find(Telemetry), "provenance", None)
     uf = reconciler.uf
     if not uf.connected(source, target):
-        prov = _provenance_of(reconciler)
         last = None
         if prov is not None:
             record = prov.last_decision(source, target)
@@ -216,7 +217,7 @@ def explain_merge(reconciler: Reconciler, source: str, target: str) -> MergeExpl
     while queue:
         element, path = queue.popleft()
         if element in targets:
-            steps = tuple(_step_from_node(reconciler, node) for node in path)
+            steps = tuple(_step_from_node(reconciler, node, prov) for node in path)
             if not steps:
                 # Same element on both sides: the pair was unified by
                 # the key pre-merge (e.g. an identical email address).

@@ -1,7 +1,9 @@
 """Observability: structured logs, span traces, metrics, provenance.
 
-Four sinks behind one :class:`Telemetry` facade, threaded through the
-engine, perf and runtime subsystems:
+Everything here reaches the engine through one seam,
+:mod:`~repro.obs.observer`: an :class:`Observer` protocol of typed
+callbacks and the :class:`Observers` fan-out the engine reports to.
+The telemetry subscriber, :class:`Telemetry`, bundles four sinks:
 
 * :mod:`~repro.obs.events` — a levelled JSONL event stream
   (``--log-json`` / ``--log-level``),
@@ -34,12 +36,12 @@ And the **cross-process / live layer**:
 * :mod:`~repro.obs.live` — the ``--live`` stderr HUD and the
   ``repro watch`` event-log tailer.
 
-Everything is disabled by default: the engine holds the shared
-:data:`NULL_TELEMETRY` null object and its instrumented paths cost
-one attribute read when no sink is attached. Telemetry is strictly
-observational — partitions are byte-identical with it on or off, and
-none of its state (timestamps, span ids, record sequence numbers)
-enters checkpoints or their fingerprints.
+By default the engine subscribes only the flight recorder and the
+hotspot sketch; telemetry, the HUD and fault injectors are subscribed
+explicitly. Every subscriber is strictly observational — partitions
+are byte-identical with any set of them, and none of their state
+(timestamps, span ids, record sequence numbers) enters checkpoints or
+their fingerprints.
 """
 
 from .diffing import DiffVerdict, diff_runs
@@ -63,9 +65,12 @@ from .live import (
 from .manifest import (
     MANIFEST_FILENAME,
     MANIFEST_VERSION,
+    RunDir,
+    RunDirError,
     build_manifest,
     invariant_view,
     load_manifest,
+    load_run_dir,
     partition_digest,
     resolve_artifact,
     write_manifest,
@@ -78,6 +83,7 @@ from .metrics import (
     escape_label_value,
     format_labels,
 )
+from .observer import Observer, Observers
 from .profile import SamplingProfiler, parse_folded, top_frames_from_folded
 from .provenance import DecisionRecord, ProvenanceLog
 from .relay import TelemetryRelay, WorkerTelemetry
@@ -107,7 +113,7 @@ from .schemas import (
     validate_provenance_jsonl,
     validate_speedscope,
 )
-from .telemetry import NULL_TELEMETRY, Telemetry
+from .telemetry import Telemetry
 from .tracing import Tracer
 
 __all__ = [
@@ -125,9 +131,12 @@ __all__ = [
     "diff_runs",
     "MANIFEST_FILENAME",
     "MANIFEST_VERSION",
+    "RunDir",
+    "RunDirError",
     "build_manifest",
     "invariant_view",
     "load_manifest",
+    "load_run_dir",
     "partition_digest",
     "resolve_artifact",
     "write_manifest",
@@ -162,6 +171,8 @@ __all__ = [
     "validate_metrics_snapshot",
     "validate_provenance_jsonl",
     "validate_speedscope",
+    "Observer",
+    "Observers",
     "LiveHud",
     "follow_events",
     "read_events",
@@ -173,7 +184,6 @@ __all__ = [
     "top_frames_from_folded",
     "TelemetryRelay",
     "WorkerTelemetry",
-    "NULL_TELEMETRY",
     "Telemetry",
     "Tracer",
 ]

@@ -46,7 +46,6 @@ into the engine, so logging cannot perturb determinism.
 from __future__ import annotations
 
 import json
-import sys
 import time
 from pathlib import Path
 
@@ -125,8 +124,3 @@ class EventLog:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def stderr_log(level: str = "info") -> EventLog:
-    """An event log rendering to stderr (human debugging convenience)."""
-    return EventLog(stream=sys.stderr, level=level)

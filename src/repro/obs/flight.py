@@ -3,25 +3,25 @@
 The telemetry stack explains runs that *finish* — manifests, traces,
 provenance replay all render after the fact.  A run that dies mid-build
 used to leave only a stack trace.  The :class:`FlightRecorder` is the
-black-box counterpart: an always-on, bounded-memory set of ring buffers
-(recent events, merge/defer decisions, chunk timings, degradations)
-that costs one attribute check plus a deque append on the hot path and
-performs **zero I/O while the run is healthy**.  When something goes
-wrong — a guard trip, an unhandled engine exception, a pool collapse,
-chaos-injected worker death — the rings are dumped atomically as
-``crash_bundle.json`` into the run directory together with
-per-thread stacks (:func:`sys._current_frames`), the config
+black-box counterpart: a bounded-memory set of ring buffers (recent
+lifecycle events, decisions, chunk timings, degradations) subscribed to
+the engine's observer seam by default, costing a deque append per
+callback and performing **zero I/O while the run is healthy**.  When
+something goes wrong — a guard trip, an unhandled engine exception, a
+pool collapse, chaos-injected worker death — the rings are dumped
+atomically as ``crash_bundle.json`` into the run directory together
+with per-thread stacks (:func:`sys._current_frames`), the config
 fingerprint, the partial :class:`~repro.core.engine.EngineStats`, and
 the worker-lane rings retained by the telemetry relay.
 
 Invariants, mirroring every other observer in this package:
 
 * recorder state never reaches checkpoints or config fingerprints
-  (it is an engine attribute, not config, and ``engine_state`` never
+  (it is a subscriber, not config, and ``engine_state`` never
   serialises it), so partitions are byte-identical with the recorder
-  attached or set to ``None``;
-* all ring feeds are observational — a ``perf_counter`` read and a
-  deque append — and never influence a decision;
+  subscribed or not;
+* all ring feeds are observational — a deque append — and never
+  influence a decision;
 * ring capacity bounds memory: with the default 256 entries per ring
   and ~120-byte entries, a recorder tops out around 128 KiB.
 
@@ -39,6 +39,9 @@ import traceback
 from collections import deque
 from pathlib import Path
 
+from .events import LEVELS
+from .observer import Observer
+
 __all__ = [
     "CRASH_BUNDLE_FILENAME",
     "FlightRecorder",
@@ -53,18 +56,23 @@ CRASH_BUNDLE_FILENAME = "crash_bundle.json"
 #: failing run (hundreds of decisions) while bounding memory.
 DEFAULT_RING_SIZE = 256
 
+#: events below this level (per-merge debug chatter) stay out of the
+#: ring, which would otherwise lose the lifecycle landmarks.
+_MIN_EVENT_LEVEL = LEVELS["info"]
 
-class FlightRecorder:
+
+class FlightRecorder(Observer):
     """Bounded ring buffers of the most recent engine activity.
 
     Four rings, each a ``deque(maxlen=ring_size)``:
 
-    * ``events`` — lifecycle landmarks (phase starts/ends, pool kills,
-      lane deaths) as ``{"seq", "event", ...fields}``;
-    * ``decisions`` — the last N merge/defer decisions from
-      ``_process`` (recorded unconditionally, independent of the
-      provenance sink, so a crash bundle always carries the decision
-      tail even on runs without ``--provenance``);
+    * ``events`` — lifecycle landmarks (phase begins and ends as
+      ``<phase>_start``/``<phase>_end``, and every event at info level
+      or above: checkpoints, supervisor retries, lane deaths) as
+      ``{"seq", "event", ...fields}``;
+    * ``decisions`` — the last N merge/defer decisions (recorded
+      independently of the provenance sink, so a crash bundle always
+      carries the decision tail even on runs without ``--provenance``);
     * ``chunks`` — supervised scoring-chunk timings;
     * ``degradations`` — every :class:`DegradationEvent` the engine
       recorded.
@@ -114,6 +122,26 @@ class FlightRecorder:
         self.degradations.append(
             {"seq": self._next(), "kind": kind, "detail": detail}
         )
+
+    # -- observer callbacks ----------------------------------------------
+    def on_phase_begin(self, engine, phase: str, **fields) -> None:
+        self.note_event(f"{phase}_start", **fields)
+
+    def on_phase_end(self, engine, phase: str, **fields) -> None:
+        self.note_event(f"{phase}_end", **fields)
+
+    def on_chunk(self, lane: str, seconds: float, pairs: int, payload) -> None:
+        self.note_chunk(lane, seconds, pairs=pairs)
+
+    def on_decision(self, engine, node, decision: str, evidence, seconds) -> None:
+        self.note_decision(node.key, node.class_name, decision, node.score)
+
+    def on_degradation(self, event) -> None:
+        self.note_degradation(event.kind, event.detail)
+
+    def on_event(self, level: str, event: str, **fields) -> None:
+        if LEVELS[level] >= _MIN_EVENT_LEVEL:
+            self.note_event(event, **fields)
 
     def snapshot(self) -> dict:
         """JSON-able copy of all rings (oldest first within each)."""
@@ -177,13 +205,15 @@ def build_crash_bundle(
         from ..runtime.checkpoint import config_fingerprint
         from dataclasses import asdict
 
+        from .telemetry import Telemetry
+
         config = config_fingerprint(engine.config)
         stats = asdict(engine.stats)
-        flight = getattr(engine, "flight", None)
+        flight = engine.observers.find(FlightRecorder)
         if flight is not None:
             rings = flight.snapshot()
         if relay is None:
-            relay = getattr(engine, "_relay", None)
+            relay = getattr(engine.observers.find(Telemetry), "relay", None)
     worker_lanes = {"lanes": {}, "deaths": []}
     if relay is not None:
         worker_lanes = {

@@ -18,9 +18,11 @@ pairs, and similarity channels?" with bounded memory:
   max-block share over :meth:`BlockingIndex.block_sizes`, building on
   ``oversized_blocks``).
 
-Feeds are observational: the engine calls ``note_*`` with values it
-already computed, so partitions are byte-identical with the sketch
-attached or set to ``None``.  The summary lives in the manifest's
+The sketch is one of the engine's two default observers
+(:mod:`repro.obs.observer`): it asks for decision evidence (the channels
+a similarity evaluation consulted) and per-pair timing, and feeds
+values the engine already computed, so partitions are byte-identical
+with the sketch subscribed or not.  The summary lives in the manifest's
 ``execution`` section (execution-dependent — wall-time varies run to
 run) and is rendered by ``repro hotspots`` / ``repro report``.
 
@@ -32,6 +34,10 @@ of cross-process plumbing.
 """
 
 from __future__ import annotations
+
+import heapq
+
+from .observer import Observer
 
 __all__ = ["SpaceSaving", "HotspotSketch", "gini"]
 
@@ -45,10 +51,17 @@ class SpaceSaving:
 
     Deterministic by construction: ties on minimum weight break on the
     lexicographically smallest key, so two runs absorbing the same
-    stream report identical contents.
+    stream report identical contents. Weights must be non-negative.
+
+    Once full, the sketch finds its eviction victim through a lazy
+    min-heap of ``(weight, key)`` holding one entry per tracked key.
+    An update to a tracked key leaves its heap entry stale-low (weights
+    only grow); a stale entry reaching the top is re-pushed at the
+    key's current weight, so an eviction costs O(log k) amortised
+    instead of a scan over all k entries.
     """
 
-    __slots__ = ("capacity", "entries", "updates", "total_weight")
+    __slots__ = ("capacity", "entries", "updates", "total_weight", "_heap")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = max(1, int(capacity))
@@ -56,8 +69,11 @@ class SpaceSaving:
         self.entries: dict = {}
         self.updates = 0
         self.total_weight = 0.0
+        self._heap: list | None = None  # built by the first eviction
 
     def add(self, key: str, weight: float = 1.0) -> None:
+        if weight < 0:
+            raise ValueError(f"Space-Saving weights must be non-negative: {weight!r}")
         self.updates += 1
         self.total_weight += weight
         entry = self.entries.get(key)
@@ -68,11 +84,28 @@ class SpaceSaving:
         if len(self.entries) < self.capacity:
             self.entries[key] = [weight, 1, 0.0]
             return
-        victim_key = min(self.entries, key=lambda k: (self.entries[k][0], k))
-        victim_weight = self.entries.pop(victim_key)[0]
+        victim_weight = self._evict_min()
         # The newcomer inherits the evicted weight as both baseline and
         # error bound — the Space-Saving overestimation guarantee.
-        self.entries[key] = [victim_weight + weight, 1, victim_weight]
+        inherited = victim_weight + weight
+        self.entries[key] = [inherited, 1, victim_weight]
+        heapq.heappush(self._heap, (inherited, key))
+
+    def _evict_min(self) -> float:
+        """Remove the entry minimal by ``(weight, key)``; its weight."""
+        heap = self._heap
+        if heap is None:
+            heap = self._heap = [(entry[0], key) for key, entry in self.entries.items()]
+            heapq.heapify(heap)
+        entries = self.entries
+        while True:
+            weight, key = heap[0]
+            current = entries[key][0]
+            if current == weight:
+                heapq.heappop(heap)
+                del entries[key]
+                return weight
+            heapq.heapreplace(heap, (current, key))
 
     def top(self, n: int) -> list:
         """``[(key, weight, count, error)]`` — heaviest first, ties on key."""
@@ -99,10 +132,13 @@ def gini(sizes) -> float:
     return (2.0 * weighted) / (n * total) - (n + 1.0) / n
 
 
-class HotspotSketch:
+class HotspotSketch(Observer):
     """Streaming attribution of engine work to blocks/pairs/channels."""
 
     __slots__ = ("pairs", "channels", "blocks", "skew")
+
+    wants_evidence = True
+    wants_timing = True
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.pairs = SpaceSaving(capacity)
@@ -120,38 +156,21 @@ class HotspotSketch:
         skew stats (Gini, max share) are exact over all block sizes.
         """
         sizes = index.block_sizes()
-        if not sizes:
-            self.skew[class_name] = {
-                "blocks": 0,
-                "references": 0,
-                "gini": 0.0,
-                "max_block": None,
-                "max_block_size": 0,
-                "max_pair_share": 0.0,
-                "oversized": index.oversized_blocks,
-            }
-            return
-        pair_counts = {
-            key: size * (size - 1) // 2 for key, size in sizes.items()
-        }
-        total_pairs = sum(pair_counts.values())
+        pair_counts = {key: size * (size - 1) // 2 for key, size in sizes.items()}
         for key, count in pair_counts.items():
             if count:
                 self.blocks.add(f"{class_name}/{key}", float(count))
-        max_key = min(
-            sizes, key=lambda key: (-sizes[key], key)
-        )
+        total_pairs = sum(pair_counts.values())
+        max_key = min(sizes, key=lambda key: (-sizes[key], key), default=None)
         self.skew[class_name] = {
             "blocks": len(sizes),
             "references": sum(sizes.values()),
             "gini": round(gini(sizes.values()), 4),
             "max_block": max_key,
-            "max_block_size": sizes[max_key],
-            "max_pair_share": round(
-                pair_counts[max_key] / total_pairs, 4
-            )
-            if total_pairs
-            else 0.0,
+            "max_block_size": sizes.get(max_key, 0),
+            "max_pair_share": (
+                round(pair_counts[max_key] / total_pairs, 4) if total_pairs else 0.0
+            ),
             "oversized": index.oversized_blocks,
         }
 
@@ -163,6 +182,20 @@ class HotspotSketch:
         """One similarity evaluation consulted these channels."""
         for channel in evidence:
             self.channels.add(channel, 1.0)
+
+    # -------------------------------------------------- observer callbacks
+    def on_blocks(self, engine, class_name: str, index, nodes: int) -> None:
+        # The index is filled and iterated by now, so sizes and
+        # oversized counts are both final.
+        self.note_blocks(class_name, index)
+
+    def on_decision(self, engine, node, decision: str, evidence, seconds) -> None:
+        if seconds is not None:
+            self.note_pair(node.key, node.class_name, seconds)
+        if evidence:
+            channels = evidence.get("channels")
+            if channels is not None:
+                self.note_channels(channels)
 
     # ---------------------------------------------------------- outputs
     def summary(self, top: int = 10) -> dict:

@@ -4,12 +4,12 @@ Two windows into a running (or finished) reconciliation, both built
 from pure, byte-stable renderers in the :mod:`repro.obs.render`
 style so golden tests can pin their output:
 
-* :class:`LiveHud` — installed as the engine's ``step_hook`` by the
+* :class:`LiveHud` — subscribed to the engine's observer seam by the
   CLI's ``--live`` flag. It redraws one stderr line in place
   (``\\r`` + erase-to-end) with the current phase, queue depth,
   merges, the iterate-path cache hit rate and an ETA extrapolated
   from its own queue-drain samples (the same convergence signal the
-  manifest samples record). The hook only *reads* engine state —
+  manifest samples record). Its callbacks only *read* engine state —
   queue length and stats counters — so a ``--live`` run stays
   byte-identical to a silent one.
 * ``repro watch <run_dir>`` — tails the run's ``events.jsonl``
@@ -28,6 +28,8 @@ import sys
 import time
 from collections import deque
 from pathlib import Path
+
+from .observer import Observer
 
 __all__ = [
     "LiveHud",
@@ -81,8 +83,8 @@ def render_hud(
     return " · ".join(parts)
 
 
-class LiveHud:
-    """In-place stderr HUD driven by the engine's ``step_hook`` seam.
+class LiveHud(Observer):
+    """In-place stderr HUD subscribed to the engine's observer seam.
 
     *stream* and *clock* are injectable for deterministic tests; the
     default redraw throttle is 5 Hz so the HUD costs nothing
@@ -105,14 +107,22 @@ class LiveHud:
         self._phase = "starting"
         self._drawn = False
 
-    # -- engine hooks ---------------------------------------------------
+    # -- observer callbacks -----------------------------------------------
     def phase(self, name: str) -> None:
         """Announce a phase with no step counters yet (build, done)."""
         self._phase = name
         self._draw(render_hud(phase=name))
 
-    def step_hook(self, engine, step: int) -> None:
-        """The ``Reconciler.run(step_hook=...)`` callback: read-only."""
+    def on_phase_begin(self, engine, phase: str, **fields) -> None:
+        if phase == "build":
+            self.phase("build")
+
+    def on_phase_end(self, engine, phase: str, **fields) -> None:
+        if phase == "iterate":
+            self.phase("done")
+
+    def on_step(self, engine, step: int) -> None:
+        """Read-only: samples the queue and redraws, throttled."""
         self._phase = "iterate"
         now = self._clock()
         queued = len(engine.queue)

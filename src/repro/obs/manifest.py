@@ -28,15 +28,21 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
+
+from .hotspots import HotspotSketch
+from .telemetry import Telemetry
 
 __all__ = [
     "MANIFEST_VERSION",
     "MANIFEST_FILENAME",
+    "RunDir",
+    "RunDirError",
     "build_manifest",
     "write_manifest",
     "load_manifest",
+    "load_run_dir",
     "invariant_view",
     "partition_digest",
     "quality_by_class",
@@ -171,11 +177,12 @@ def build_manifest(
     from ..runtime.checkpoint import config_fingerprint
 
     stats = reconciler.stats
-    tracer = getattr(reconciler.telemetry, "tracer", None)
+    telemetry = reconciler.observers.find(Telemetry)
+    tracer = getattr(telemetry, "tracer", None)
     phase_seconds = tracer.phase_timings() if tracer is not None else {}
-    metrics = getattr(reconciler.telemetry, "metrics", None)
-    relay = getattr(reconciler, "_relay", None)
-    hotspots = getattr(reconciler, "hotspots", None)
+    metrics = getattr(telemetry, "metrics", None)
+    relay = getattr(telemetry, "relay", None)
+    hotspots = reconciler.observers.find(HotspotSketch)
     return {
         "manifest_version": MANIFEST_VERSION,
         "kind": "repro_run_manifest",
@@ -243,6 +250,47 @@ def load_manifest(path: str | Path) -> dict:
     if path.is_dir():
         path = path / MANIFEST_FILENAME
     return json.loads(path.read_text())
+
+
+class RunDirError(ValueError):
+    """A run directory whose ``run.json`` is missing or unreadable.
+
+    ``missing`` tells the two apart: a live run has no manifest yet,
+    a torn one is damage.
+    """
+
+    def __init__(self, message: str, *, missing: bool = False) -> None:
+        super().__init__(message)
+        self.missing = missing
+
+
+@dataclass(frozen=True)
+class RunDir:
+    """A recorded run: its directory and its manifest."""
+
+    path: Path
+    manifest: dict
+
+    def artifact(self, kind: str) -> Path | None:
+        """The recorded artifact of *kind*, resolved, when it exists."""
+        path = resolve_artifact(self.manifest, self.path, kind)
+        return path if path is not None and path.exists() else None
+
+
+def load_run_dir(path: str | Path) -> RunDir:
+    """The one loader of the run-dir commands: a run directory (or its
+    ``run.json``), or :class:`RunDirError` with a one-line message when
+    the manifest is missing, torn or not a manifest."""
+    path = Path(path)
+    try:
+        manifest = load_manifest(path)
+    except FileNotFoundError:
+        raise RunDirError(f"no {MANIFEST_FILENAME} found at {path}", missing=True) from None
+    except (OSError, ValueError) as exc:
+        raise RunDirError(f"unreadable {MANIFEST_FILENAME} at {path}: {exc}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("artifacts", {}), dict):
+        raise RunDirError(f"{MANIFEST_FILENAME} at {path} is not a run manifest")
+    return RunDir(path if path.is_dir() else path.parent, manifest)
 
 
 def invariant_view(manifest: dict) -> dict:

@@ -42,6 +42,7 @@ counters are byte-identical with the relay on or off.
 from __future__ import annotations
 
 from collections import deque
+from types import SimpleNamespace
 
 __all__ = ["WorkerTelemetry", "TelemetryRelay", "WORKER_METRIC_HELP"]
 
@@ -59,17 +60,6 @@ WORKER_METRIC_HELP = {
 _OBSERVATION_HELP = {
     "repro_worker_chunk_seconds": "wall-clock seconds per scoring chunk, measured in the worker",
 }
-
-
-class _WorkerStats:
-    """Mutable counter sink matching :func:`pair_evidence`'s contract."""
-
-    __slots__ = ("pair_memo_hits", "pair_memo_misses", "prefilter_skips")
-
-    def __init__(self):
-        self.pair_memo_hits = 0
-        self.pair_memo_misses = 0
-        self.prefilter_skips = 0
 
 
 class WorkerTelemetry:
@@ -95,9 +85,9 @@ class WorkerTelemetry:
         self.observations: dict[str, list[float]] = {}
         self.events: list[tuple] = []
 
-    def pair_stats(self) -> _WorkerStats:
+    def pair_stats(self) -> SimpleNamespace:
         """A fresh memo-counter sink for ``pair_evidence(stats=...)``."""
-        return _WorkerStats()
+        return SimpleNamespace(pair_memo_hits=0, pair_memo_misses=0, prefilter_skips=0)
 
     def add_span(
         self, name: str, start: float, duration: float, category: str = "worker", **args
@@ -115,7 +105,7 @@ class WorkerTelemetry:
     def emit(self, level: str, event: str, **fields) -> None:
         self.events.append((level, event, fields))
 
-    def absorb_pair_stats(self, stats: _WorkerStats) -> None:
+    def absorb_pair_stats(self, stats: SimpleNamespace) -> None:
         self.count("repro_worker_pair_memo_hits_total", stats.pair_memo_hits)
         self.count("repro_worker_pair_memo_misses_total", stats.pair_memo_misses)
         self.count("repro_worker_prefilter_skips_total", stats.prefilter_skips)
@@ -176,19 +166,6 @@ class TelemetryRelay:
         #: pid -> deque of compact per-payload digests, for crash
         #: bundles: the last few things each worker lane shipped.
         self.lane_rings: dict[int, object] = {}
-
-    @classmethod
-    def for_telemetry(cls, telemetry) -> "TelemetryRelay | None":
-        """A relay when any relay-capable sink is attached, else ``None``.
-
-        Provenance-only telemetry (``repro explain``) gets no relay:
-        workers would buffer and ship payloads nobody consumes.
-        """
-        if telemetry is None:
-            return None
-        if telemetry.tracer is None and telemetry.metrics is None and telemetry.log is None:
-            return None
-        return cls(telemetry)
 
     def absorb(self, payload: dict) -> None:
         """Merge one :meth:`WorkerTelemetry.drain` payload into the sinks."""

@@ -21,7 +21,7 @@ import html
 import json
 from pathlib import Path
 
-from .manifest import load_manifest, resolve_artifact
+from .manifest import load_run_dir
 from .profile import parse_folded, top_frames_from_folded
 from .schemas import trace_process_names
 
@@ -104,14 +104,6 @@ _PAD_L, _PAD_R, _PAD_T, _PAD_B = 46, 70, 12, 26
 
 def _esc(value) -> str:
     return html.escape(str(value), quote=True)
-
-
-def _fmt(value, digits: int = 3) -> str:
-    if value is None:
-        return "–"
-    if isinstance(value, float):
-        return f"{value:.{digits}f}"
-    return f"{value:,}" if isinstance(value, int) else str(value)
 
 
 def _scale(value, lo, hi, out_lo, out_hi):
@@ -697,37 +689,39 @@ Config fingerprint and full counters: <code>{_esc(json.dumps(manifest['counters'
 
 def write_report(run_dir: str | Path, output: str | Path | None = None) -> Path:
     """Render ``<run_dir>/run.json`` (+ provenance, when recorded) to a
-    single HTML file; returns the output path."""
+    single HTML file; returns the output path. Raises
+    :class:`~repro.obs.manifest.RunDirError` for a missing or torn
+    manifest."""
     from .provenance import ProvenanceLog
 
-    run_dir = Path(run_dir)
-    manifest = load_manifest(run_dir)
+    run = load_run_dir(run_dir)
+    manifest = run.manifest
     decisions = None
-    provenance_path = resolve_artifact(manifest, run_dir, "provenance")
-    if provenance_path is not None and provenance_path.exists():
+    provenance_path = run.artifact("provenance")
+    if provenance_path is not None:
         decisions = ProvenanceLog.from_jsonl(provenance_path).records
     trace = None
-    trace_path = resolve_artifact(manifest, run_dir, "trace")
-    if trace_path is not None and trace_path.exists():
+    trace_path = run.artifact("trace")
+    if trace_path is not None:
         trace = json.loads(trace_path.read_text())
     profile_folded = None
-    profile_path = resolve_artifact(manifest, run_dir, "profile")
-    if profile_path is not None and profile_path.exists():
+    profile_path = run.artifact("profile")
+    if profile_path is not None:
         profile_folded = parse_folded(profile_path.read_text())
     poisoned = None
-    poison_path = resolve_artifact(manifest, run_dir, "poison_log")
-    if poison_path is None:
+    poison_path = run.artifact("poison_log")
+    if "poison_log" not in manifest.get("artifacts", {}):
         # Older manifests predate the artifact kind; probe the
         # conventional filename the build supervisor writes.
-        candidate = run_dir / "poisoned_pairs.jsonl" if run_dir.is_dir() else None
-        poison_path = candidate
-    if poison_path is not None and poison_path.exists():
+        candidate = run.path / "poisoned_pairs.jsonl"
+        poison_path = candidate if candidate.exists() else None
+    if poison_path is not None:
         poisoned = [
             json.loads(line)
             for line in poison_path.read_text().splitlines()
             if line.strip()
         ]
-    output = Path(output) if output is not None else run_dir / "report.html"
+    output = Path(output) if output is not None else run.path / "report.html"
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(
         render_report(

@@ -12,14 +12,16 @@ for the four machine-readable outputs:
 Each ``validate_*`` raises :class:`SchemaError` naming the offending
 field; CI's observability smoke job runs them against real run output
 so schema drift fails the build instead of silently breaking
-downstream consumers. The ``*_SCHEMA`` dicts document the shapes in
-JSON-Schema style for readers and external tooling.
+downstream consumers. The ``*_SCHEMA`` dicts, in a small JSON-Schema
+subset, both document the shapes and drive the validators of events,
+decisions, manifests and crash bundles.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 from .events import LEVELS
@@ -59,7 +61,7 @@ EVENT_SCHEMA = {
     "properties": {
         "ts": {"type": "number"},
         "level": {"enum": sorted(LEVELS)},
-        "event": {"type": "string"},
+        "event": {"type": "string", "minLength": 1},
     },
     "additionalProperties": True,  # event-specific flat fields
 }
@@ -93,9 +95,15 @@ METRIC_SCHEMA = {
     },
 }
 
-#: Run manifest (``run.json``): section -> required keys. Sections are
-#: dicts except ``convergence`` / ``degradations`` (lists). See
-#: :mod:`repro.obs.manifest` for the full field inventory.
+_UNIT = {"type": "number", "minimum": 0, "maximum": 1}
+_SCORES = {
+    "type": "object",
+    "required": ["precision", "recall", "f1"],
+    "properties": {"precision": _UNIT, "recall": _UNIT, "f1": _UNIT},
+}
+
+#: Run manifest (``run.json``). See :mod:`repro.obs.manifest` for the
+#: full field inventory.
 MANIFEST_SCHEMA = {
     "type": "object",
     "required": [
@@ -106,16 +114,45 @@ MANIFEST_SCHEMA = {
     "properties": {
         "manifest_version": {"const": 1},
         "kind": {"const": "repro_run_manifest"},
-        "run": {"required": ["dataset", "algorithm", "references", "completed"]},
-        "partition": {"required": ["digest", "per_class"]},
-        "quality": {"type": "object"},  # class -> {pairwise, bcubed, partitions}
-        "convergence": {"type": "array"},
-        "counters": {"type": "object"},
+        "run": {
+            "type": "object",
+            "required": ["dataset", "algorithm", "references", "completed"],
+        },
+        "partition": {
+            "type": "object",
+            "required": ["digest", "per_class"],
+            "properties": {"digest": {"type": "string", "pattern": "sha256:[0-9a-f]{64}"}},
+        },
+        "quality": {  # class -> {pairwise, bcubed, partitions}
+            "type": "object",
+            "additionalProperties": {
+                "type": "object",
+                "required": ["pairwise", "bcubed"],
+                "properties": {"pairwise": _SCORES, "bcubed": _SCORES},
+            },
+        },
+        "convergence": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["recomputations", "merges", "queued", "precision", "recall"],
+                "additionalProperties": {"type": "number"},
+            },
+        },
+        "counters": {
+            "type": "object",
+            "additionalProperties": {"type": "integer", "minimum": 0},
+        },
         "degradations": {"type": "array"},
-        "execution": {"required": ["resumed", "build_seconds", "iterate_seconds"]},
+        "execution": {
+            "type": "object",
+            "required": ["resumed", "build_seconds", "iterate_seconds"],
+        },
         "artifacts": {"type": "object"},  # kind -> path
     },
 }
+
+_RING = {"type": "array"}
 
 #: Crash bundle (``crash_bundle.json``) dumped by the flight recorder
 #: when a run dies or degrades. ``rings`` holds the recorder's four
@@ -130,20 +167,36 @@ CRASH_BUNDLE_SCHEMA = {
     "properties": {
         "bundle_version": {"const": 1},
         "kind": {"const": "repro_crash_bundle"},
-        "reason": {"type": "string"},
+        "reason": {"type": "string", "minLength": 1},
         "phase": {"type": ["string", "null"]},
         "stop_reason": {"type": ["string", "null"]},
         "exception": {
             "type": ["object", "null"],
             "required": ["type", "message", "traceback"],
+            "properties": {"traceback": {"type": "array"}},
         },
         "config": {"type": "object"},
         "stats": {"type": "object"},  # partial EngineStats (asdict)
         "rings": {
-            "required": ["ring_size", "events", "decisions", "chunks", "degradations"]
+            "type": "object",
+            "required": ["ring_size", "events", "decisions", "chunks", "degradations"],
+            "properties": {
+                "ring_size": {"type": "integer"},
+                "events": _RING,
+                "decisions": _RING,
+                "chunks": _RING,
+                "degradations": _RING,
+            },
         },
-        "stacks": {"type": "object"},  # "tid (name)" -> [frame lines]
-        "worker_lanes": {"required": ["lanes", "deaths"]},
+        "stacks": {  # "tid (name)" -> [frame lines]
+            "type": "object",
+            "additionalProperties": {"type": "array", "items": {"type": "string"}},
+        },
+        "worker_lanes": {
+            "type": "object",
+            "required": ["lanes", "deaths"],
+            "properties": {"lanes": {"type": "object"}, "deaths": {"type": "array"}},
+        },
     },
 }
 
@@ -155,11 +208,16 @@ DECISION_SCHEMA = {
     ],
     "properties": {
         "seq": {"type": "integer", "minimum": 0},
-        "pair": {"type": "array", "items": {"type": "string"}},
+        "pair": {
+            "type": "array",
+            "items": {"type": "string"},
+            "minItems": 2,
+            "maxItems": 2,
+        },
         "decision": {"enum": list(DECISIONS)},
         "trigger": {"enum": list(TRIGGERS)},
-        "channels": {"type": "object"},
-        "score": {"type": "number", "minimum": 0, "maximum": 1},
+        "channels": {"type": "object", "additionalProperties": {"type": "number"}},
+        "score": _UNIT,
     },
 }
 
@@ -169,17 +227,71 @@ def _require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "integer": int,
+    "number": (int, float),
+    "null": type(None),
+}
+
+
+def _check(value, schema: dict, where: str) -> None:
+    """Validate *value* against the JSON-Schema subset the ``*_SCHEMA``
+    dicts use: type, const, enum, minimum/maximum, minLength, pattern,
+    items, minItems/maxItems, required, properties and schema-valued
+    additionalProperties."""
+    kinds = schema.get("type", ())
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    _require(
+        not kinds or any(isinstance(value, _TYPES[kind]) for kind in kinds),
+        f"{where} must be {' or '.join(kinds)}: {value!r}",
+    )
+    if value is None:
+        return
+    if "const" in schema:
+        _require(value == schema["const"], f"{where} must be {schema['const']!r}: {value!r}")
+    if "enum" in schema:
+        _require(
+            value in schema["enum"],
+            f"{where}: unknown {value!r}; expected one of {schema['enum']}",
+        )
+    if "minimum" in schema:
+        _require(value >= schema["minimum"], f"{where} below {schema['minimum']}: {value!r}")
+    if "maximum" in schema:
+        _require(value <= schema["maximum"], f"{where} above {schema['maximum']}: {value!r}")
+    if "minLength" in schema:
+        _require(len(value) >= schema["minLength"], f"{where} must not be empty")
+    if "pattern" in schema:
+        _require(
+            re.fullmatch(schema["pattern"], value) is not None,
+            f"{where} must match {schema['pattern']!r}: {value!r}",
+        )
+    if "items" in schema:
+        for index, item in enumerate(value):
+            _check(item, schema["items"], f"{where}[{index}]")
+    if "minItems" in schema or "maxItems" in schema:
+        _require(
+            schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)),
+            f"{where} has {len(value)} items",
+        )
+    for key in schema.get("required", ()):
+        _require(key in value, f"{where} missing required field {key!r}")
+    properties = schema.get("properties", {})
+    for key, sub in properties.items():
+        if key in value:
+            _check(value[key], sub, f"{where}.{key}")
+    extra = schema.get("additionalProperties")
+    if isinstance(extra, dict):
+        for key, item in value.items():
+            if key not in properties:
+                _check(item, extra, f"{where}[{key!r}]")
+
+
 def validate_event(obj: dict) -> None:
     """One event-log record against :data:`EVENT_SCHEMA`."""
-    _require(isinstance(obj, dict), f"event must be an object, got {type(obj).__name__}")
-    for key in ("ts", "level", "event"):
-        _require(key in obj, f"event missing required field {key!r}: {obj}")
-    _require(isinstance(obj["ts"], (int, float)), f"event ts must be numeric: {obj['ts']!r}")
-    _require(obj["level"] in LEVELS, f"unknown event level {obj['level']!r}")
-    _require(
-        isinstance(obj["event"], str) and obj["event"],
-        f"event name must be a non-empty string: {obj['event']!r}",
-    )
+    _check(obj, EVENT_SCHEMA, "event")
 
 
 def validate_event_log(path: str | Path) -> int:
@@ -348,33 +460,7 @@ def validate_metrics_snapshot(obj: dict) -> int:
 
 def validate_decision(obj: dict) -> None:
     """One provenance record against :data:`DECISION_SCHEMA`."""
-    _require(isinstance(obj, dict), "decision must be an object")
-    for key in DECISION_SCHEMA["required"]:
-        _require(key in obj, f"decision missing required field {key!r}: {obj}")
-    _require(
-        isinstance(obj["pair"], list)
-        and len(obj["pair"]) == 2
-        and all(isinstance(item, str) for item in obj["pair"]),
-        f"decision pair must be a 2-list of strings: {obj['pair']!r}",
-    )
-    _require(
-        obj["decision"] in DECISIONS,
-        f"unknown decision {obj['decision']!r}; expected one of {DECISIONS}",
-    )
-    _require(
-        obj["trigger"] in TRIGGERS,
-        f"unknown trigger {obj['trigger']!r}; expected one of {TRIGGERS}",
-    )
-    _require(
-        isinstance(obj["channels"], dict)
-        and all(isinstance(value, (int, float)) for value in obj["channels"].values()),
-        "decision channels must map channel name -> numeric score",
-    )
-    score = obj["score"]
-    _require(
-        isinstance(score, (int, float)) and 0.0 <= score <= 1.0,
-        f"decision score must be in [0, 1]: {score!r}",
-    )
+    _check(obj, DECISION_SCHEMA, "decision")
 
 
 def validate_provenance_jsonl(path: str | Path) -> int:
@@ -395,147 +481,25 @@ def validate_provenance_jsonl(path: str | Path) -> int:
 
 def validate_manifest(obj: dict) -> None:
     """A run manifest (``run.json``) against :data:`MANIFEST_SCHEMA`."""
-    _require(isinstance(obj, dict), "manifest must be a JSON object")
-    for key in MANIFEST_SCHEMA["required"]:
-        _require(key in obj, f"manifest missing required section {key!r}")
-    _require(
-        obj["manifest_version"] == 1,
-        f"unsupported manifest_version {obj['manifest_version']!r}",
-    )
-    _require(
-        obj["kind"] == "repro_run_manifest",
-        f"manifest kind must be 'repro_run_manifest': {obj['kind']!r}",
-    )
-    for section, spec in MANIFEST_SCHEMA["properties"].items():
-        if "required" not in spec:
-            continue
-        value = obj[section]
-        _require(isinstance(value, dict), f"manifest {section!r} must be an object")
-        for key in spec["required"]:
-            _require(key in value, f"manifest {section}.{key} missing")
-    for section in ("convergence", "degradations"):
-        _require(isinstance(obj[section], list), f"manifest {section!r} must be a list")
-    digest = obj["partition"]["digest"]
-    _require(
-        isinstance(digest, str) and digest.startswith("sha256:") and len(digest) == 71,
-        f"partition digest must be 'sha256:<64 hex>': {digest!r}",
-    )
-    for sample in obj["convergence"]:
-        _require(isinstance(sample, dict), "convergence samples must be objects")
-        for key in ("recomputations", "merges", "queued", "precision", "recall"):
-            _require(key in sample, f"convergence sample missing {key!r}: {sample}")
-            _require(
-                isinstance(sample[key], (int, float)),
-                f"convergence sample {key} must be numeric: {sample[key]!r}",
-            )
-    for class_name, scores in obj["quality"].items():
-        for family in ("pairwise", "bcubed"):
-            _require(
-                family in scores, f"quality[{class_name!r}] missing {family!r}"
-            )
-            for key in ("precision", "recall", "f1"):
-                value = scores[family].get(key)
-                _require(
-                    isinstance(value, (int, float)) and 0.0 <= value <= 1.0,
-                    f"quality[{class_name!r}].{family}.{key} must be in [0, 1]: {value!r}",
-                )
-    for name, count in obj["counters"].items():
-        _require(
-            isinstance(count, int) and count >= 0,
-            f"counter {name!r} must be a non-negative integer: {count!r}",
-        )
+    _check(obj, MANIFEST_SCHEMA, "manifest")
 
 
 def validate_crash_bundle(obj: dict) -> None:
     """A crash bundle against :data:`CRASH_BUNDLE_SCHEMA`."""
-    _require(isinstance(obj, dict), "crash bundle must be a JSON object")
-    for key in CRASH_BUNDLE_SCHEMA["required"]:
-        _require(key in obj, f"crash bundle missing required field {key!r}")
-    _require(
-        obj["bundle_version"] == 1,
-        f"unsupported bundle_version {obj['bundle_version']!r}",
-    )
-    _require(
-        obj["kind"] == "repro_crash_bundle",
-        f"crash bundle kind must be 'repro_crash_bundle': {obj['kind']!r}",
-    )
-    _require(
-        isinstance(obj["reason"], str) and obj["reason"],
-        f"crash bundle reason must be a non-empty string: {obj['reason']!r}",
-    )
-    for key in ("phase", "stop_reason"):
-        _require(
-            obj[key] is None or isinstance(obj[key], str),
-            f"crash bundle {key} must be a string or null: {obj[key]!r}",
-        )
-    exception = obj["exception"]
-    if exception is not None:
-        _require(isinstance(exception, dict), "crash bundle exception must be an object")
-        for key in ("type", "message", "traceback"):
-            _require(key in exception, f"crash bundle exception missing {key!r}")
-        _require(
-            isinstance(exception["traceback"], list),
-            "crash bundle exception traceback must be a list of lines",
-        )
-    for key in ("config", "stats"):
-        _require(isinstance(obj[key], dict), f"crash bundle {key} must be an object")
-    rings = obj["rings"]
-    _require(isinstance(rings, dict), "crash bundle rings must be an object")
-    for ring in ("events", "decisions", "chunks", "degradations"):
-        _require(ring in rings, f"crash bundle rings missing {ring!r}")
-        _require(
-            isinstance(rings[ring], list),
-            f"crash bundle ring {ring!r} must be a list",
-        )
-    _require(
-        isinstance(rings.get("ring_size"), int),
-        "crash bundle rings.ring_size must be an integer",
-    )
-    stacks = obj["stacks"]
-    _require(isinstance(stacks, dict), "crash bundle stacks must be an object")
-    for thread, lines in stacks.items():
-        _require(
-            isinstance(lines, list)
-            and all(isinstance(line, str) for line in lines),
-            f"crash bundle stack for {thread!r} must be a list of strings",
-        )
-    lanes = obj["worker_lanes"]
-    _require(isinstance(lanes, dict), "crash bundle worker_lanes must be an object")
-    for key in ("lanes", "deaths"):
-        _require(key in lanes, f"crash bundle worker_lanes missing {key!r}")
-    _require(
-        isinstance(lanes["lanes"], dict),
-        "crash bundle worker_lanes.lanes must be an object",
-    )
-    _require(
-        isinstance(lanes["deaths"], list),
-        "crash bundle worker_lanes.deaths must be a list",
-    )
+    _check(obj, CRASH_BUNDLE_SCHEMA, "crash bundle")
+
+
+_ESCAPED = re.compile(r'\\(["\\n])')
+_LABEL = re.compile(r'\s*(\w+)="((?:[^"\\]|\\.)*)"\s*,?', re.S)
 
 
 def unescape_label_value(value: str) -> str:
     """Invert :func:`repro.obs.metrics.escape_label_value`.
 
-    A manual scan (not chained ``str.replace``) so ``\\\\n`` decodes to
-    backslash + ``n``, never to a newline.
+    One left-to-right pass (not chained ``str.replace``) so ``\\\\n``
+    decodes to backslash + ``n``, never to a newline.
     """
-    out: list[str] = []
-    index = 0
-    while index < len(value):
-        char = value[index]
-        if char == "\\" and index + 1 < len(value):
-            nxt = value[index + 1]
-            if nxt == "n":
-                out.append("\n")
-                index += 2
-                continue
-            if nxt in ('"', "\\"):
-                out.append(nxt)
-                index += 2
-                continue
-        out.append(char)
-        index += 1
-    return "".join(out)
+    return _ESCAPED.sub(lambda match: "\n" if match[1] == "n" else match[1], value)
 
 
 def parse_labels(sample: str) -> tuple[str, dict[str, str]]:
@@ -548,39 +512,15 @@ def parse_labels(sample: str) -> tuple[str, dict[str, str]]:
     if brace < 0:
         return sample, {}
     _require(sample.endswith("}"), f"unterminated label set in {sample!r}")
-    name = sample[:brace]
     body = sample[brace + 1 : -1]
     labels: dict[str, str] = {}
-    index = 0
-    while index < len(body):
-        equals = body.find("=", index)
-        _require(equals > index, f"malformed label in {sample!r}")
-        key = body[index:equals].strip().lstrip(",").strip()
-        _require(
-            body[equals + 1 : equals + 2] == '"',
-            f"label value for {key!r} must be quoted in {sample!r}",
-        )
-        cursor = equals + 2
-        raw: list[str] = []
-        while cursor < len(body):
-            char = body[cursor]
-            if char == "\\" and cursor + 1 < len(body):
-                raw.append(body[cursor : cursor + 2])
-                cursor += 2
-                continue
-            if char == '"':
-                break
-            raw.append(char)
-            cursor += 1
-        _require(
-            cursor < len(body) and body[cursor] == '"',
-            f"unterminated label value for {key!r} in {sample!r}",
-        )
-        labels[key] = unescape_label_value("".join(raw))
-        index = cursor + 1
-        if index < len(body) and body[index] == ",":
-            index += 1
-    return name, labels
+    position = 0
+    while position < len(body):
+        match = _LABEL.match(body, position)
+        _require(match is not None, f"malformed label set in {sample!r}")
+        labels[match[1]] = unescape_label_value(match[2])
+        position = match.end()
+    return sample[:brace], labels
 
 
 def parse_prometheus(text: str) -> dict[str, float]:

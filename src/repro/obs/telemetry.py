@@ -1,53 +1,61 @@
-"""The telemetry facade the engine threads through its hot paths.
+"""The telemetry subscriber: event log, tracer, metrics and provenance.
 
-One :class:`Telemetry` object bundles the four sinks — event log,
-tracer, metrics registry, provenance log — behind a null-sink fast
-path: every sink defaults to ``None``, every facade method returns
-immediately when its sink is absent, and the engine additionally
-guards its per-step instrumentation on the precomputed
-:attr:`Telemetry.active` flag, so a run without telemetry executes the
-exact pre-observability code path (one attribute read per guarded
-block). Partitions are byte-identical with telemetry on or off:
-every sink is strictly observational, and nothing telemetry produces
-(timestamps, span ids, sequence numbers) enters the checkpoint
-fingerprint or any engine decision.
+One :class:`Telemetry` bundles the four sinks — event log, tracer,
+metrics registry, provenance log — and subscribes them to the engine's
+observer seam (:mod:`repro.obs.observer`). Every sink is optional and
+every facade method returns at once when its sink is absent. The
+subscriber also owns the state that exists only to feed the sinks: the
+relay for build-pool worker telemetry (created by the first worker
+payload or lane death), the per-step histograms, and the iterate-chunk
+bookkeeping behind ``iterate_progress`` events and ``iterate_chunk``
+spans.
+
+It asks the engine for decision evidence only with a provenance log,
+for per-decision timing only with a metrics registry, and for worker
+payloads only with a log, tracer or registry. Every sink is strictly
+observational, and nothing telemetry produces (timestamps, span ids,
+sequence numbers) enters the checkpoint fingerprint or any decision.
 """
 
 from __future__ import annotations
 
 from .events import EventLog
-from .metrics import MetricsRegistry
+from .metrics import DEPTH_BUCKETS, LATENCY_BUCKETS, MetricsRegistry
+from .observer import Observer
 from .provenance import ProvenanceLog
 from .tracing import Tracer
 
-__all__ = ["Telemetry", "NULL_TELEMETRY"]
+__all__ = ["Telemetry"]
+
+#: iterate steps per ``iterate_progress`` event and ``iterate_chunk`` span.
+_ITERATE_CHUNK = 1_000
+
+#: phases logged as ``<phase>_start`` / ``<phase>_end`` events.
+_LOGGED_PHASES = ("build", "iterate")
+
+#: events that also leave a tracer instant, by instant name.
+_INSTANTS = {"checkpoint_saved": "checkpoint"}
+
+#: (name, help, buckets) of the histograms one iterate run feeds: per
+#: decision, its latency and the queue depth it was popped at; per
+#: chunk, the queue depth.
+_ITERATE_HISTOGRAMS = (
+    ("repro_recompute_seconds", "per-node recomputation latency", LATENCY_BUCKETS),
+    ("repro_queue_depth", "active-queue depth sampled at each pop", DEPTH_BUCKETS),
+    (
+        "repro_iterate_queue_depth",
+        "active-queue depth sampled once per iterate chunk",
+        DEPTH_BUCKETS,
+    ),
+)
 
 
-class _NullSpan:
-    """Reusable no-op context manager for disabled tracing."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class Telemetry:
+class Telemetry(Observer):
     """Bundle of observability sinks; all optional, all observational.
 
-    ``active`` is True when *any* sink is attached — the engine's
-    cheap guard for per-step work. Individual sinks are public
-    attributes so call sites can guard on exactly what they feed
-    (``tel.metrics is not None`` etc.).
+    ``active`` is True when *any* sink is attached. The sinks are
+    public attributes, so callers read exactly what they need.
     """
-
-    __slots__ = ("log", "tracer", "metrics", "provenance", "active")
 
     def __init__(
         self,
@@ -61,12 +69,21 @@ class Telemetry:
         self.tracer = tracer
         self.metrics = metrics
         self.provenance = provenance
-        self.active = (
-            log is not None
-            or tracer is not None
-            or metrics is not None
-            or provenance is not None
+        self.wants_evidence = provenance is not None
+        self.wants_timing = metrics is not None
+        self.wants_worker_telemetry = any(
+            sink is not None for sink in (log, tracer, metrics)
         )
+        self.active = self.wants_worker_telemetry or self.wants_evidence
+        #: :class:`~repro.obs.relay.TelemetryRelay` for build-pool
+        #: workers, or ``None`` until one reports.
+        self.relay = None
+        self._spans: list = []  # open tracer spans of nested phases
+        self._hists = None  # _ITERATE_HISTOGRAMS, once iterate began
+        self._queued = 0  # queue depth before the latest pop
+        self._steps = None  # decisions this iterate run; None before one
+        self._chunk = (0.0, 0, 0)  # tracer offset, first step, merges
+        self._iterate_offset = 0.0
 
     @classmethod
     def enabled(
@@ -89,17 +106,10 @@ class Telemetry:
             ),
         )
 
-    # ------------------------------------------------------------------
-    # facade methods (each a no-op when its sink is absent)
-    # ------------------------------------------------------------------
+    # -- facade (each a no-op when its sink is absent) -------------------
     def emit(self, level: str, event: str, /, **fields) -> None:
         if self.log is not None:
             self.log.emit(level, event, **fields)
-
-    def span(self, name: str, category: str = "engine", **args):
-        if self.tracer is not None:
-            return self.tracer.span(name, category, **args)
-        return _NULL_SPAN
 
     def instant(self, name: str, **args) -> None:
         if self.tracer is not None:
@@ -112,7 +122,143 @@ class Telemetry:
         if self.provenance is not None:
             self.provenance.close()
 
+    def _relay(self):
+        if self.relay is None:
+            from .relay import TelemetryRelay
 
-#: The shared null object: zero sinks, ``active`` False. The engine
-#: default — never mutated, safe to share between every engine.
-NULL_TELEMETRY = Telemetry()
+            self.relay = TelemetryRelay(self)
+        return self.relay
+
+    # -- observer callbacks ----------------------------------------------
+    def on_phase_begin(self, engine, phase: str, **fields) -> None:
+        if phase in _LOGGED_PHASES:
+            self.emit("info", f"{phase}_start", **fields)
+        if phase == "iterate":
+            self._steps = 0
+            if self.metrics is not None:
+                self._hists = [self.metrics.histogram(*spec) for spec in _ITERATE_HISTOGRAMS]
+            if self.tracer is not None:
+                self._iterate_offset = self.tracer.now()
+                self._chunk = (self._iterate_offset, 0, engine.stats.merges)
+        elif self.tracer is not None:
+            name = phase
+            if phase == "build_class":
+                name = f"build_class:{fields['class_name']}"
+            span = self.tracer.span(name, **fields)
+            span.__enter__()
+            self._spans.append(span)
+
+    def on_phase_end(self, engine, phase: str, **fields) -> None:
+        if phase != "iterate":
+            if self.tracer is not None:
+                self._spans.pop().__exit__(None, None, None)
+        elif self.tracer is not None:
+            if self._steps > self._chunk[1]:
+                self._trace_chunk(engine)
+            self.tracer.complete(
+                "iterate",
+                self._iterate_offset,
+                self.tracer.now() - self._iterate_offset,
+                steps=self._steps,
+                stop_reason=engine.stop_reason,
+            )
+        if phase in _LOGGED_PHASES:
+            self.emit("info", f"{phase}_end", **fields)
+        if phase == "iterate" and self.metrics is not None:
+            self.metrics.absorb_stats(engine.stats)
+            from .hotspots import HotspotSketch
+
+            sketch = engine.observers.find(HotspotSketch)
+            if sketch is not None:
+                sketch.export_metrics(self.metrics)
+
+    def on_blocks(self, engine, class_name: str, index, nodes: int) -> None:
+        self.emit("debug", "build_phase", phase=f"class:{class_name}", nodes=nodes)
+
+    def on_chunk(self, lane: str, seconds: float, pairs: int, payload) -> None:
+        if payload is not None:
+            self._relay().absorb(payload)
+        if self.metrics is not None:
+            self.metrics.histogram(
+                "repro_supervised_chunk_seconds",
+                "parent-observed seconds from chunk submission to harvest",
+            ).observe(seconds)
+
+    def on_step(self, engine, step: int) -> None:
+        self._queued = len(engine.queue)
+
+    def on_decision(self, engine, node, decision: str, evidence, seconds) -> None:
+        prov = self.provenance
+        if prov is not None:
+            trigger, trigger_pair = prov.take_activation(node.key)
+            class_name = node.class_name
+            captured = evidence or {}
+            prov.record(
+                pair=node.key,
+                class_name=class_name,
+                decision=decision,
+                score=node.score,
+                threshold=engine.domain.merge_threshold(class_name),
+                s_rv=captured.get("s_rv", 0.0),
+                # Decisions taken without scoring carry no t_rv.
+                t_rv=engine.domain.t_rv(class_name) if evidence is not None else 0.0,
+                strong_support=captured.get("strong", 0),
+                weak_support=captured.get("weak", 0),
+                channels=captured.get("channels", {}),
+                trigger=trigger,
+                trigger_pair=trigger_pair,
+                recompute_index=node.recompute_count,
+            )
+        if seconds is not None and self._hists is not None:
+            self._hists[0].observe(seconds)
+            self._hists[1].observe(self._queued)
+        if self._steps is None:
+            return
+        self._steps += 1
+        if self._steps % _ITERATE_CHUNK == 0:
+            if self._hists is not None:
+                self._hists[2].observe(len(engine.queue))
+            self.emit(
+                "debug",
+                "iterate_progress",
+                step=self._steps,
+                queued=len(engine.queue),
+                merges=engine.stats.merges,
+                recomputations=engine.stats.recomputations,
+            )
+            self._trace_chunk(engine)
+
+    def on_activation(self, node, cause: str, source) -> None:
+        if self.provenance is not None:
+            self.provenance.note_activation(
+                node.key, cause, source.key if source is not None else None
+            )
+
+    def on_degradation(self, event) -> None:
+        self.emit("warning", "degradation", kind=event.kind, detail=event.detail)
+
+    def on_event(self, level: str, event: str, **fields) -> None:
+        if event == "lane_died":
+            # The relay logs, traces and counts lane deaths itself.
+            if self.wants_worker_telemetry:
+                self._relay().lane_died(fields["pid"], fields["reason"])
+            return
+        self.emit(level, event, **fields)
+        if event in _INSTANTS:
+            self.instant(_INSTANTS[event], **fields)
+
+    def _trace_chunk(self, engine) -> None:
+        """Close the current ``iterate_chunk`` span at ``self._steps``."""
+        if self.tracer is None:
+            return
+        start, from_step, merges = self._chunk
+        now = self.tracer.now()
+        self.tracer.complete(
+            "iterate_chunk",
+            start,
+            now - start,
+            from_step=from_step,
+            to_step=self._steps,
+            merges=engine.stats.merges - merges,
+        )
+        self._chunk = (now, self._steps, engine.stats.merges)

@@ -9,12 +9,11 @@ byte-identical to serial ones. ``benchmarks/`` and
 """
 
 from .features import FeatureCache, PhoneticProfile, phonetic_profile
-from .parallel import ParallelScorer, domain_spec
+from .parallel import domain_spec
 from .scoring import channel_value_pairs, memoised_score, pair_evidence, score_value_pair
 
 __all__ = [
     "FeatureCache",
-    "ParallelScorer",
     "PhoneticProfile",
     "channel_value_pairs",
     "domain_spec",

@@ -12,28 +12,23 @@ Channels hold comparator closures and are not picklable, so workers
 are handed a *domain spec* (``module:qualname``) at pool start-up,
 rebuild the domain themselves, and select channels by name per chunk.
 Domains that cannot be rebuilt that way (defined in a test function,
-needing constructor arguments) make :class:`ParallelScorer` raise at
-construction; the engine records a ``parallel_fallback`` degradation
-and runs serially.
+needing constructor arguments) make the scorer refuse at construction;
+the engine records a ``parallel_fallback`` degradation and runs
+serially.
 
-:class:`ParallelScorer` is the *unsupervised* pool: one failure in any
-chunk aborts the whole ``score`` call (after shutting the pool down,
-so no worker ever leaks). The retrying, bisecting, ladder-degrading
-wrapper lives in :mod:`repro.runtime.supervisor` and reuses this
-module's chunking and worker entry points.
+This module holds the chunking and the worker entry points; the pool
+itself — retrying, bisecting, ladder-degrading — is
+:class:`~repro.runtime.supervisor.SupervisedScorer`.
 """
 
 from __future__ import annotations
 
 import importlib
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .scoring import pair_evidence
 
 __all__ = [
-    "ParallelScorer",
     "domain_spec",
     "make_chunks",
     "rebuild_domain",
@@ -100,7 +95,7 @@ def rebuild_domain(spec: str):
     return cls()
 
 
-def _init_worker(spec: str, chaos=None, relay: bool = False) -> None:
+def _init_worker(spec: str, chaos=None, telemetry: bool = False) -> None:
     _WORKER["domain"] = rebuild_domain(spec)
     _WORKER["channels"] = {}
     _WORKER["memo"] = {}
@@ -109,9 +104,10 @@ def _init_worker(spec: str, chaos=None, relay: bool = False) -> None:
     # before each chunk is scored. Production runs pass None.
     _WORKER["chaos"] = chaos
     _WORKER["chunk_index"] = 0
-    # Telemetry capture (parent has a relay attached): spans/counters
-    # buffer here and ship back piggybacked on each chunk's result.
-    if relay:
+    # Telemetry capture (a parent observer wants worker payloads):
+    # spans/counters buffer here and ship back piggybacked on each
+    # chunk's result.
+    if telemetry:
         from ..obs.relay import WorkerTelemetry
 
         _WORKER["telemetry"] = WorkerTelemetry("scoring worker")
@@ -137,7 +133,7 @@ def _worker_channels(class_name: str, channel_names: tuple[str, ...]):
 def _score_chunk(payload):
     """Score one chunk; returns ``(evidence_lists, telemetry_payload)``.
 
-    The second element is ``None`` unless the parent attached a relay —
+    The second element is ``None`` unless workers record telemetry —
     the evidence lists themselves are byte-identical either way (the
     memo-counter side channel never feeds back into scoring).
     """
@@ -173,74 +169,3 @@ def _score_chunk(payload):
     recorder.absorb_pair_stats(stats)
     recorder.observe("repro_worker_chunk_seconds", duration)
     return results, recorder.drain()
-
-
-class ParallelScorer:
-    """A process pool scoring candidate pairs for the engine.
-
-    ``score`` preserves input order exactly: chunk *k*'s results come
-    back before chunk *k+1*'s regardless of which worker finished
-    first, so the engine can zip results with pairs. Any failure shuts
-    the pool down before the exception propagates — a failed build
-    never leaks worker processes. The scorer is also a context manager
-    for the same reason.
-    """
-
-    def __init__(self, domain, workers: int, *, chaos=None, relay=None) -> None:
-        spec = domain_spec(domain)
-        if spec is None:
-            raise ValueError(
-                f"domain {type(domain).__qualname__} is not reconstructible "
-                "in worker processes (needs a module-level class with a "
-                "no-argument constructor)"
-            )
-        if workers < 2:
-            raise ValueError("ParallelScorer needs at least 2 workers")
-        self.workers = workers
-        self._relay = relay
-        try:
-            # fork shares the already-imported interpreter state; spawn
-            # (the only option on some platforms) re-imports per worker.
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platform without fork
-            context = multiprocessing.get_context()
-        self._pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(spec, chaos, relay is not None),
-        )
-
-    def __enter__(self) -> "ParallelScorer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()
-
-    def score(
-        self,
-        class_name: str,
-        channel_names: tuple[str, ...],
-        pairs: list[tuple[str, str]],
-        values: dict[str, dict[str, tuple[str, ...]]],
-    ) -> list[list[tuple[str, str, str, float]]]:
-        """Evidence lists for *pairs*, in the same order as *pairs*."""
-        if not pairs:
-            return []
-        try:
-            # A few chunks per worker smooths out uneven chunk costs
-            # without drowning the pool in pickling overhead.
-            chunk_count = min(len(pairs), self.workers * 4)
-            chunks = make_chunks(class_name, channel_names, pairs, values, chunk_count)
-            results: list[list[tuple[str, str, str, float]]] = []
-            for chunk_result, telemetry_payload in self._pool.map(_score_chunk, chunks):
-                if telemetry_payload is not None and self._relay is not None:
-                    self._relay.absorb(telemetry_payload)
-                results.extend(chunk_result)
-            return results
-        except BaseException:
-            self.shutdown()
-            raise
-
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True, cancel_futures=True)

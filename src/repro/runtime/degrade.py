@@ -43,7 +43,7 @@ class ResilientReconciler:
         guard: RunGuard | None = None,
         checkpointer=None,
         fallback: str = "partial",
-        telemetry=None,
+        observers=None,
     ) -> None:
         if fallback not in ("partial", "indepdec"):
             raise ValueError(f"unknown fallback {fallback!r}")
@@ -53,7 +53,7 @@ class ResilientReconciler:
         self.guard = guard
         self.checkpointer = checkpointer
         self.fallback = fallback
-        self.reconciler = Reconciler(store, domain, self.config, telemetry=telemetry)
+        self.reconciler = Reconciler(store, domain, self.config, observers=observers)
 
     def run(self) -> ReconciliationResult:
         engine = self.reconciler
@@ -69,7 +69,7 @@ class ResilientReconciler:
         result = engine.partial_result()
         if self.fallback == "indepdec" and unresolved:
             baseline = Reconciler(
-                self.store, self.domain, indepdec_config(self.domain)
+                self.store, self.domain, indepdec_config(self.domain), observers=()
             ).run()
             for class_name in sorted(unresolved):
                 result.partitions[class_name] = baseline.partitions[class_name]
@@ -82,11 +82,8 @@ class ResilientReconciler:
                 ),
                 recomputations=engine.stats.recomputations,
             )
-            engine.stats.degradations.append(event)
+            engine._degrade(event)
             result.degradations.append(event)
-            engine.telemetry.emit(
-                "warning", "degradation", kind=event.kind, detail=event.detail
-            )
         return result
 
     def _unresolved_classes(self, engine: Reconciler) -> set[str]:

@@ -2,10 +2,10 @@
 
 Four injectors, all seeded or deterministic so failures replay exactly:
 
-* :class:`CrashAtStep` — a ``step_hook`` for
-  :meth:`Reconciler.run` that raises :class:`InjectedFault` at a chosen
-  iterate step, simulating a mid-run crash (the checkpoint on disk is
-  whatever the checkpointer last wrote).
+* :class:`CrashAtStep` — an engine observer (``Reconciler(...,
+  observers=[CrashAtStep(n)])``) that raises :class:`InjectedFault` at
+  a chosen iterate step, simulating a mid-run crash (the checkpoint on
+  disk is whatever the checkpointer last wrote).
 * :func:`corrupt_checkpoint` — flips bytes of a checkpoint file in
   place, so tests can prove :func:`load_checkpoint` refuses damaged
   state with a :class:`CheckpointError` instead of resuming from garbage.
@@ -34,6 +34,7 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..obs.observer import Observer
 from .errors import CheckpointError, InjectedFault
 
 __all__ = [
@@ -45,17 +46,17 @@ __all__ = [
 
 
 @dataclass
-class CrashAtStep:
-    """Step hook raising :class:`InjectedFault` at iterate step *step*.
+class CrashAtStep(Observer):
+    """Observer raising :class:`InjectedFault` at iterate step *step*.
 
-    Fires at most once, so the same instance can be left installed on a
-    resumed run to prove the resume survives.
+    Fires at most once, so the same instance can be left subscribed on
+    a resumed run to prove the resume survives.
     """
 
     step: int
     fired: bool = field(default=False, init=False)
 
-    def __call__(self, engine, step: int) -> None:
+    def on_step(self, engine, step: int) -> None:
         if not self.fired and step >= self.step:
             self.fired = True
             raise InjectedFault(f"injected crash at iterate step {step}")

@@ -1,12 +1,11 @@
 """Supervised execution of parallel scoring: retries, deadlines,
 poisoned-pair quarantine, and a degradation ladder.
 
-:class:`~repro.perf.parallel.ParallelScorer` is fast but brittle: one
-worker crash, hang, or comparator exception aborts the whole build.
-:class:`SupervisedScorer` keeps the exact same interface (and the
-exact same chunk boundaries, so results stay byte-identical to a
-serial build) while containing every failure to the work unit that
-caused it:
+A bare process pool is fast but brittle: one worker crash, hang, or
+comparator exception aborts the whole build. :class:`SupervisedScorer`
+scores the build's candidate pairs in worker processes (chunked by
+:mod:`repro.perf.parallel`, so results stay byte-identical to a serial
+build) while containing every failure to the work unit that caused it:
 
 * each chunk of an optimistic parallel pass that fails is re-executed
   under a :class:`RetryPolicy` — exponential backoff with seeded
@@ -48,6 +47,7 @@ from ..perf.parallel import (
     domain_spec,
     make_chunks,
 )
+from ..obs.observer import Observers
 from ..perf.scoring import pair_evidence
 from .fsutil import atomic_write_text
 from .guards import DegradationEvent
@@ -80,16 +80,19 @@ class RetryPolicy:
 
 
 class SupervisedScorer:
-    """Drop-in replacement for :class:`ParallelScorer` with supervision.
+    """A supervised worker pool scoring candidate pairs for the build.
 
-    Same constructor contract: raises ``ValueError`` when the domain is
-    not rebuildable in workers or ``workers < 2`` (the engine records a
-    ``parallel_fallback`` degradation and runs serially). *telemetry*
-    is an optional :class:`~repro.obs.telemetry.Telemetry`; *on_degrade*
-    an optional callback receiving each
-    :class:`~repro.runtime.guards.DegradationEvent`; *poison_path* the
-    JSONL file poisoned pairs are quarantined to; *chaos* an opaque
-    fault injector forwarded to workers (tests / soak harness only).
+    Raises ``ValueError`` when the domain is not rebuildable in workers
+    or ``workers < 2`` (the engine records a ``parallel_fallback``
+    degradation and runs serially). *observers* is the engine's
+    :class:`~repro.obs.observer.Observers` fan-out: it receives the
+    scorer's events, chunk timings and worker telemetry payloads, and
+    decides whether workers record telemetry at all. *on_degrade* is an
+    optional callback receiving each
+    :class:`~repro.runtime.guards.DegradationEvent` (it writes engine
+    state); *poison_path* the JSONL file poisoned pairs are quarantined
+    to; *chaos* an opaque fault injector forwarded to workers (tests /
+    soak harness only).
     """
 
     def __init__(
@@ -98,12 +101,10 @@ class SupervisedScorer:
         workers: int,
         policy: RetryPolicy | None = None,
         *,
-        telemetry=None,
+        observers: Observers | None = None,
         on_degrade=None,
         poison_path: str | Path | None = None,
         chaos=None,
-        relay=None,
-        flight=None,
     ) -> None:
         spec = domain_spec(domain)
         if spec is None:
@@ -117,25 +118,10 @@ class SupervisedScorer:
         self.domain = domain
         self.workers = workers
         self.policy = policy or RetryPolicy()
-        self.telemetry = telemetry
+        self.observers = observers if observers is not None else Observers()
         self.on_degrade = on_degrade
         self.poison_path = Path(poison_path) if poison_path else None
         self.chaos = chaos
-        # Cross-process telemetry relay (obs.relay.TelemetryRelay) or
-        # None; workers record spans/counters only when it is attached.
-        self._relay = relay
-        # Engine flight recorder (obs.flight.FlightRecorder) or None;
-        # chunk timings and pool teardowns land in its rings.
-        self._flight = flight
-        metrics = getattr(telemetry, "metrics", None)
-        self._chunk_hist = (
-            metrics.histogram(
-                "repro_supervised_chunk_seconds",
-                "parent-observed seconds from chunk submission to harvest",
-            )
-            if metrics is not None
-            else None
-        )
         self._spec = spec
         # Degradation ladder: full pool → halved pool → serial. Chunk
         # boundaries always use the *configured* worker count, so a
@@ -169,10 +155,6 @@ class SupervisedScorer:
         """Workers the ladder currently grants (1 after serial descent)."""
         return 1 if self._serial else self._ladder[self._rung]
 
-    def _emit(self, level: str, event: str, **fields) -> None:
-        if self.telemetry is not None:
-            self.telemetry.emit(level, event, **fields)
-
     def _degrade(self, kind: str, detail: str) -> None:
         if self.on_degrade is not None:
             self.on_degrade(DegradationEvent(kind=kind, detail=detail))
@@ -190,12 +172,12 @@ class SupervisedScorer:
                 max_workers=self._ladder[self._rung],
                 mp_context=context,
                 initializer=_init_worker,
-                initargs=(self._spec, self.chaos, self._relay is not None),
+                initargs=(self._spec, self.chaos, self.observers.worker_telemetry),
             )
             self._pools_built += 1
             if self._pools_built > 1:
                 self.counters["pool_rebuild"] += 1
-                self._emit(
+                self.observers.event(
                     "warning",
                     "pool_rebuild",
                     workers=self._ladder[self._rung],
@@ -211,25 +193,29 @@ class SupervisedScorer:
     def _kill_pool(self, reason: str | None = None) -> None:
         """Tear the pool down *now*, terminating hung or dead workers.
 
-        When a *reason* is given and a relay is attached, the teardown
-        is attributed to the lane(s) that caused it: workers already
-        dead get the blame; if every worker is still alive (a hang),
-        all of them are marked, since the hung one cannot be told apart
-        from the parent.
+        When a *reason* is given, the teardown is attributed to the
+        lane(s) that caused it with a ``lane_died`` event each: workers
+        already dead get the blame; if every worker is still alive (a
+        hang), all of them are marked, since the hung one cannot be told
+        apart from the parent.
         """
         pool, self._pool = self._pool, None
         if pool is None:
             return
-        if self._flight is not None and reason is not None:
-            self._flight.note_event("pool_kill", reason=reason)
         try:
             processes = list(getattr(pool, "_processes", {}).values())
         except Exception:  # pragma: no cover - interpreter internals moved
             processes = []
-        if self._relay is not None and reason is not None:
+        if reason is not None:
             dead = [process for process in processes if not process.is_alive()]
             for process in dead or processes:
-                self._relay.lane_died(process.pid, reason)
+                self.observers.event(
+                    "warning",
+                    "lane_died",
+                    pid=process.pid,
+                    reason=reason,
+                    lane="scoring worker",
+                )
         pool.shutdown(wait=False, cancel_futures=True)
         for process in processes:
             try:
@@ -250,7 +236,7 @@ class SupervisedScorer:
         self._kill_pool(reason)
         if self._rung + 1 < len(self._ladder):
             self._rung += 1
-            self._emit(
+            self.observers.event(
                 "warning",
                 "pool_rebuild",
                 workers=self._ladder[self._rung],
@@ -262,7 +248,7 @@ class SupervisedScorer:
             )
         else:
             self._serial = True
-            self._emit("warning", "degradation", kind="parallel_fallback", cause=reason)
+            self.observers.event("warning", "degradation", kind="parallel_fallback", cause=reason)
             self._degrade(
                 "parallel_fallback",
                 f"supervised scoring degraded to serial: {reason}",
@@ -307,18 +293,11 @@ class SupervisedScorer:
         return flattened
 
     def _absorb_chunk(self, outcome, elapsed: float) -> list:
-        """Unpack one ``_score_chunk`` result: relay the piggybacked
-        telemetry payload, record the parent-observed latency, return
-        the evidence lists."""
+        """Unpack one ``_score_chunk`` result: report the parent-observed
+        latency and the piggybacked telemetry payload, return the
+        evidence lists."""
         chunk_result, telemetry_payload = outcome
-        if telemetry_payload is not None and self._relay is not None:
-            self._relay.absorb(telemetry_payload)
-        if self._chunk_hist is not None:
-            self._chunk_hist.observe(elapsed)
-        if self._flight is not None:
-            self._flight.note_chunk(
-                "build pool", elapsed, pairs=len(chunk_result)
-            )
+        self.observers.chunk("build pool", elapsed, len(chunk_result), telemetry_payload)
         return chunk_result
 
     def _optimistic(self, chunks: list, results: list) -> list[int]:
@@ -367,7 +346,7 @@ class SupervisedScorer:
     def _note_timeout(self, chunk) -> None:
         class_name, _, pairs, _ = chunk
         self.counters["task_timeout"] += 1
-        self._emit(
+        self.observers.event(
             "warning",
             "task_timeout",
             class_name=class_name,
@@ -419,7 +398,7 @@ class SupervisedScorer:
         failure = ("error", "never attempted")
         for attempt in range(1, self.policy.max_retries + 1):
             self.counters["task_retry"] += 1
-            self._emit(
+            self.observers.event(
                 "warning",
                 "task_retry",
                 class_name=class_name,
@@ -494,11 +473,7 @@ class SupervisedScorer:
                     class_name, (left, right), f"{type(exc).__name__}: {exc}"
                 )
                 out.append([])
-        elapsed = time.perf_counter() - started
-        if self._chunk_hist is not None:
-            self._chunk_hist.observe(elapsed)
-        if self._flight is not None:
-            self._flight.note_chunk("build serial", elapsed, pairs=len(out))
+        self.observers.chunk("build serial", time.perf_counter() - started, len(out), None)
         return out
 
     # -- poisoning ------------------------------------------------------
@@ -516,7 +491,7 @@ class SupervisedScorer:
             "reason": reason,
         }
         self.poisoned.append(entry)
-        self._emit(
+        self.observers.event(
             "error",
             "pair_poisoned",
             left=key[0],

@@ -200,9 +200,9 @@ def test_restored_engine_keeps_its_result_cache_current(world):
     _, dataset = world
     domain = PimDomainModel()
     expected = Reconciler(dataset.store, domain).run()
-    crashed = Reconciler(dataset.store, domain)
+    crashed = Reconciler(dataset.store, domain, observers=[CrashAtStep(40)])
     with pytest.raises(InjectedFault):
-        crashed.run(step_hook=CrashAtStep(40))
+        crashed.run()
     state = json.loads(json.dumps(engine_state(crashed)))
 
     resumed = Reconciler(dataset.store, domain)

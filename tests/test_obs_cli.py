@@ -230,3 +230,35 @@ class TestRunDir:
         code = main(["explain", str(dataset_dir), "x", "y", "--run", str(bare)])
         assert code == 2
         assert "provenance" in capsys.readouterr().err
+
+
+#: every command that reads a run directory, as argv after the run dir
+#: is substituted for ``{run}``.
+_RUN_DIR_COMMANDS = {
+    "explain": ["explain", "unused-dataset", "a", "b", "--run", "{run}"],
+    "diff": ["diff", "{run}", "{run}"],
+    "report": ["report", "{run}"],
+    "watch": ["watch", "{run}", "--once"],
+    "doctor": ["doctor", "{run}"],
+    "hotspots": ["hotspots", "{run}"],
+}
+
+
+@pytest.mark.parametrize("damage", ["missing", "torn"])
+@pytest.mark.parametrize("command", sorted(_RUN_DIR_COMMANDS))
+def test_run_dir_commands_refuse_missing_or_torn_manifest(
+    command, damage, tmp_path, capsys
+):
+    """No run-dir command tracebacks on a bad run.json: each exits 2
+    with a one-line message on stderr."""
+    run = tmp_path / "run"
+    run.mkdir()
+    if damage == "torn":
+        (run / "run.json").write_text('{"manifest_version": 1, "run": {"data')
+    argv = [arg.replace("{run}", str(run)) for arg in _RUN_DIR_COMMANDS[command]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    if damage == "torn" or command != "watch":
+        assert "run.json" in err

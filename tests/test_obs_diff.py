@@ -13,6 +13,8 @@ from repro.core import EngineConfig, Reconciler
 from repro.datasets import generate_pim_dataset
 from repro.domains import PimDomainModel
 from repro.obs import (
+    FlightRecorder,
+    HotspotSketch,
     ProvenanceLog,
     Telemetry,
     build_manifest,
@@ -43,7 +45,10 @@ def _record_run(dataset, domain, run_dir):
     run_dir.mkdir(parents=True, exist_ok=True)
     log = ProvenanceLog(run_dir / "provenance.jsonl")
     engine = Reconciler(
-        dataset.store, domain, EngineConfig(), telemetry=Telemetry(provenance=log)
+        dataset.store,
+        domain,
+        EngineConfig(),
+        observers=[Telemetry(provenance=log), FlightRecorder(), HotspotSketch()],
     )
     engine.attach_convergence(dataset.gold.entity_of, every=50)
     result = engine.run()

@@ -4,7 +4,7 @@ Three contracts:
 
 * the recorder and the hotspot sketch are bounded-memory and strictly
   observational — partitions, provenance and the manifest's invariant
-  view are byte-identical with them attached (the default) or detached;
+  view are byte-identical with them subscribed (the default) or not;
 * crash bundles are schema-valid, atomically written, and carry the
   rings, stacks, config fingerprint and worker-lane digests;
 * the Space-Saving sketch is deterministic (tie-break on key) and its
@@ -15,6 +15,8 @@ import json
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import EngineConfig, Reconciler
 from repro.datasets import generate_cora_dataset, generate_pim_dataset
@@ -24,6 +26,8 @@ from repro.obs import (
     CRASH_BUNDLE_FILENAME,
     FlightRecorder,
     HotspotSketch,
+    Observers,
+    SchemaError,
     SpaceSaving,
     Telemetry,
     TelemetryRelay,
@@ -112,6 +116,42 @@ class TestSpaceSaving:
             return sketch.top(10)
 
         assert run() == run()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(min_value=1, max_value=6),
+        stream=st.lists(
+            st.tuples(
+                st.sampled_from("abcdefghij"),
+                st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.5]),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_matches_brute_force_reference(self, capacity, stream):
+        # The reference scans every entry for the (weight, key) minimum
+        # on each eviction; the sketch must pick the same victims and
+        # keep the same weights, counts and errors. Few keys and
+        # repeated weights force ties on both.
+        reference: dict = {}
+        sketch = SpaceSaving(capacity=capacity)
+        for key, weight in stream:
+            sketch.add(key, weight)
+            entry = reference.get(key)
+            if entry is not None:
+                entry[0] += weight
+                entry[1] += 1
+            elif len(reference) < capacity:
+                reference[key] = [weight, 1, 0.0]
+            else:
+                victim = min(reference, key=lambda k: (reference[k][0], k))
+                victim_weight = reference.pop(victim)[0]
+                reference[key] = [victim_weight + weight, 1, victim_weight]
+            assert sketch.entries == reference
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError):
+            SpaceSaving().add("k", -1.0)
 
     def test_error_bound_holds(self):
         # A key with true weight above N/k is guaranteed present, and no
@@ -217,6 +257,23 @@ class TestCrashBundle:
         assert bundle["stacks"]  # at least the dumping thread
         assert bundle["exception"] is None
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda b: b.update(reason=""),
+            lambda b: b["rings"].pop("decisions"),
+            lambda b: b["rings"].update(events={}),
+            lambda b: b.update(stacks={"1 (main)": [3]}),
+            lambda b: b["worker_lanes"].update(deaths={}),
+        ],
+        ids=["reason", "ring", "ring-type", "stack", "deaths"],
+    )
+    def test_validator_rejects_damaged_bundles(self, damage):
+        bundle = json.loads(json.dumps(build_crash_bundle(reason="smoke")))
+        damage(bundle)
+        with pytest.raises(SchemaError):
+            validate_crash_bundle(bundle)
+
     def test_bundle_with_exception(self):
         try:
             raise ValueError("boom")
@@ -247,8 +304,7 @@ class TestCrashBundle:
                 PimDomainModel(),
                 EngineConfig(),
             ).stats,
-            flight=recorder,
-            _relay=None,
+            observers=Observers([recorder]),
         )
         bundle = build_crash_bundle(reason="exotic", engine=engine)
         path = dump_crash_bundle(tmp_path, bundle)  # default=repr saves it
@@ -316,15 +372,16 @@ def _dataset(name):
 
 
 def _observed_run(dataset, domain_factory, config, *, detach):
-    """One run with provenance recording; *detach* removes the recorder."""
+    """One run with provenance recording; *detach* leaves out the
+    recorder and the sketch."""
     clear_similarity_caches()
     telemetry = Telemetry.enabled(provenance=True, metrics=True)
+    observers = [telemetry]
+    if not detach:
+        observers += [FlightRecorder(), HotspotSketch()]
     engine = Reconciler(
-        dataset.store, domain_factory(), config, telemetry=telemetry
+        dataset.store, domain_factory(), config, observers=observers
     )
-    if detach:
-        engine.flight = None
-        engine.hotspots = None
     result = engine.run()
     decisions = [
         (r.pair, r.class_name, r.decision, round(r.score, 9))
@@ -337,8 +394,8 @@ def _observed_run(dataset, domain_factory, config, *, detach):
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "cora"])
 def test_recorder_identity_serial(name):
     """Partitions, provenance and the manifest's invariant view are
-    byte-identical with the flight recorder + hotspot sketch attached
-    (the default) or detached."""
+    byte-identical with the flight recorder + hotspot sketch subscribed
+    (the default) or not."""
     dataset, domain_factory = _dataset(name)
     on = _observed_run(dataset, domain_factory, EngineConfig(), detach=False)
     off = _observed_run(dataset, domain_factory, EngineConfig(), detach=True)

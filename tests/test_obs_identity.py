@@ -1,8 +1,8 @@
 """Telemetry must be strictly observational.
 
 The contract: a run with every sink attached produces the *same*
-partition (and the same engine counters) as a run with the null
-telemetry, on every benchmark dataset; telemetry state never enters
+partition (and the same engine counters) as a bare engine with no
+subscribers, on every benchmark dataset; telemetry state never enters
 checkpoints; and a resumed run append-continues the original event
 log instead of clobbering it.
 """
@@ -15,7 +15,12 @@ from repro.core import EngineConfig, Reconciler
 from repro.datasets import generate_cora_dataset, generate_pim_dataset
 from repro.datasets.cora import CoraConfig
 from repro.domains import CoraDomainModel, PimDomainModel
-from repro.obs import NULL_TELEMETRY, Telemetry, validate_event_log
+from repro.obs import (
+    FlightRecorder,
+    HotspotSketch,
+    Telemetry,
+    validate_event_log,
+)
 from repro.runtime import Checkpointer, CrashAtStep, InjectedFault
 from repro.runtime.checkpoint import engine_state
 from repro.similarity import clear_similarity_caches
@@ -32,13 +37,24 @@ def _dataset(name):
     return generate_pim_dataset(name, scale=0.15), PimDomainModel
 
 
+def _observers(telemetry):
+    """The observed engine's subscribers: *telemetry* on top of the
+    default pair; no telemetry means the bare engine."""
+    if telemetry is None:
+        return ()
+    return (telemetry, FlightRecorder(), HotspotSketch())
+
+
 def _run(dataset, domain_factory, telemetry=None):
     # Fresh domain per run: the feature cache lives on the domain model
     # and its counters are cumulative, so sharing one across runs would
     # make the second run's stats look inflated.
     clear_similarity_caches()
     engine = Reconciler(
-        dataset.store, domain_factory(), EngineConfig(), telemetry=telemetry
+        dataset.store,
+        domain_factory(),
+        EngineConfig(),
+        observers=_observers(telemetry),
     )
     return engine, engine.run()
 
@@ -88,18 +104,21 @@ def test_parallel_run_identical_with_full_observability(name, tmp_path):
         provenance_path=tmp_path / "prov.jsonl",
     )
     config = EngineConfig(workers=2)
-    engine = Reconciler(
-        dataset.store, domain_factory(), config, telemetry=telemetry
-    )
     hud = LiveHud(io.StringIO(), interval=0.0)
+    engine = Reconciler(
+        dataset.store,
+        domain_factory(),
+        config,
+        observers=_observers(telemetry) + (hud,),
+    )
     with SamplingProfiler(interval=0.005):
-        result = engine.run(step_hook=hud.step_hook)
+        result = engine.run()
     hud.close()
     telemetry.close()
     assert result.partitions == baseline.partitions
     # The relay actually engaged: the build's scoring ran in workers.
-    assert engine._relay is not None
-    assert engine._relay.payloads > 0
+    assert telemetry.relay is not None
+    assert telemetry.relay.payloads > 0
 
 
 def test_counters_identical_with_and_without_telemetry(tiny_pim_a):
@@ -114,10 +133,14 @@ def test_counters_identical_with_and_without_telemetry(tiny_pim_a):
     assert observed.stats == plain.stats
 
 
-def test_default_engine_shares_the_null_singleton(tiny_pim_a):
+def test_default_engine_subscribes_flight_and_hotspots(tiny_pim_a):
     engine = Reconciler(tiny_pim_a.store, PimDomainModel(), EngineConfig())
-    assert engine.telemetry is NULL_TELEMETRY
-    assert engine.telemetry.active is False
+    kinds = [type(subscriber) for subscriber in engine.observers]
+    assert kinds == [FlightRecorder, HotspotSketch]
+    assert engine.observers.find(Telemetry) is None
+    bare = Reconciler(tiny_pim_a.store, PimDomainModel(), observers=())
+    assert len(bare.observers) == 0
+    assert not (bare.observers.evidence or bare.observers.timing)
 
 
 def test_engine_state_carries_no_telemetry(tiny_pim_a):
@@ -145,22 +168,26 @@ def test_resume_append_continues_the_event_log(tmp_path):
     clear_similarity_caches()
     telemetry = Telemetry.enabled(log_path=log_path, log_level="debug")
     engine = Reconciler(
-        dataset.store, domain_factory(), EngineConfig(), telemetry=telemetry
+        dataset.store,
+        domain_factory(),
+        EngineConfig(),
+        observers=[telemetry, CrashAtStep(5)],
     )
     with pytest.raises(InjectedFault):
-        engine.run(checkpointer=checkpointer, step_hook=CrashAtStep(5))
+        engine.run(checkpointer=checkpointer)
     telemetry.close()
     events_before_crash = validate_event_log(log_path)
     assert events_before_crash > 0
 
+    resumed_telemetry = Telemetry.enabled(log_path=log_path, log_level="debug")
     resumed = Reconciler.resume(
         checkpointer.path,
         store=dataset.store,
         domain=domain_factory(),
-        telemetry=Telemetry.enabled(log_path=log_path, log_level="debug"),
+        observers=[resumed_telemetry],
     )
     result = resumed.run()
-    resumed.telemetry.close()
+    resumed_telemetry.close()
 
     clear_similarity_caches()
     uninterrupted = Reconciler(dataset.store, domain_factory(), EngineConfig()).run()
@@ -181,26 +208,26 @@ def test_null_sink_overhead_smoke(tiny_pim_a):
     """The disabled path must not be grossly slower than the seed engine.
 
     A wall-clock ratio test on shared CI hardware would flake; instead
-    assert the structural property that makes overhead impossible: the
-    null telemetry is inert (``active`` False) and the engine consults
-    that one flag, so the iterate loop takes the uninstrumented branch.
+    assert the structural property that makes overhead impossible: a
+    bare engine's fan-out asks for neither decision evidence nor
+    timing, so the iterate loop computes neither.
     """
     import time
 
     domain = PimDomainModel()
     clear_similarity_caches()
     start = time.perf_counter()
-    engine = Reconciler(tiny_pim_a.store, domain, EngineConfig())
+    engine = Reconciler(tiny_pim_a.store, domain, EngineConfig(), observers=())
     engine.run()
     plain_seconds = time.perf_counter() - start
-    assert engine.telemetry.active is False
+    assert not engine.observers.evidence and not engine.observers.timing
     # Generous ceiling: catches a pathological regression (e.g. telemetry
     # accidentally enabled by default), not micro-variance.
     clear_similarity_caches()
     start = time.perf_counter()
     telemetry = Telemetry.enabled(trace=True, metrics=True)
     Reconciler(
-        tiny_pim_a.store, domain, EngineConfig(), telemetry=telemetry
+        tiny_pim_a.store, domain, EngineConfig(), observers=_observers(telemetry)
     ).run()
     instrumented_seconds = time.perf_counter() - start
     assert instrumented_seconds < max(plain_seconds * 5, plain_seconds + 5.0)

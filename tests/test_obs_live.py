@@ -107,7 +107,7 @@ class TestLiveHud:
         clock = iter(float(i) for i in range(100))
         hud = LiveHud(stream, interval=0.0, clock=lambda: next(clock))
         hud.phase("build")
-        hud.step_hook(
+        hud.on_step(
             self._engine(50, values_cache_hits=3, values_cache_misses=1,
                          merges=2),
             step=0,
@@ -124,7 +124,7 @@ class TestLiveHud:
         times = iter([0.0, 1.0, 2.0, 3.0])
         hud = LiveHud(stream, interval=0.0, clock=lambda: next(times))
         for queued in (100, 90, 80):
-            hud.step_hook(self._engine(queued), step=queued)
+            hud.on_step(self._engine(queued), step=queued)
         # 10 keys/second drain, 80 queued -> 8s.
         assert "eta 8s" in stream.getvalue()
 
@@ -133,7 +133,7 @@ class TestLiveHud:
         times = iter([0.0, 1.0, 2.0])
         hud = LiveHud(stream, interval=0.0, clock=lambda: next(times))
         for queued in (100, 150):
-            hud.step_hook(self._engine(queued), step=0)
+            hud.on_step(self._engine(queued), step=0)
         assert "eta --" in stream.getvalue()
 
     def test_throttle_skips_fast_redraws(self):
@@ -141,7 +141,7 @@ class TestLiveHud:
         times = iter([0.0, 0.01, 0.02, 5.0])
         hud = LiveHud(stream, interval=1.0, clock=lambda: next(times))
         for step in range(4):
-            hud.step_hook(self._engine(10), step=step)
+            hud.on_step(self._engine(10), step=step)
         output = stream.getvalue()
         assert "step 0" in output
         assert "step 1" not in output and "step 2" not in output

@@ -12,8 +12,11 @@ from repro.core import EngineConfig, Reconciler
 from repro.datasets import generate_pim_dataset
 from repro.domains import CoraDomainModel, PimDomainModel
 from repro.obs import (
+    FlightRecorder,
+    HotspotSketch,
     MetricsRegistry,
     ProvenanceLog,
+    SchemaError,
     Telemetry,
     Tracer,
     build_manifest,
@@ -42,9 +45,9 @@ def _domain(name):
     return CoraDomainModel() if name == "cora" else PimDomainModel()
 
 
-def _run(dataset, name, *, telemetry=None, every=25):
+def _run(dataset, name, *, observers=None, every=25):
     engine = Reconciler(
-        dataset.store, _domain(name), EngineConfig(), telemetry=telemetry
+        dataset.store, _domain(name), EngineConfig(), observers=observers
     )
     engine.attach_convergence(dataset.gold.entity_of, every=every)
     result = engine.run()
@@ -63,6 +66,23 @@ class TestManifestShape:
         assert path.name == "run.json"
         assert _canon(load_manifest(tmp_path)) == _canon(manifest)
         assert _canon(load_manifest(path)) == _canon(manifest)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda m: m.pop("counters"),
+            lambda m: m["partition"].update(digest="md5:abc"),
+            lambda m: m["counters"].update(merges=-1),
+            lambda m: m["convergence"].append({"merges": 1}),
+            lambda m: next(iter(m["quality"].values()))["bcubed"].update(f1=1.5),
+        ],
+        ids=["no-counters", "digest", "negative-counter", "sample", "f1-range"],
+    )
+    def test_validator_rejects_damaged_manifests(self, datasets, damage):
+        manifest = json.loads(json.dumps(_run(datasets["B"], "B")))
+        damage(manifest)
+        with pytest.raises(SchemaError):
+            validate_manifest(manifest)
 
     def test_partition_digest_tracks_content(self):
         base = {"Person": [["a", "b"], ["c"]]}
@@ -102,13 +122,17 @@ class TestInvariance:
     @pytest.mark.parametrize("name", DATASETS)
     def test_telemetry_on_vs_off(self, datasets, name, tmp_path):
         dataset = datasets[name]
-        bare = _run(dataset, name)
+        bare = _run(dataset, name, observers=())
         telemetry = Telemetry(
             tracer=Tracer(),
             metrics=MetricsRegistry(),
             provenance=ProvenanceLog(tmp_path / f"{name}.jsonl"),
         )
-        observed = _run(dataset, name, telemetry=telemetry)
+        observed = _run(
+            dataset,
+            name,
+            observers=[telemetry, FlightRecorder(), HotspotSketch()],
+        )
         assert _canon(invariant_view(bare)) == _canon(invariant_view(observed))
         # the promise is specifically about these two:
         assert bare["partition"]["digest"] == observed["partition"]["digest"]
@@ -119,11 +143,13 @@ class TestInvariance:
         dataset = datasets[name]
         uninterrupted = _run(dataset, name)
 
-        engine = Reconciler(dataset.store, _domain(name), EngineConfig())
+        engine = Reconciler(
+            dataset.store, _domain(name), EngineConfig(), observers=[CrashAtStep(35)]
+        )
         engine.attach_convergence(dataset.gold.entity_of, every=25)
         checkpointer = Checkpointer(tmp_path / name, every=10)
         with pytest.raises(InjectedFault):
-            engine.run(checkpointer=checkpointer, step_hook=CrashAtStep(35))
+            engine.run(checkpointer=checkpointer)
         resumed = Reconciler.resume(
             checkpointer.path, store=dataset.store, domain=_domain(name)
         )

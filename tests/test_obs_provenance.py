@@ -33,7 +33,7 @@ def audited():
     domain = PimDomainModel()
     store = ReferenceStore(domain.schema, example1_references())
     telemetry = Telemetry.enabled(provenance=True)
-    engine = Reconciler(store, domain, EngineConfig(), telemetry=telemetry)
+    engine = Reconciler(store, domain, EngineConfig(), observers=[telemetry])
     engine.run()
     return engine
 
@@ -48,7 +48,7 @@ def audited_pim():
     dataset = generate_pim_dataset("A", scale=0.15)
     telemetry = Telemetry.enabled(provenance=True)
     engine = Reconciler(
-        dataset.store, PimDomainModel(), EngineConfig(), telemetry=telemetry
+        dataset.store, PimDomainModel(), EngineConfig(), observers=[telemetry]
     )
     engine.run()
     return engine
@@ -56,7 +56,7 @@ def audited_pim():
 
 class TestDecisionRecords:
     def test_every_decision_validates(self, audited):
-        prov = audited.telemetry.provenance
+        prov = audited.observers.find(Telemetry).provenance
         assert len(prov) > 0
         for record in prov.records:
             validate_decision(record.to_dict())
@@ -64,7 +64,7 @@ class TestDecisionRecords:
             assert record.trigger in TRIGGERS
 
     def test_merges_and_non_merges_are_both_audited(self, audited):
-        prov = audited.telemetry.provenance
+        prov = audited.observers.find(Telemetry).provenance
         assert prov.merged_pairs()
         assert prov.non_merged_pairs()
         # The engine's own counter and the audit log must agree.
@@ -72,7 +72,7 @@ class TestDecisionRecords:
         assert len(merge_records) == audited.stats.merges
 
     def test_merge_record_carries_decision_time_evidence(self, audited):
-        prov = audited.telemetry.provenance
+        prov = audited.observers.find(Telemetry).provenance
         record = prov.merge_record("p2", "p5")  # Stonebraker, via propagation
         if record is None:  # enrich mode may key the node by roots
             pairs = [r for r in prov.records if r.decision == MERGE]
@@ -82,19 +82,19 @@ class TestDecisionRecords:
         assert record.trigger in TRIGGERS
 
     def test_propagated_merges_record_their_trigger(self, audited):
-        prov = audited.telemetry.provenance
+        prov = audited.observers.find(Telemetry).provenance
         triggers = {r.trigger for r in prov.records}
         # Example 1 is the paper's propagation showcase: some decision
         # must have been (re)activated by a strong/weak/real edge.
         assert triggers - {"seed"}
 
     def test_sequence_is_strictly_increasing(self, audited):
-        seqs = [r.seq for r in audited.telemetry.provenance.records]
+        seqs = [r.seq for r in audited.observers.find(Telemetry).provenance.records]
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == len(seqs)
 
     def test_jsonl_roundtrip(self, audited, tmp_path):
-        prov = audited.telemetry.provenance
+        prov = audited.observers.find(Telemetry).provenance
         path = prov.to_jsonl(tmp_path / "prov.jsonl")
         assert validate_provenance_jsonl(path) == len(prov)
         restored = ProvenanceLog.from_jsonl(path)
@@ -110,7 +110,7 @@ class TestDecisionRecords:
         store = ReferenceStore(domain.schema, example1_references())
         path = tmp_path / "stream.jsonl"
         telemetry = Telemetry.enabled(provenance=True, provenance_path=path)
-        Reconciler(store, domain, EngineConfig(), telemetry=telemetry).run()
+        Reconciler(store, domain, EngineConfig(), observers=[telemetry]).run()
         telemetry.close()
         prov = telemetry.provenance
         streamed = [json.loads(line) for line in path.read_text().splitlines()]
@@ -133,7 +133,7 @@ class TestDecisionRecords:
 
 class TestExplainReplay:
     def test_merged_pair_replays_its_record(self, audited):
-        prov = audited.telemetry.provenance
+        prov = audited.observers.find(Telemetry).provenance
         left, right = prov.merged_pairs()[0]
         explanation = explain_merge(audited, left, right)
         assert explanation.connected
@@ -149,7 +149,7 @@ class TestExplainReplay:
         assert "[replayed from decision record]" in explanation.describe()
 
     def test_non_merged_pair_reports_last_decision(self, audited_pim):
-        prov = audited_pim.telemetry.provenance
+        prov = audited_pim.observers.find(Telemetry).provenance
         found = None
         for left, right in prov.non_merged_pairs():
             if not audited_pim.uf.connected(left, right):

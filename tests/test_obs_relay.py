@@ -15,6 +15,9 @@ from repro.core import EngineConfig, Reconciler
 from repro.datasets import generate_pim_dataset
 from repro.domains import PimDomainModel
 from repro.obs import (
+    FlightRecorder,
+    HotspotSketch,
+    Observers,
     Telemetry,
     TelemetryRelay,
     WorkerTelemetry,
@@ -75,7 +78,7 @@ class TestTelemetryRelay:
 
     def test_absorb_builds_named_foreign_lanes(self, tmp_path):
         telemetry = self._telemetry(tmp_path)
-        relay = TelemetryRelay.for_telemetry(telemetry)
+        relay = TelemetryRelay(telemetry)
         recorder = WorkerTelemetry("scoring worker")
         recorder.pid, recorder.tid = 4242, 4243  # a genuinely foreign lane
         recorder.add_span("score_chunk", telemetry.tracer.epoch, 0.25, pairs=7)
@@ -102,7 +105,7 @@ class TestTelemetryRelay:
 
     def test_span_before_parent_epoch_clamps_to_zero(self, tmp_path):
         telemetry = self._telemetry(tmp_path)
-        relay = TelemetryRelay.for_telemetry(telemetry)
+        relay = TelemetryRelay(telemetry)
         recorder = WorkerTelemetry("scoring worker")
         recorder.pid = 777
         recorder.add_span("early", telemetry.tracer.epoch - 100.0, 0.1)
@@ -115,7 +118,7 @@ class TestTelemetryRelay:
 
     def test_lane_death_is_attributed_to_the_lane(self, tmp_path):
         telemetry = self._telemetry(tmp_path)
-        relay = TelemetryRelay.for_telemetry(telemetry)
+        relay = TelemetryRelay(telemetry)
         relay.lane_died(999, "task timeout")
         telemetry.close()
         trace = telemetry.tracer.chrome_trace()
@@ -128,9 +131,12 @@ class TestTelemetryRelay:
     def test_provenance_only_telemetry_gets_no_relay(self):
         from repro.obs import ProvenanceLog
 
+        # Provenance-only telemetry (``repro explain``) asks for no
+        # worker payloads: workers would ship what nobody consumes.
         telemetry = Telemetry(provenance=ProvenanceLog())
-        assert TelemetryRelay.for_telemetry(telemetry) is None
-        assert TelemetryRelay.for_telemetry(None) is None
+        assert not telemetry.wants_worker_telemetry
+        assert not Observers([telemetry]).worker_telemetry
+        assert Observers([Telemetry.enabled(trace=True)]).worker_telemetry
 
 
 class TestParallelRunEndToEnd:
@@ -156,7 +162,10 @@ class TestParallelRunEndToEnd:
         )
         config = EngineConfig(workers=2)
         engine = Reconciler(
-            dataset.store, PimDomainModel(), config, telemetry=telemetry
+            dataset.store,
+            PimDomainModel(),
+            config,
+            observers=[telemetry, FlightRecorder(), HotspotSketch()],
         )
         result = engine.run()
         telemetry.close()
@@ -193,16 +202,16 @@ class TestParallelRunEndToEnd:
 
     def test_relay_summary_reaches_the_engine(self, observed):
         engine, _, _ = observed
-        summary = engine._relay.summary()
+        summary = engine.observers.find(Telemetry).relay.summary()
         assert summary["lane_count"] >= 2
         assert summary["lane_deaths"] == []
         assert summary["counters"]["repro_worker_chunks_total"] > 0
 
 
 def test_queue_depth_histogram_samples_each_chunk(monkeypatch, tiny_pim_a):
-    import repro.core.engine as engine_module
+    import repro.obs.telemetry as telemetry_module
 
-    monkeypatch.setattr(engine_module, "_ITERATE_CHUNK", 5)
+    monkeypatch.setattr(telemetry_module, "_ITERATE_CHUNK", 5)
     clear_similarity_caches()
     baseline = Reconciler(
         tiny_pim_a.store, PimDomainModel(), EngineConfig()
@@ -210,7 +219,7 @@ def test_queue_depth_histogram_samples_each_chunk(monkeypatch, tiny_pim_a):
     clear_similarity_caches()
     telemetry = Telemetry.enabled(metrics=True)
     engine = Reconciler(
-        tiny_pim_a.store, PimDomainModel(), EngineConfig(), telemetry=telemetry
+        tiny_pim_a.store, PimDomainModel(), EngineConfig(), observers=[telemetry]
     )
     result = engine.run()
     snapshot = telemetry.metrics.snapshot()
@@ -229,26 +238,30 @@ def test_resume_append_continues_relay_telemetry(tmp_path):
         log_path=log_path, log_level="debug", trace=True, metrics=True
     )
     engine = Reconciler(
-        dataset.store, PimDomainModel(), config, telemetry=telemetry
+        dataset.store,
+        PimDomainModel(),
+        config,
+        observers=[telemetry, FlightRecorder(), HotspotSketch(), CrashAtStep(5)],
     )
     with pytest.raises(InjectedFault):
-        engine.run(checkpointer=checkpointer, step_hook=CrashAtStep(5))
+        engine.run(checkpointer=checkpointer)
     telemetry.close()
-    assert engine._relay is not None  # the parallel build used the relay
+    assert telemetry.relay is not None  # the parallel build used the relay
     events_before_crash = validate_event_log(log_path)
     assert events_before_crash > 0
 
+    resumed_telemetry = Telemetry.enabled(
+        log_path=log_path, log_level="debug", trace=True, metrics=True
+    )
     resumed = Reconciler.resume(
         checkpointer.path,
         store=dataset.store,
         domain=PimDomainModel(),
         config=config,
-        telemetry=Telemetry.enabled(
-            log_path=log_path, log_level="debug", trace=True, metrics=True
-        ),
+        observers=[resumed_telemetry],
     )
     result = resumed.run()
-    resumed.telemetry.close()
+    resumed_telemetry.close()
 
     clear_similarity_caches()
     uninterrupted = Reconciler(

@@ -10,6 +10,8 @@ import pytest
 from repro.core import EngineConfig, Reconciler
 from repro.datasets import generate_pim_dataset
 from repro.obs import (
+    FlightRecorder,
+    HotspotSketch,
     ProvenanceLog,
     Telemetry,
     Tracer,
@@ -30,7 +32,11 @@ def run_dir(tmp_path_factory):
         dataset.store,
         PimDomainModel(),
         EngineConfig(),
-        telemetry=Telemetry(tracer=Tracer(), provenance=log),
+        observers=[
+            Telemetry(tracer=Tracer(), provenance=log),
+            FlightRecorder(),
+            HotspotSketch(),
+        ],
     )
     engine.attach_convergence(dataset.gold.entity_of, every=50)
     result = engine.run()

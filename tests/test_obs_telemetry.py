@@ -10,7 +10,6 @@ import pytest
 from repro.core.engine import EngineStats
 from repro.obs import (
     LEVELS,
-    NULL_TELEMETRY,
     Counter,
     EventLog,
     Gauge,
@@ -202,16 +201,22 @@ class TestMetrics:
 
 class TestNullTelemetry:
     def test_null_sinks_are_inert(self):
-        assert NULL_TELEMETRY.active is False
-        NULL_TELEMETRY.emit("error", "anything", detail="dropped")
-        NULL_TELEMETRY.instant("anything")
-        with NULL_TELEMETRY.span("anything"):
-            pass
-        NULL_TELEMETRY.close()
-        assert NULL_TELEMETRY.log is None
-        assert NULL_TELEMETRY.tracer is None
-        assert NULL_TELEMETRY.metrics is None
-        assert NULL_TELEMETRY.provenance is None
+        telemetry = Telemetry()
+        assert telemetry.active is False
+        assert not (
+            telemetry.wants_evidence
+            or telemetry.wants_timing
+            or telemetry.wants_worker_telemetry
+        )
+        telemetry.emit("error", "anything", detail="dropped")
+        telemetry.instant("anything")
+        telemetry.on_phase_begin(None, "build", references=0)
+        telemetry.on_phase_end(None, "build", seconds=0.0)
+        telemetry.close()
+        assert telemetry.log is None
+        assert telemetry.tracer is None
+        assert telemetry.metrics is None
+        assert telemetry.provenance is None
 
     def test_enabled_constructor_wires_requested_sinks(self, tmp_path):
         telemetry = Telemetry.enabled(
@@ -228,8 +233,9 @@ class TestNullTelemetry:
     def test_partial_telemetry_span_without_tracer(self):
         telemetry = Telemetry(metrics=MetricsRegistry())
         assert telemetry.active is True
-        with telemetry.span("no_tracer_installed"):
-            pass  # must not raise
+        # A phase is a span; with no tracer installed it must not raise.
+        telemetry.on_phase_begin(None, "wire_weak")
+        telemetry.on_phase_end(None, "wire_weak")
 
 
 class TestRenderers:

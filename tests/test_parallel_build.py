@@ -14,7 +14,9 @@ from repro.core import EngineConfig, Reconciler
 from repro.datasets import generate_cora_dataset, generate_pim_dataset
 from repro.datasets.cora import CoraConfig
 from repro.domains import CoraDomainModel, PimDomainModel
-from repro.perf.parallel import ParallelScorer, domain_spec
+from repro.perf.parallel import domain_spec
+from repro.perf.scoring import pair_evidence
+from repro.runtime import RetryPolicy, SupervisedScorer
 
 # Stats fields that must be identical between serial and parallel runs.
 # Cache/memo/prefilter counters are deliberately excluded: workers keep
@@ -90,7 +92,7 @@ class TestFallback:
 
         assert domain_spec(LocalDomain()) is None
         with pytest.raises(ValueError):
-            ParallelScorer(LocalDomain(), 2)
+            SupervisedScorer(LocalDomain(), 2)
 
         config = replace(EngineConfig(), workers=4)
         engine = Reconciler(tiny_pim_a.store, LocalDomain(), config)
@@ -105,21 +107,48 @@ class TestFallback:
 
     def test_single_worker_pool_rejected(self):
         with pytest.raises(ValueError):
-            ParallelScorer(PimDomainModel(), 1)
+            SupervisedScorer(PimDomainModel(), 1)
 
 
 class TestPoolHygiene:
-    def test_failed_score_leaves_no_worker_processes(self):
-        """A failure inside ``score`` shuts the pool down before the
-        exception propagates — a failed build never leaks children."""
+    def test_score_preserves_pair_order(self, tiny_pim_a):
+        """Results come back in the order of the pairs, whichever worker
+        finished first: the engine zips them with its pair list."""
         domain = PimDomainModel()
-        scorer = ParallelScorer(domain, 2)
+        class_name = "Person"
+        references = tiny_pim_a.store.of_class(class_name)[:12]
+        pairs = [
+            (left.ref_id, right.ref_id)
+            for i, left in enumerate(references)
+            for right in references[i + 1 :]
+        ]
+        values = {ref.ref_id: dict(ref.values) for ref in references}
+        channels = domain.atomic_channels(class_name)
+        names = tuple(channel.name for channel in channels)
+        with SupervisedScorer(domain, 2) as scorer:
+            results = scorer.score(class_name, names, pairs, values)
+        expected = [
+            pair_evidence(channels, values[left], values[right], {})
+            for left, right in pairs
+        ]
+        assert results == expected
+
+    def test_failed_score_leaves_no_worker_processes(self):
+        """A failure inside ``score`` is contained — every failing pair
+        is quarantined as no-merge — and the pool shuts down without
+        leaking children."""
+        domain = PimDomainModel()
+        scorer = SupervisedScorer(
+            domain, 2, RetryPolicy(max_retries=1, backoff_base=0.0, jitter=0.0)
+        )
         class_name = domain.class_order()[0]
         pairs = [("x", "y"), ("y", "z")]
         values = {"x": {}, "y": {}, "z": {}}
         # An unknown channel name makes every worker raise KeyError.
-        with pytest.raises(Exception):
-            scorer.score(class_name, ("no-such-channel",), pairs, values)
+        with scorer:
+            results = scorer.score(class_name, ("no-such-channel",), pairs, values)
+        assert results == [[], []]
+        assert scorer.counters["pair_poisoned"] == len(pairs)
         deadline = time.monotonic() + 10.0
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.05)

@@ -10,6 +10,7 @@ import pytest
 from repro.core import EngineConfig, Reconciler, ReferenceStore
 from repro.core.queue import ActiveQueue
 from repro.domains import PimDomainModel
+from repro.obs import EventLog, FlightRecorder, Telemetry
 from repro.runtime import (
     BudgetExceeded,
     CheckpointError,
@@ -33,10 +34,10 @@ from repro.runtime import (
 from .conftest import example1_references
 
 
-def _engine(config=None) -> Reconciler:
+def _engine(config=None, observers=None) -> Reconciler:
     domain = PimDomainModel()
     store = ReferenceStore(domain.schema, example1_references())
-    return Reconciler(store, domain, config)
+    return Reconciler(store, domain, config, observers=observers)
 
 
 class TestErrorTaxonomy:
@@ -239,10 +240,10 @@ class TestCheckpoint:
         uninterrupted = _engine()
         expected = uninterrupted.run()
 
-        engine = _engine()
+        engine = _engine(observers=[CrashAtStep(5)])
         checkpointer = Checkpointer(tmp_path, every=1)
         with pytest.raises(InjectedFault):
-            engine.run(checkpointer=checkpointer, step_hook=CrashAtStep(5))
+            engine.run(checkpointer=checkpointer)
         store = ReferenceStore(domain.schema, example1_references())
         resumed = Reconciler.resume(checkpointer.path, store=store, domain=domain)
         result = resumed.run()
@@ -253,10 +254,10 @@ class TestCheckpoint:
     def test_crash_before_first_step_still_resumable(self, tmp_path):
         domain = PimDomainModel()
         expected = _engine().run()
-        engine = _engine()
+        engine = _engine(observers=[CrashAtStep(0)])
         checkpointer = Checkpointer(tmp_path, every=100)
         with pytest.raises(InjectedFault):
-            engine.run(checkpointer=checkpointer, step_hook=CrashAtStep(0))
+            engine.run(checkpointer=checkpointer)
         store = ReferenceStore(domain.schema, example1_references())
         resumed = Reconciler.resume(checkpointer.path, store=store, domain=domain)
         assert resumed.run().partitions == expected.partitions
@@ -301,6 +302,37 @@ class TestResilientReconciler:
         for class_name in ("Person",):
             assert result.partitions[class_name] == baseline.partitions[class_name]
 
+    def test_fallback_degradation_takes_the_engine_path(self, tmp_path):
+        """The InDepDec fallback is recorded once everywhere a
+        degradation goes: the stats, the result, the flight recorder's
+        ring and the event log."""
+        store, domain = self._store()
+        recorder = FlightRecorder()
+        telemetry = Telemetry(log=EventLog(tmp_path / "events.jsonl"))
+        wrapper = ResilientReconciler(
+            store, domain,
+            guard=RunGuard(deadline_seconds=0.0),
+            fallback="indepdec",
+            observers=[telemetry, recorder],
+        )
+        result = wrapper.run()
+        telemetry.close()
+        engine = wrapper.reconciler
+
+        def fallbacks(kinds):
+            return sum(1 for kind in kinds if kind == "fallback")
+
+        assert fallbacks(e.kind for e in engine.stats.degradations) == 1
+        assert fallbacks(e.kind for e in result.degradations) == 1
+        assert fallbacks(e["kind"] for e in recorder.degradations) == 1
+        events = [
+            json.loads(line)
+            for line in (tmp_path / "events.jsonl").read_text().splitlines()
+        ]
+        assert fallbacks(
+            e["kind"] for e in events if e["event"] == "degradation"
+        ) == 1
+
     def test_untripped_guard_returns_converged_run(self):
         store, domain = self._store()
         wrapper = ResilientReconciler(store, domain, guard=RunGuard())
@@ -318,8 +350,8 @@ class TestFaultInjectors:
     def test_crash_at_step_fires_once(self):
         hook = CrashAtStep(0)
         with pytest.raises(InjectedFault):
-            hook(None, 0)
-        hook(None, 1)  # second call is a no-op
+            hook.on_step(None, 0)
+        hook.on_step(None, 1)  # second call is a no-op
 
     def test_inject_malformed_lines_deterministic(self, tmp_path):
         path = tmp_path / "refs.jsonl"

@@ -43,12 +43,12 @@ def _crash_and_resume(store_factory, domain, crash_step, *, every=1, config=None
     runs."""
     uninterrupted = Reconciler(store_factory(), domain, config)
     expected = uninterrupted.run()
-    engine = Reconciler(store_factory(), domain, config)
+    crash = CrashAtStep(crash_step)
+    engine = Reconciler(store_factory(), domain, config, observers=[crash])
     with tempfile.TemporaryDirectory() as tmp:
         checkpointer = Checkpointer(tmp, every=every)
-        crash = CrashAtStep(crash_step)
         try:
-            engine.run(checkpointer=checkpointer, step_hook=crash)
+            engine.run(checkpointer=checkpointer)
         except InjectedFault:
             pass
         if not crash.fired:

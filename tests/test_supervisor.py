@@ -20,6 +20,7 @@ from repro.core import EngineConfig, Reconciler
 from repro.core.nodes import pair_key
 from repro.datasets import generate_pim_dataset
 from repro.domains import PimDomainModel
+from repro.obs import Observer, Observers
 from repro.runtime import ChaosInjector, RetryPolicy, SupervisedScorer
 
 
@@ -164,11 +165,11 @@ def _scoring_inputs(dataset):
     return best, tuple(channel.name for channel in channels), pairs, values
 
 
-class _RecordingTelemetry:
+class _RecordingObserver(Observer):
     def __init__(self):
         self.events = []
 
-    def emit(self, level, event, **fields):
+    def on_event(self, level, event, **fields):
         self.events.append((level, event, fields))
 
 
@@ -179,13 +180,13 @@ class TestPoisoning:
         class_name, channel_names, pairs, values = _scoring_inputs(tiny_pim_a)
         assert len(pairs) >= 4, "fixture too small to exercise bisection"
         target = pairs[len(pairs) // 2]
-        telemetry = _RecordingTelemetry()
+        recorder = _RecordingObserver()
         poison_path = tmp_path / "poisoned_pairs.jsonl"
         scorer = SupervisedScorer(
             PimDomainModel(),
             2,
             RetryPolicy(max_retries=1, backoff_base=0.0, jitter=0.0),
-            telemetry=telemetry,
+            observers=Observers([recorder]),
             poison_path=poison_path,
             chaos=ChaosInjector(raise_pairs=(target,)),
         )
@@ -208,7 +209,7 @@ class TestPoisoning:
         assert entries[0]["pair"] == sorted(target)
         assert entries[0]["class"] == class_name
         assert "InjectedFault" in entries[0]["reason"]
-        emitted = {event for _, event, _ in telemetry.events}
+        emitted = {event for _, event, _ in recorder.events}
         assert "task_retry" in emitted
         assert "pair_poisoned" in emitted
         assert _no_live_children()
@@ -258,8 +259,16 @@ class TestMidBuildPoolFailure:
         from concurrent.futures.process import BrokenProcessPool
 
         class ExplodingScorer:
+            """Stands in for SupervisedScorer: its interface, no pool."""
+
+            current_workers = 2
+
             def __init__(self):
                 self.shutdowns = 0
+                self.counters = dict.fromkeys(
+                    ("task_retry", "task_timeout", "pool_rebuild", "pair_poisoned"), 0
+                )
+                self.poisoned = []
 
             def score(self, *args, **kwargs):
                 raise BrokenProcessPool("worker died mid-build")
