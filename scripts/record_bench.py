@@ -132,15 +132,9 @@ def _measure(
         "contacts_cache_hit_rate": _rate(
             stats.contacts_cache_hits, stats.contacts_cache_misses
         ),
-        # Supervised-execution counters: all zero on a healthy serial
-        # run; nonzero values in a bench row mean the measurement ran
-        # through retries / pool rebuilds and its timings are suspect.
-        "supervision": {
-            "task_retries": stats.task_retries,
-            "task_timeouts": stats.task_timeouts,
-            "pool_rebuilds": stats.pool_rebuilds,
-            "pairs_poisoned": stats.pairs_poisoned,
-        },
+        # Zero on a healthy run; nonzero means the worker pool failed
+        # and the measurement ran through the serial fallback.
+        "supervision": {"task_retries": stats.task_retries},
         # Phase-attributed telemetry snapshot: a regression in
         # total_seconds points at the phase (and cache) that moved.
         "metrics": {

@@ -10,7 +10,7 @@ how long any single file takes:
     python scripts/run_test_matrix.py --shard-index 1 --shard-count 3 --all -- -x
 
 ``--all`` clears the repo's default ``addopts`` (which deselects the
-``slow``/``soak`` markers to keep local tier-1 wall-time down) so CI
+``slow`` marker to keep local tier-1 wall-time down) so CI
 runs the complete matrix, long identity tests included. Everything
 after ``--`` is passed to pytest verbatim. A shard whose files all
 deselect (pytest exit code 5) counts as success — the *matrix* covers
@@ -40,7 +40,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--all",
         action="store_true",
-        help="clear default addopts so slow/soak-marked tests run too",
+        help="clear default addopts so slow-marked tests run too",
     )
     parser.add_argument(
         "--list",

@@ -214,21 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="quarantine malformed records to quarantine.jsonl instead "
             "of aborting the load",
         )
-        runtime.add_argument(
-            "--task-timeout", type=float, default=None, metavar="SECONDS",
-            help="per-task deadline for supervised parallel scoring; a "
-            "chunk past it is treated as hung (pool rebuild + retry)",
-        )
-        runtime.add_argument(
-            "--max-task-retries", type=int, default=None, metavar="N",
-            help="supervised re-executions of a failed scoring chunk "
-            "before bisecting it to isolate the poisoned pair (default 2)",
-        )
-        runtime.add_argument(
-            "--retry-backoff", type=float, default=None, metavar="SECONDS",
-            help="base backoff before the first chunk retry; doubles per "
-            "retry with seeded jitter (default 0.05)",
-        )
 
     tables = commands.add_parser("tables", help="regenerate a paper table")
     tables.add_argument(
@@ -435,8 +420,6 @@ def _run_artifacts(options, run_dir: Path) -> dict:
     if getattr(options, "profile", False):
         artifacts["profile"] = "profile.folded"
         artifacts["speedscope"] = "profile.speedscope.json"
-    if int(getattr(options, "workers", 1) or 1) > 1:
-        artifacts["poison_log"] = "poisoned_pairs.jsonl"
     return artifacts
 
 
@@ -474,21 +457,10 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
     domain = _domain_for(dataset.name)
     config = _config_for(algorithm, domain)
     workers = int(getattr(options, "workers", 1) or 1)
-    overrides: dict = {}
     if workers > 1:
-        overrides["workers"] = workers
-        if run_dir is not None:
-            # Poisoned pairs are a run artifact like provenance: default
-            # their quarantine file into the run directory.
-            overrides["poison_log"] = str(run_dir / "poisoned_pairs.jsonl")
-    for attr in ("task_timeout", "max_task_retries", "retry_backoff"):
-        value = getattr(options, attr, None)
-        if value is not None:
-            overrides[attr] = value
-    if overrides:
         from dataclasses import replace
 
-        config = replace(config, **overrides)
+        config = replace(config, workers=workers)
     guard = None
     checkpointer = None
     if options is not None:
@@ -551,8 +523,10 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
         marker = spec.pop("marker_dir", None)
         if marker is None and run_dir is not None:
             marker = str(run_dir / "chaos_markers")
-        if "raise_pairs" in spec:
-            spec["raise_pairs"] = tuple(tuple(pair) for pair in spec["raise_pairs"])
+        if marker is not None:
+            # The first worker to claim a file here dies; without the
+            # directory the claim itself would fail instead.
+            Path(marker).mkdir(parents=True, exist_ok=True)
         reconciler.chaos = ChaosInjector(marker_dir=marker, **spec)
     profiler = None
     if getattr(options, "profile", False):
@@ -614,8 +588,8 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
         from .obs.flight import CRASH_BUNDLE_FILENAME
 
         if result.degraded:
-            # The run finished but not cleanly (guard trip, pool
-            # collapse, poisoned pairs, ...): leave a bundle so
+            # The run finished but not cleanly (guard trip, serial
+            # fallback after a pool failure, ...): leave a bundle so
             # `repro doctor` can explain what degraded and why.
             kinds = sorted({event.kind for event in result.degradations})
             reason = (

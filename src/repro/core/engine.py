@@ -80,12 +80,9 @@ class EngineStats:
     prefilter_skips: int = 0
     #: worker processes the build actually used (1 = serial).
     parallel_workers: int = 1
-    # Supervised-execution counters (parallel build only; see
-    # repro.runtime.supervisor). Plain ints for checkpoint round-trips.
+    #: classes re-scored serially after the worker pool failed (see
+    #: repro.runtime.supervisor); at most one per build.
     task_retries: int = 0
-    task_timeouts: int = 0
-    pool_rebuilds: int = 0
-    pairs_poisoned: int = 0
     #: ActiveQueue deque rebuilds triggered by stale-entry buildup.
     queue_compactions: int = 0
     per_class_nodes: dict[str, int] = field(default_factory=dict)
@@ -153,15 +150,10 @@ class Reconciler:
         self._built = False
         #: why the last run stopped: "converged" or a degradation kind.
         self.stop_reason = "converged"
-        #: fault-injection seam for the supervised build: an opaque
+        #: fault-injection seam for the parallel build: an opaque
         #: object with a ``before_chunk`` method, forwarded to scoring
         #: workers. None in production.
         self.chaos = None
-        #: pair keys scored as no-merge no matter what the evidence
-        #: says. Populated from a supervised build's poisoned pairs;
-        #: pre-populating it on a serial engine reproduces a poisoned
-        #: run exactly (the soak harness's oracle).
-        self.suppressed_pairs: set = set()
         # Set when a mid-build scorer failure disabled parallelism for
         # the remaining classes (the scorer is already shut down).
         self._parallel_disabled = False
@@ -361,7 +353,6 @@ class Reconciler:
         finally:
             if scorer is not None:
                 scorer.shutdown()
-                self._absorb_supervision(scorer)
         self._per_class_nodes = per_class_nodes
         with self.observers.phase(self, "wire_association"):
             self._wire_association_edges(per_class_nodes)
@@ -422,28 +413,20 @@ class Reconciler:
             self._members.setdefault(root, []).append(reference.ref_id)
 
     def _make_scorer(self):
-        """A supervised worker pool for the build, or ``None`` to run
-        serially (``workers=1``, or a domain workers cannot rebuild —
-        recorded as a ``parallel_fallback`` degradation, never an
-        error)."""
+        """A worker pool for the build, or ``None`` to run serially
+        (``workers=1``, or a domain workers cannot rebuild — recorded
+        as a ``parallel_fallback`` degradation, never an error)."""
         self.stats.parallel_workers = 1
         self._parallel_disabled = False
         if self.config.workers <= 1:
             return None
-        from ..runtime.supervisor import RetryPolicy, SupervisedScorer
+        from ..runtime.supervisor import SupervisedScorer
 
         try:
             scorer = SupervisedScorer(
                 self.domain,
                 self.config.workers,
-                RetryPolicy(
-                    max_retries=self.config.max_task_retries,
-                    task_timeout=self.config.task_timeout,
-                    backoff_base=self.config.retry_backoff,
-                ),
                 observers=self.observers,
-                on_degrade=self._degrade,
-                poison_path=self.config.poison_log,
                 chaos=self.chaos,
             )
         except Exception as exc:
@@ -456,24 +439,6 @@ class Reconciler:
             return None
         self.stats.parallel_workers = self.config.workers
         return scorer
-
-    def _absorb_supervision(self, scorer) -> None:
-        """Fold a supervised scorer's outcome into engine state: the
-        retry / timeout / rebuild / poison counters, the suppressed
-        pair keys (so force-created nodes respect poisons too), a
-        ``pair_poisoned`` decision per poison, and the worker count
-        actually achieved."""
-        counters = scorer.counters
-        self.stats.task_retries += counters["task_retry"]
-        self.stats.task_timeouts += counters["task_timeout"]
-        self.stats.pool_rebuilds += counters["pool_rebuild"]
-        self.stats.pairs_poisoned += counters["pair_poisoned"]
-        if not self._parallel_disabled:
-            self.stats.parallel_workers = scorer.current_workers
-        for entry in scorer.poisoned:
-            node = PairNode(entry["class"], *entry["pair"], status=NodeStatus.NON_MERGE)
-            self.suppressed_pairs.add(node.key)
-            self.observers.decision(self, node, "pair_poisoned")
 
     def _build_class_nodes(
         self, class_name: str, scorer=None
@@ -526,11 +491,11 @@ class Reconciler:
         """Evidence lists for *pair_list* from the worker pool, or
         ``None`` (plus a degradation record) when the pool fails.
 
-        A mid-build pool failure — including ``BrokenProcessPool``
-        from a crashed worker — degrades to a serial build for this
-        and every remaining class; it never escapes as an exception.
-        The failed scorer is shut down immediately so no worker
-        processes outlive the failure.
+        Any pool failure — a crashed worker (``BrokenProcessPool``) or
+        an exception raised while scoring — degrades to the serial
+        build for this and every remaining class; the scorer has
+        already killed its workers. A comparator exception therefore
+        re-raises from the serial path exactly as with ``workers=1``.
         """
         values: dict[str, dict[str, tuple[str, ...]]] = {}
         for pair in pair_list:
@@ -548,11 +513,8 @@ class Reconciler:
                 )
             )
             self.stats.parallel_workers = 1
+            self.stats.task_retries += 1
             self._parallel_disabled = True
-            try:
-                scorer.shutdown()
-            except Exception:  # pragma: no cover - best-effort teardown
-                pass
             return None
 
     def _make_pair_node(
@@ -564,14 +526,8 @@ class Reconciler:
         With ``force=True`` (strong dependencies that guarantee the
         pair "potentially refers to the same entity") the node is
         created regardless, and even weak value evidence is kept.
-
-        Suppressed (poisoned) pairs never get a node — not even under
-        ``force`` — so a supervised build's quarantine and the serial
-        oracle that replays it take the same decisions everywhere.
         """
         if self.uf.connected(left, right):
-            return None
-        if self.suppressed_pairs and pair_key(left, right) in self.suppressed_pairs:
             return None
         evidence = pair_evidence(
             channels,

@@ -292,23 +292,6 @@ class EngineConfig:
     #: :mod:`repro.perf.parallel`), so this is excluded from checkpoint
     #: fingerprints — a run may resume with a different worker count.
     workers: int = 1
-    #: per-task deadline (seconds) for supervised parallel scoring; a
-    #: chunk past it is treated as hung (pool rebuild + retry). None
-    #: disables deadlines. Like ``workers``, the supervision knobs
-    #: shape *how* the build executes, never *what* it computes, so
-    #: none of them enter checkpoint fingerprints.
-    task_timeout: float | None = None
-    #: supervised re-executions of a failed scoring chunk before it is
-    #: bisected to isolate the poisoned pair (see
-    #: :mod:`repro.runtime.supervisor`).
-    max_task_retries: int = 2
-    #: base backoff delay (seconds) before the first retry; doubles per
-    #: retry, with seeded jitter on top.
-    retry_backoff: float = 0.05
-    #: JSONL file poisoned (quarantined) pairs are written to during a
-    #: supervised build; None skips the file (poisons still land in
-    #: stats / degradations / provenance).
-    poison_log: str | None = None
 
     def with_mode(self, mode: Mode) -> "EngineConfig":
         return replace(self, propagate=mode.propagate, enrich=mode.enrich)

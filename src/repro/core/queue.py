@@ -148,7 +148,5 @@ class ActiveQueue:
         queue = cls(tuple(entry) for entry in snapshot["entries"])
         queue.pushed_front = snapshot["pushed_front"]
         queue.pushed_back = snapshot["pushed_back"]
-        # .get(): snapshots written before the compaction counter
-        # existed restore cleanly as zero.
-        queue.compactions = snapshot.get("compactions", 0)
+        queue.compactions = snapshot["compactions"]
         return queue

@@ -20,16 +20,8 @@ event                     emitted when
                           (debug level; run-manifest sampling)
 ``degradation``           anything degraded (guard trip, pruning,
                           parallel fallback, budget stop)
-``task_retry``            a failed scoring chunk is being re-executed
-                          by the supervisor (warning level)
-``task_timeout``          a scoring task exceeded its deadline and its
-                          pool is being torn down (warning level)
-``pool_rebuild``          the supervisor rebuilt the worker pool after
-                          a crash / timeout or stepped down its
-                          degradation ladder (warning level)
-``pair_poisoned``         bisection isolated a pair whose scoring
-                          keeps failing; it is quarantined and scored
-                          as no-merge (error level)
+``lane_died``             a scoring worker died and the build fell
+                          back to serial scoring (warning level)
 ``checkpoint_saved``      a checkpoint was written
 ``resume``                a run continued from a checkpoint
 ``quarantine``            lenient ingestion skipped bad records

@@ -8,7 +8,7 @@ lifecycle events, decisions, chunk timings, degradations) subscribed to
 the engine's observer seam by default, costing a deque append per
 callback and performing **zero I/O while the run is healthy**.  When
 something goes wrong — a guard trip, an unhandled engine exception, a
-pool collapse, chaos-injected worker death — the rings are dumped
+worker death and the serial fallback it forces — the rings are dumped
 atomically as ``crash_bundle.json`` into the run directory together
 with per-thread stacks (:func:`sys._current_frames`), the config
 fingerprint, the partial :class:`~repro.core.engine.EngineStats`, and
@@ -68,12 +68,12 @@ class FlightRecorder(Observer):
 
     * ``events`` — lifecycle landmarks (phase begins and ends as
       ``<phase>_start``/``<phase>_end``, and every event at info level
-      or above: checkpoints, supervisor retries, lane deaths) as
+      or above: checkpoints, lane deaths) as
       ``{"seq", "event", ...fields}``;
     * ``decisions`` — the last N merge/defer decisions (recorded
       independently of the provenance sink, so a crash bundle always
       carries the decision tail even on runs without ``--provenance``);
-    * ``chunks`` — supervised scoring-chunk timings;
+    * ``chunks`` — parallel scoring-chunk timings;
     * ``degradations`` — every :class:`DegradationEvent` the engine
       recorded.
 

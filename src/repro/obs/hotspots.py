@@ -29,8 +29,8 @@ run) and is rendered by ``repro hotspots`` / ``repro report``.
 Attribution is parent-process only: pair timings observed inside
 scoring workers die with the worker.  That is
 acceptable for a workload profile (the parent still times every
-supervised chunk and every serial recompute) and keeps the sketch free
-of cross-process plumbing.
+parallel scoring chunk and every serial recompute) and keeps the
+sketch free of cross-process plumbing.
 """
 
 from __future__ import annotations

@@ -201,7 +201,6 @@ def watch_snapshot(events: list[dict]) -> dict:
         "checkpoints": 0,
         "degradations": 0,
         "lane_deaths": 0,
-        "pairs_poisoned": 0,
         "completed": None,
         "stop_reason": None,
         "events": len(events),
@@ -245,8 +244,6 @@ def watch_snapshot(events: list[dict]) -> dict:
             snap["degradations"] += 1
         elif name == "lane_died":
             snap["lane_deaths"] += 1
-        elif name == "pair_poisoned":
-            snap["pairs_poisoned"] += 1
     return snap
 
 
@@ -272,7 +269,6 @@ def render_watch(snap: dict) -> str:
         f"checkpoints: {snap['checkpoints']}"
         f" · degradations: {snap['degradations']}"
         f" · lane deaths: {snap['lane_deaths']}"
-        f" · pairs poisoned: {snap['pairs_poisoned']}"
     )
     if snap["phase"] == "done":
         verdict = "completed" if snap["completed"] else "stopped"

@@ -182,10 +182,7 @@ class MetricsRegistry:
         "queue_back_pushes": ("repro_queue_back_pushes_total", "queue-back activations"),
         "skipped_weak_fanout": ("repro_weak_fanout_skips_total", "weak-edge bundles pruned by the fan-out ceiling"),
         "prefilter_skips": ("repro_prefilter_skips_total", "comparator calls skipped by the upper-bound prefilter"),
-        "task_retries": ("repro_task_retries_total", "supervised scoring-chunk retries"),
-        "task_timeouts": ("repro_task_timeouts_total", "scoring tasks that exceeded their deadline"),
-        "pool_rebuilds": ("repro_pool_rebuilds_total", "worker-pool rebuilds after crashes or timeouts"),
-        "pairs_poisoned": ("repro_pairs_poisoned_total", "candidate pairs quarantined as poisoned"),
+        "task_retries": ("repro_task_retries_total", "classes re-scored serially after a worker-pool failure"),
         "queue_compactions": ("repro_queue_compactions_total", "active-queue deque compactions"),
     }
 

@@ -35,9 +35,6 @@ NON_MERGE_CONFLICT = "non_merge_conflict"
 NON_MERGE_ENEMY = "non_merge_enemy"
 DEFER = "defer"
 TRANSITIVE = "transitive_merge"
-#: a supervised build quarantined the pair (scored as no-merge after
-#: repeated scoring failures isolated it; see runtime.supervisor).
-PAIR_POISONED = "pair_poisoned"
 
 DECISIONS = (
     MERGE,
@@ -45,7 +42,6 @@ DECISIONS = (
     NON_MERGE_ENEMY,
     DEFER,
     TRANSITIVE,
-    PAIR_POISONED,
 )
 
 #: activation causes (what put the node on the queue).

@@ -53,7 +53,7 @@ WORKER_METRIC_HELP = {
     "repro_worker_pair_memo_hits_total": "worker-side pair-memo hits",
     "repro_worker_pair_memo_misses_total": "worker-side pair-memo misses",
     "repro_worker_prefilter_skips_total": "worker-side upper-bound prefilter skips",
-    "repro_lane_deaths_total": "worker processes that died or hung under supervision",
+    "repro_lane_deaths_total": "scoring workers that died, forcing the serial fallback",
 }
 
 #: histogram metrics shipped as observations (latency buckets apply).
@@ -247,13 +247,13 @@ class TelemetryRelay:
         }
 
     def lane_died(self, pid: int | None, reason: str) -> None:
-        """Attribute a supervision intervention to the lane that died.
+        """Attribute a pool teardown to the lane that died.
 
-        Called by the supervisor when it kills or rebuilds a pool:
+        Called by the scorer when a worker crash kills its pool:
         records a ``lane_died`` instant on that pid's trace lane, bumps
-        ``repro_lane_deaths_total``, and logs a warning event — so a
-        retry or pool rebuild in the trace is visibly anchored to the
-        process that caused it.
+        ``repro_lane_deaths_total``, and logs a warning event — so the
+        serial fallback in the trace is visibly anchored to the process
+        that caused it.
         """
         lane = "scoring worker"
         record = {"pid": pid, "reason": reason, "lane": lane}
@@ -279,9 +279,9 @@ class TelemetryRelay:
     def summary(self) -> dict:
         """Manifest-ready digest of what the relay saw.
 
-        Lanes are rolled up by role rather than listed per pid — every
-        pool rebuild brings fresh worker pids and the manifest should
-        not grow with them (the trace has the full per-pid story).
+        Lanes are rolled up by role rather than listed per pid — the
+        manifest should not grow with the worker count (the trace has
+        the full per-pid story).
         """
         by_role: dict[str, int] = {}
         for name in self.lane_names.values():

@@ -31,25 +31,10 @@ def hit_rate(hits: int, misses: int) -> str:
 
 def render_stats(stats) -> str:
     """The ``--stats`` block from an :class:`~repro.core.engine.EngineStats`."""
-    supervision = {
-        name: getattr(stats, name, 0)
-        for name in ("task_retries", "task_timeouts", "pool_rebuilds", "pairs_poisoned")
-    }
     lines = [
         "engine stats:",
         f"  build {stats.build_seconds:.2f}s, iterate {stats.iterate_seconds:.2f}s "
         f"(workers={stats.parallel_workers})",
-    ]
-    if any(supervision.values()):
-        # Only surfaced when something actually degraded, so the clean
-        # --stats block stays byte-identical to earlier generations.
-        lines.append(
-            "  supervision: retries={task_retries} timeouts={task_timeouts} "
-            "pool_rebuilds={pool_rebuilds} pairs_poisoned={pairs_poisoned}".format(
-                **supervision
-            )
-        )
-    lines += [
         f"  candidate_pairs={stats.candidate_pairs} pair_nodes={stats.pair_nodes} "
         f"value_nodes={stats.value_nodes} graph_nodes={stats.graph_nodes}",
         f"  recomputations={stats.recomputations} merges={stats.merges} "
@@ -245,22 +230,18 @@ def _doctor_hints(bundle: dict | None, manifest: dict | None) -> list:
         )
     if bundle is not None and bundle["worker_lanes"]["deaths"]:
         hints.append(
-            "worker processes died under supervision; rerun with --workers 1 "
-            "to isolate the fault, and check memory limits"
+            "worker processes died; rerun with --workers 1 to isolate the "
+            "fault, and check memory limits"
         )
     if kinds & _GUARD_KINDS:
         hints.append(
             "a run guard tripped; raise --deadline / --max-recomputations "
             "or reduce the dataset scale"
         )
-    if "pair_poisoned" in kinds:
+    if "parallel_fallback" in kinds:
         hints.append(
-            "pairs were quarantined as poisoned; inspect poisoned_pairs.jsonl"
-        )
-    if kinds & {"parallel_fallback", "pool_rebuild"}:
-        hints.append(
-            "parallel scoring degraded (pool rebuilt or serial fallback); "
-            "results are unchanged but slower"
+            "parallel scoring fell back to the serial build; results are "
+            "unchanged but slower"
         )
     hotspots = (manifest.get("execution") or {}).get("hotspots") if manifest else None
     if hotspots:

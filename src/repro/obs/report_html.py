@@ -485,36 +485,6 @@ def _hotspots_section(hotspots: dict | None) -> str:
     return "".join(parts)
 
 
-def _poison_section(poisoned: list[dict] | None) -> str:
-    if poisoned is None:
-        return (
-            '<div class="card"><p class="note">No poisoned-pair log recorded '
-            "for this run — quarantine table unavailable. Parallel builds "
-            "(<code>--workers N</code> with <code>--run-dir</code>) record "
-            "one automatically.</p></div>"
-        )
-    if not poisoned:
-        return (
-            '<div class="card"><p class="note">Poisoned-pair log recorded and '
-            "empty: no pair crashed its worker.</p></div>"
-        )
-    rows = "".join(
-        f"<tr><td>{_esc(entry['pair'][0])} &harr; {_esc(entry['pair'][1])}</td>"
-        f"<td>{_esc(entry.get('class', '?'))}</td>"
-        f"<td>{_esc(entry.get('reason', '?'))}</td></tr>"
-        for entry in poisoned[:20]
-    )
-    more = len(poisoned) - 20
-    more_note = f" Showing 20 of {len(poisoned)}." if more > 0 else ""
-    return (
-        '<div class="card"><table>'
-        "<tr><th>pair</th><th>class</th><th>reason</th></tr>"
-        + rows
-        + f'</table><p class="note">Pairs quarantined after repeatedly '
-        f"killing build workers.{_esc(more_note)}</p></div>"
-    )
-
-
 def _quality_table(quality: dict) -> str:
     if not quality:
         return '<div class="card"><p class="note">No gold standard — quality table unavailable.</p></div>'
@@ -621,15 +591,14 @@ def render_report(
     *,
     trace=None,
     profile_folded=None,
-    poisoned=None,
 ) -> str:
     """The full HTML document for one run manifest.
 
-    *trace* is a parsed Chrome trace object (for the worker-lane strip),
-    *profile_folded* a parsed folded-stack mapping (for the hot-frame
-    table), and *poisoned* the parsed poisoned-pair log entries. All are
-    optional; every section renders an explicit "not recorded"
-    placeholder when its artifact is absent rather than vanishing.
+    *trace* is a parsed Chrome trace object (for the worker-lane strip)
+    and *profile_folded* a parsed folded-stack mapping (for the
+    hot-frame table). Both are optional; every section renders an
+    explicit "not recorded" placeholder when its artifact is absent
+    rather than vanishing.
     """
     run = manifest["run"]
     status = "completed" if run["completed"] else f"degraded ({run.get('stop_reason')})"
@@ -677,8 +646,6 @@ def render_report(
 {_hotspots_section(manifest['execution'].get('hotspots'))}
 <h2>Most-contested merge decisions</h2>
 {_contested_table(decisions)}
-<h2>Poisoned pairs</h2>
-{_poison_section(poisoned)}
 {degradation_html}
 <p class="note">Generated from <code>run.json</code> (manifest v{manifest['manifest_version']}).
 Config fingerprint and full counters: <code>{_esc(json.dumps(manifest['counters'], sort_keys=True))}</code></p>
@@ -708,19 +675,6 @@ def write_report(run_dir: str | Path, output: str | Path | None = None) -> Path:
     profile_path = run.artifact("profile")
     if profile_path is not None:
         profile_folded = parse_folded(profile_path.read_text())
-    poisoned = None
-    poison_path = run.artifact("poison_log")
-    if "poison_log" not in manifest.get("artifacts", {}):
-        # Older manifests predate the artifact kind; probe the
-        # conventional filename the build supervisor writes.
-        candidate = run.path / "poisoned_pairs.jsonl"
-        poison_path = candidate if candidate.exists() else None
-    if poison_path is not None:
-        poisoned = [
-            json.loads(line)
-            for line in poison_path.read_text().splitlines()
-            if line.strip()
-        ]
     output = Path(output) if output is not None else run.path / "report.html"
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(
@@ -729,7 +683,6 @@ def write_report(run_dir: str | Path, output: str | Path | None = None) -> Path:
             decisions,
             trace=trace,
             profile_folded=profile_folded,
-            poisoned=poisoned,
         )
     )
     return output

@@ -17,8 +17,7 @@ the engine records a ``parallel_fallback`` degradation and runs
 serially.
 
 This module holds the chunking and the worker entry points; the pool
-itself — retrying, bisecting, ladder-degrading — is
-:class:`~repro.runtime.supervisor.SupervisedScorer`.
+itself is :class:`~repro.runtime.supervisor.SupervisedScorer`.
 """
 
 from __future__ import annotations
@@ -65,8 +64,8 @@ def make_chunks(
     """Split *pairs* into ``_score_chunk`` payloads.
 
     Chunk boundaries depend only on ``len(pairs)`` and *chunk_count*,
-    never on which workers are alive, so the supervisor can retry or
-    bisect a chunk without perturbing the rest of the build. Each chunk
+    and results are harvested in chunk order, so the evidence lists
+    line up with *pairs* whichever worker finishes first. Each chunk
     ships only the attribute values its own pairs mention.
     """
     chunk_size = -(-len(pairs) // chunk_count)
@@ -99,7 +98,7 @@ def _init_worker(spec: str, chaos=None, telemetry: bool = False) -> None:
     _WORKER["domain"] = rebuild_domain(spec)
     _WORKER["channels"] = {}
     _WORKER["memo"] = {}
-    # Fault-injection seam (tests / chaos soak only): an object with a
+    # Fault-injection seam (tests and CI smoke only): an object with a
     # ``before_chunk(class_name, pairs, chunk_index)`` method, consulted
     # before each chunk is scored. Production runs pass None.
     _WORKER["chaos"] = chaos

@@ -1,6 +1,6 @@
 """Fault-tolerant reconciliation runtime.
 
-Five parts make every run bounded, interruptible, resumable and honest
+These parts make every run bounded, interruptible, resumable and honest
 about degradation:
 
 * :mod:`~repro.runtime.errors` — the typed exception taxonomy
@@ -12,14 +12,14 @@ about degradation:
 * :mod:`~repro.runtime.degrade` — :class:`ResilientReconciler`, the
   guard-and-fall-back wrapper,
 * :mod:`~repro.runtime.supervisor` — :class:`SupervisedScorer`, the
-  retrying / bisecting / ladder-degrading wrapper around parallel
-  scoring (plus :class:`RetryPolicy`),
+  fork pool for parallel scoring; any failure kills it and the engine
+  scores the rest of the build serially,
 * :mod:`~repro.runtime.fsutil` — :func:`atomic_write_text`, the
-  crash-safe write primitive shared by checkpoints, quarantine files
-  and poisoned-pair logs,
+  crash-safe write primitive shared by checkpoints and quarantine
+  files,
 * :mod:`~repro.runtime.faults` — the deterministic fault-injection
-  harness (including :class:`ChaosInjector`) used by the tests, the
-  CI smoke jobs and the chaos soak harness.
+  harness (including :class:`ChaosInjector`) used by the tests and the
+  CI smoke jobs.
 
 Only the error taxonomy is imported eagerly: ``repro.core`` raises
 these types itself, so the heavier modules (which import ``repro.core``
@@ -53,7 +53,6 @@ _LAZY = {
     "corrupt_checkpoint": "faults",
     "inject_malformed_lines": "faults",
     "atomic_write_text": "fsutil",
-    "RetryPolicy": "supervisor",
     "SupervisedScorer": "supervisor",
 }
 

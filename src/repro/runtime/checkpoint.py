@@ -2,7 +2,7 @@
 
 A checkpoint is one JSON document::
 
-    {"version": 2, "checksum": "<sha256 of canonical payload>", "payload": {...}}
+    {"version": 3, "checksum": "<sha256 of canonical payload>", "payload": {...}}
 
 where the payload captures the *complete* mutable engine state at an
 iterate-step boundary: union-find parents/sizes/enemies, the active
@@ -67,7 +67,7 @@ __all__ = [
     "save_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def config_fingerprint(config) -> dict:
@@ -125,7 +125,7 @@ def restore_engine(engine: Reconciler, state: dict) -> None:
     engine.graph = DependencyGraph.from_snapshot(state["graph"])
     stats_data = dict(state["stats"])
     stats_data["degradations"] = [
-        DegradationEvent(**event) for event in stats_data.get("degradations", [])
+        DegradationEvent(**event) for event in stats_data["degradations"]
     ]
     engine.stats = EngineStats(**stats_data)
     engine._members = {
@@ -135,7 +135,7 @@ def restore_engine(engine: Reconciler, state: dict) -> None:
     engine._contacts_cache = {}
     engine._contacts_rdeps = {}
     engine._pair_score_memo = {}
-    engine.stop_reason = state.get("stop_reason", "converged")
+    engine.stop_reason = state["stop_reason"]
     engine._built = state["built"]
     engine._per_class_nodes = {}
     for node in engine.graph.nodes():

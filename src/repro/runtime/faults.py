@@ -12,14 +12,14 @@ Four injectors, all seeded or deterministic so failures replay exactly:
 * :func:`inject_malformed_lines` — corrupts a sample of a JSONL file's
   lines (invalid JSON, missing keys, truncation), the input for the
   strict-fails-fast / lenient-quarantines ingestion tests.
-* :class:`ChaosInjector` — build-time chaos for the supervised scorer:
-  kill a worker at its Nth chunk, hang it for a duration, or raise
-  deterministically when a chosen pair is scored (a "comparator bug").
-  Installed via ``Reconciler.chaos`` / the scorer's ``chaos`` argument.
+* :class:`ChaosInjector` — build-time chaos for the parallel build:
+  a scoring worker SIGKILLs itself at its Nth chunk, so the engine's
+  one fallback (serial scoring after a pool failure) can be exercised.
+  Installed via ``Reconciler.chaos`` / the scorer's ``chaos`` argument
+  (``REPRO_CHAOS`` on the CLI).
 
-Nothing here is imported by production code paths; the chaos objects
-only act when a test or the soak harness explicitly installs them, so
-the suite (and the CI smoke jobs) can prove every recovery path works.
+Nothing here is imported by production code paths; the injectors only
+act when a test or a CI smoke step explicitly installs them.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ import multiprocessing
 import os
 import random
 import signal
-import time
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,47 +62,29 @@ class CrashAtStep(Observer):
 
 @dataclass(frozen=True)
 class ChaosInjector:
-    """Deterministic build-time chaos for the supervised scorer.
+    """Deterministic build-time chaos for the parallel build.
 
-    The scorer's workers call ``before_chunk(class_name, pairs,
+    Scoring workers call ``before_chunk(class_name, pairs,
     chunk_index)`` before scoring each chunk (``chunk_index`` is the
-    *worker-local* 0-based chunk counter; the serial fallback passes
-    ``-1`` with one pair at a time). Three fault families:
-
-    * **kill** — the worker SIGKILLs itself at its ``kill_at_chunk``-th
-      chunk, surfacing as ``BrokenProcessPool`` in the parent;
-    * **hang** — the worker sleeps ``hang_seconds`` at its
-      ``hang_at_chunk``-th chunk, tripping the per-task deadline;
-    * **raise** — :class:`InjectedFault` whenever the chunk contains a
-      pair in ``raise_pairs`` (order-insensitive) or whose
-      ``crc32("l|r") % raise_pair_crc_mod == raise_pair_crc_rem`` — a
-      deterministic comparator bug that fails identically everywhere,
-      including the serial fallback.
-
-    Kill and hang only fire inside worker processes (never the parent)
-    and, when ``marker_dir`` is set, at most once across all workers:
-    the first worker to claim the marker file (``O_EXCL``) fires, so
-    "crash once then recover" replays exactly. Without a marker the
-    fault is persistent — every fresh worker fires again, which drives
-    the scorer down its full degradation ladder.
+    *worker-local* 0-based chunk counter). The worker SIGKILLs itself
+    at its ``kill_at_chunk``-th chunk, surfacing as
+    ``BrokenProcessPool`` in the parent. It only fires inside worker
+    processes (never the parent) and, when ``marker_dir`` is set, at
+    most once across all workers: the first worker to claim the marker
+    file (``O_EXCL``) dies, so "crash once" replays exactly.
 
     Frozen and built from plain values, so it pickles into workers.
     """
 
     kill_at_chunk: int | None = None
-    hang_at_chunk: int | None = None
-    hang_seconds: float = 30.0
-    raise_pairs: tuple = ()
-    raise_pair_crc_mod: int | None = None
-    raise_pair_crc_rem: int = 0
     marker_dir: str | None = None
 
-    def _claim(self, name: str) -> bool:
+    def _claim(self) -> bool:
         if self.marker_dir is None:
             return True
         try:
             fd = os.open(
-                os.path.join(self.marker_dir, name),
+                os.path.join(self.marker_dir, "kill"),
                 os.O_CREAT | os.O_EXCL | os.O_WRONLY,
             )
         except FileExistsError:
@@ -112,39 +92,14 @@ class ChaosInjector:
         os.close(fd)
         return True
 
-    def _raises_on(self, left: str, right: str) -> bool:
-        key = tuple(sorted((str(left), str(right))))
-        for pair in self.raise_pairs:
-            if tuple(sorted((str(pair[0]), str(pair[1])))) == key:
-                return True
-        if self.raise_pair_crc_mod:
-            digest = zlib.crc32(f"{key[0]}|{key[1]}".encode())
-            return digest % self.raise_pair_crc_mod == self.raise_pair_crc_rem
-        return False
-
     def before_chunk(self, class_name: str, pairs, chunk_index: int) -> None:
-        in_worker = multiprocessing.parent_process() is not None
         if (
-            in_worker
-            and self.kill_at_chunk is not None
-            and chunk_index == self.kill_at_chunk
-            and self._claim("kill")
+            self.kill_at_chunk == chunk_index
+            and multiprocessing.parent_process() is not None
+            and self._claim()
         ):
             # Claim the marker *before* dying or it would never stick.
             os.kill(os.getpid(), signal.SIGKILL)
-        if (
-            in_worker
-            and self.hang_at_chunk is not None
-            and chunk_index == self.hang_at_chunk
-            and self._claim("hang")
-        ):
-            time.sleep(self.hang_seconds)
-        for left, right in pairs:
-            if self._raises_on(left, right):
-                raise InjectedFault(
-                    f"injected comparator fault for pair {left}|{right} "
-                    f"({class_name})"
-                )
 
 
 def corrupt_checkpoint(path: str | Path, *, seed: int = 0, flips: int = 8) -> Path:

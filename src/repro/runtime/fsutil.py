@@ -5,7 +5,7 @@ the previous file contents fully intact or replaces them with the
 complete new text — never a truncated hybrid. The pattern (temp file
 in the destination directory, flush + fsync, ``os.replace``) is the
 same one checkpoints have always used; it lives here so every durable
-artifact (checkpoints, quarantine files, poisoned-pair logs) gets the
+artifact (checkpoints, quarantine files) gets the
 identical guarantee instead of a hand-rolled ``open(..., "w")``.
 """
 

@@ -37,11 +37,9 @@ class DegradationEvent:
     ``"budget"``, ``"queue_ceiling"``, ``"graph_ceiling"``,
     ``"weak_fanout"`` (build-time weak-edge pruning), ``"fallback"``
     (baseline substitution by the resilient wrapper),
-    ``"parallel_fallback"`` (the build lost its worker pool and ran
-    serially), or one of the supervised-execution kinds —
-    ``"task_retry"``, ``"task_timeout"``, ``"pool_rebuild"``,
-    ``"pair_poisoned"`` (see :mod:`repro.runtime.supervisor` and the
-    "Degradation taxonomy" table in DESIGN.md).
+    or ``"parallel_fallback"`` (the build could not start or lost its
+    worker pool and scored serially; see :mod:`repro.runtime.supervisor`
+    and the "Degradation taxonomy" table in DESIGN.md).
     """
 
     kind: str

@@ -79,8 +79,7 @@ class TestRenderers:
             "phase: done\n"
             "progress: step 153 · queued 120 · merges 79 · recomputations 153\n"
             "workers: 2 build\n"
-            "checkpoints: 1 · degradations: 0 · lane deaths: 1 "
-            "· pairs poisoned: 0\n"
+            "checkpoints: 1 · degradations: 0 · lane deaths: 1\n"
             "result: completed (converged)"
         )
         assert text == render_watch(watch_snapshot(_events_for_finished_run()))

@@ -58,6 +58,13 @@ class TestGoldenText:
         assert render_stats(_stats()) == STATS_GOLDEN
         assert render_stats(_stats()) == render_stats(_stats())
 
+    def test_stats_golden_after_serial_fallback(self):
+        # A pool failure shows up as a parallel_fallback degradation,
+        # never as an extra --stats line.
+        stats = _stats()
+        stats.task_retries = 1
+        assert render_stats(stats) == STATS_GOLDEN
+
     def test_degradations_golden(self):
         clean = SimpleNamespace(completed=True, stop_reason="converged", degradations=[])
         assert render_degradations(clean) == ""

@@ -16,7 +16,7 @@ from repro.datasets.cora import CoraConfig
 from repro.domains import CoraDomainModel, PimDomainModel
 from repro.perf.parallel import domain_spec
 from repro.perf.scoring import pair_evidence
-from repro.runtime import RetryPolicy, SupervisedScorer
+from repro.runtime import SupervisedScorer
 
 # Stats fields that must be identical between serial and parallel runs.
 # Cache/memo/prefilter counters are deliberately excluded: workers keep
@@ -134,21 +134,16 @@ class TestPoolHygiene:
         assert results == expected
 
     def test_failed_score_leaves_no_worker_processes(self):
-        """A failure inside ``score`` is contained — every failing pair
-        is quarantined as no-merge — and the pool shuts down without
-        leaking children."""
+        """A failure inside ``score`` re-raises and kills the pool
+        without leaking children."""
         domain = PimDomainModel()
-        scorer = SupervisedScorer(
-            domain, 2, RetryPolicy(max_retries=1, backoff_base=0.0, jitter=0.0)
-        )
+        scorer = SupervisedScorer(domain, 2)
         class_name = domain.class_order()[0]
         pairs = [("x", "y"), ("y", "z")]
         values = {"x": {}, "y": {}, "z": {}}
         # An unknown channel name makes every worker raise KeyError.
-        with scorer:
-            results = scorer.score(class_name, ("no-such-channel",), pairs, values)
-        assert results == [[], []]
-        assert scorer.counters["pair_poisoned"] == len(pairs)
+        with scorer, pytest.raises(KeyError):
+            scorer.score(class_name, ("no-such-channel",), pairs, values)
         deadline = time.monotonic() + 10.0
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.05)

@@ -200,10 +200,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "nope.json")
 
-    def test_version_1_checkpoint_is_refused(self, tmp_path):
-        # Version 1 stats carried five counters EngineStats no longer
-        # has; the version check must refuse such a file with a typed
-        # error before its stats reach EngineStats(**stats).
+    def _refuse_version(self, tmp_path, version):
         engine = _engine()
         engine.build()
         path = save_checkpoint(engine, tmp_path / "ckpt.json")
@@ -212,7 +209,7 @@ class TestCheckpoint:
         path.write_text(
             json.dumps(
                 {
-                    "version": 1,
+                    "version": version,
                     "checksum": hashlib.sha256(body.encode()).hexdigest(),
                     "payload": payload,
                 }
@@ -220,8 +217,19 @@ class TestCheckpoint:
         )
         domain = PimDomainModel()
         store = ReferenceStore(domain.schema, example1_references())
-        with pytest.raises(CheckpointError, match="version 1"):
+        with pytest.raises(CheckpointError, match=f"version {version}"):
             Reconciler.resume(path, store=store, domain=domain)
+
+    def test_version_1_checkpoint_is_refused(self, tmp_path):
+        # Version 1 stats carried five counters EngineStats no longer
+        # has; the version check must refuse such a file with a typed
+        # error before its stats reach EngineStats(**stats).
+        self._refuse_version(tmp_path, 1)
+
+    def test_version_2_checkpoint_is_refused(self, tmp_path):
+        # Version 2 stats carried the task_timeouts, pool_rebuilds and
+        # pairs_poisoned counters of the removed retry machinery.
+        self._refuse_version(tmp_path, 2)
 
     def test_config_mismatch_is_refused(self, tmp_path):
         engine = _engine()
