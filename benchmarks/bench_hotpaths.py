@@ -1,6 +1,7 @@
 """Micro-benchmarks for the hot-path kernels behind the fast
-comparators: bounded versus full edit distance, feature-based versus
-string-based channel comparators, and the blocking index.
+comparators: the bit-vector edit-distance kernel unbounded and at a
+cutoff, feature-based versus string-based channel comparators, and the
+blocking index.
 
 These quantify the per-call wins that `scripts/record_bench.py`
 measures end-to-end; neither is a paper table.
@@ -43,8 +44,8 @@ def test_full_damerau_levenshtein(benchmark):
 
 
 def test_bounded_damerau_levenshtein(benchmark):
-    # The bar a title comparison actually runs at: the banded table
-    # plus prefix/suffix stripping is the point of the fast path.
+    # The bar a title comparison actually runs at: the cutoff lets the
+    # bit-vector scan stop early, after prefix/suffix stripping.
     benchmark(
         lambda: [
             damerau_levenshtein_similarity_at_least(a, b, 0.80)

@@ -65,48 +65,33 @@ def damerau_levenshtein_distance(left: str, right: str) -> int:
     This is the restricted (optimal string alignment) variant, which is
     the standard choice for typo models.
     """
-    if left == right:
-        return 0
-    rows = len(left) + 1
-    cols = len(right) + 1
-    table = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        table[i][0] = i
-    for j in range(cols):
-        table[0][j] = j
-    for i in range(1, rows):
-        for j in range(1, cols):
-            cost = 0 if left[i - 1] == right[j - 1] else 1
-            best = min(
-                table[i - 1][j] + 1,
-                table[i][j - 1] + 1,
-                table[i - 1][j - 1] + cost,
-            )
-            transposable = (
-                i > 1
-                and j > 1
-                and left[i - 1] == right[j - 2]
-                and left[i - 2] == right[j - 1]
-            )
-            if transposable:
-                best = min(best, table[i - 2][j - 2] + 1)
-            table[i][j] = best
-    return table[-1][-1]
+    # The distance never exceeds the longer length, so this is never None.
+    return _osa_within(left, right, max(len(left), len(right)))
 
 
 def damerau_levenshtein_within(left: str, right: str, cutoff: int) -> int | None:
     """:func:`damerau_levenshtein_distance`, or ``None`` when it
     exceeds *cutoff*.
 
-    Same optimal-string-alignment metric, but computed with the classic
-    bounded-distance optimisations: shared prefixes and suffixes are
-    stripped first, only the Ukkonen band of width ``2 * cutoff + 1``
-    around the diagonal is filled (a cell (i, j) with ``|i - j| >
-    cutoff`` cannot lie on a path of cost <= cutoff, because the
-    distance is at least ``|i - j|``), and the scan aborts as soon as a
-    whole row exceeds the cutoff (row minima of the table are
-    non-decreasing). Values <= cutoff are exact; anything larger is
-    reported as ``None`` without being computed.
+    Values <= cutoff are exact; anything larger is reported as ``None``,
+    usually before the whole distance has been computed.
+    """
+    return _osa_within(left, right, cutoff)
+
+
+def _osa_within(left: str, right: str, cutoff: int) -> int | None:
+    """Optimal-string-alignment distance of *left* and *right*, or
+    ``None`` when it exceeds *cutoff*.
+
+    Hyyrö's bit-vector algorithm ("A bit-vector algorithm for computing
+    Levenshtein and Damerau edit distances", 2003, extending Myers
+    1999): the longer string is the pattern, and one column of the DP
+    table is held as vertical +1/-1 delta bit vectors (``vp``/``vn``) in
+    Python ints of any width, so each character of the shorter string
+    costs a fixed handful of int operations. ``score`` tracks the last
+    row. The shared prefix and suffix are stripped first, and the scan
+    stops as soon as the last row, less the characters still to scan
+    (each lowers it by at most one), exceeds the cutoff.
     """
     if cutoff < 0:
         return None
@@ -132,46 +117,41 @@ def damerau_levenshtein_within(left: str, right: str, cutoff: int) -> int | None
     if rows - cols > cutoff:
         return None
     if cols == 0:
-        return rows if rows <= cutoff else None
-    big = cutoff + 1  # out-of-band sentinel: "already too far"
-    prev_prev: list[int] | None = None
-    prev = [j if j <= big else big for j in range(cols + 1)]
-    for i in range(1, rows + 1):
-        ch_l = left[i - 1]
-        lo = i - cutoff if i - cutoff > 1 else 1
-        hi = i + cutoff if i + cutoff < cols else cols
-        current = [big] * (cols + 1)
-        current[0] = i
-        row_min = big
-        for j in range(lo, hi + 1):
-            ch_r = right[j - 1]
-            cost = 0 if ch_l == ch_r else 1
-            best = prev[j - 1] + cost
-            deletion = prev[j] + 1
-            if deletion < best:
-                best = deletion
-            insertion = current[j - 1] + 1
-            if insertion < best:
-                best = insertion
-            if (
-                cost
-                and i > 1
-                and j > 1
-                and ch_l == right[j - 2]
-                and ch_r == left[i - 2]
-            ):
-                transposition = prev_prev[j - 2] + 1
-                if transposition < best:
-                    best = transposition
-            current[j] = best
-            if best < row_min:
-                row_min = best
-        if row_min > cutoff:
+        return rows
+    # peq[ch]: bit i set where left[i] == ch.
+    peq: dict[str, int] = {}
+    bit = 1
+    for ch in left:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    vp, vn, d0, pm_prev = mask, 0, 0, 0
+    score = rows
+    remaining = cols
+    for ch in right:
+        pm = peq.get(ch, 0)
+        # Diagonal zero-deltas; the last term is the transposition case.
+        d0 = (
+            (((pm & vp) + vp) ^ vp)
+            | pm
+            | vn
+            | (((~d0 & pm) << 1) & pm_prev)
+        )
+        hp = (vn | ~(d0 | vp)) & mask
+        hn = d0 & vp
+        if hp & last:
+            score += 1
+        elif hn & last:
+            score -= 1
+        remaining -= 1
+        if score - remaining > cutoff:
             return None
-        prev_prev = prev
-        prev = current
-    distance = prev[cols]
-    return distance if distance <= cutoff else None
+        hp = (hp << 1) | 1
+        vp = ((hn << 1) | ~(d0 | hp)) & mask
+        vn = hp & d0
+        pm_prev = pm
+    return score
 
 
 def _distance_to_similarity(distance: int, left: str, right: str) -> float:
@@ -200,8 +180,8 @@ def damerau_levenshtein_similarity_at_least(
 
     Returns the exact similarity whenever it is >= *floor*, and some
     value < *floor* (usually 0.0) otherwise, so ``sim_at_least(l, r, t)
-    >= t`` is equivalent to ``similarity(l, r) >= t`` while only the
-    Ukkonen band of the edit-distance table is ever filled.
+    >= t`` is equivalent to ``similarity(l, r) >= t``, while Hyyrö's
+    bit-vector kernel stops as soon as the floor is out of reach.
     """
     longest = max(len(left), len(right))
     if longest == 0:

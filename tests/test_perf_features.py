@@ -97,6 +97,75 @@ class TestFeatureCache:
         assert cache.extractor("phonetic")("Michael Stonebraker") == profile
 
 
+def _osa_distance(left: str, right: str) -> int:
+    """Textbook optimal-string-alignment DP over the full table: the
+    independent oracle for the bit-vector kernel."""
+    rows, cols = len(left) + 1, len(right) + 1
+    table = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        table[i][0] = i
+    for j in range(cols):
+        table[0][j] = j
+    for i in range(1, rows):
+        for j in range(1, cols):
+            cost = 0 if left[i - 1] == right[j - 1] else 1
+            best = min(
+                table[i - 1][j] + 1,
+                table[i][j - 1] + 1,
+                table[i - 1][j - 1] + cost,
+            )
+            if (
+                i > 1
+                and j > 1
+                and left[i - 1] == right[j - 2]
+                and left[i - 2] == right[j - 1]
+            ):
+                best = min(best, table[i - 2][j - 2] + 1)
+            table[i][j] = best
+    return table[-1][-1]
+
+
+def _osa_similarity(left: str, right: str) -> float:
+    longest = max(len(left), len(right))
+    return 1.0 - _osa_distance(left, right) / longest if longest else 1.0
+
+
+def _assert_kernels_match_oracle(left: str, right: str) -> None:
+    exact = _osa_distance(left, right)
+    assert damerau_levenshtein_distance(left, right) == exact
+    assert damerau_levenshtein_distance(right, left) == exact
+    for cutoff in (-1, 0, exact - 1, exact, exact + 1, 10**9):
+        expected = exact if 0 <= cutoff and exact <= cutoff else None
+        assert damerau_levenshtein_within(left, right, cutoff) == expected, cutoff
+    similarity = _osa_similarity(left, right)
+    assert damerau_levenshtein_similarity(left, right) == similarity
+    for floor in (0.0, 0.5, 0.8, 0.9, 1.0, similarity):
+        bounded = damerau_levenshtein_similarity_at_least(left, right, floor)
+        if similarity >= floor:
+            assert bounded == pytest.approx(similarity, abs=1e-12)
+        else:
+            assert bounded < floor
+
+
+@st.composite
+def _transposed(draw, alphabet="abcde", max_size=150):
+    """A base string and a copy with adjacent transpositions (and the
+    odd substitution) injected."""
+    base = draw(st.text(alphabet=alphabet, max_size=max_size))
+    chars = list(base)
+    for position in draw(st.lists(st.integers(0, max_size), max_size=4)):
+        if len(chars) > 1:
+            position %= len(chars) - 1
+            chars[position], chars[position + 1] = chars[position + 1], chars[position]
+    if chars and draw(st.booleans()):
+        chars[draw(st.integers(0, len(chars) - 1))] = draw(st.sampled_from(alphabet))
+    return base, "".join(chars)
+
+
+# Non-BMP letters and emoji, combining marks, and a precomposed letter.
+_UNICODE = "ae\u00e9\u0301\u0308\u4e2d\U0001d518\U0001f600"
+
+
 class TestBoundedDamerauLevenshtein:
     @given(
         st.text(alphabet="abcde ", max_size=12),
@@ -105,7 +174,7 @@ class TestBoundedDamerauLevenshtein:
     )
     @settings(max_examples=400)
     def test_matches_exact_distance_within_cutoff(self, left, right, cutoff):
-        exact = damerau_levenshtein_distance(left, right)
+        exact = _osa_distance(left, right)
         bounded = damerau_levenshtein_within(left, right, cutoff)
         if exact <= cutoff:
             assert bounded == exact
@@ -118,6 +187,13 @@ class TestBoundedDamerauLevenshtein:
     def test_equal_strings(self):
         assert damerau_levenshtein_within("same", "same", 0) == 0
 
+    def test_optimal_string_alignment_not_unrestricted(self):
+        # Unrestricted Damerau gives 2 ("ca" -> "ac" -> "abc"); OSA may
+        # not edit a transposed pair again, so it gives 3.
+        assert _osa_distance("ca", "abc") == 3
+        assert damerau_levenshtein_within("ca", "abc", 2) is None
+        assert damerau_levenshtein_within("ca", "abc", 3) == 3
+
     @given(
         st.text(alphabet="abcde", max_size=10),
         st.text(alphabet="abcde", max_size=10),
@@ -125,12 +201,53 @@ class TestBoundedDamerauLevenshtein:
     )
     @settings(max_examples=400)
     def test_similarity_at_least_thresholds(self, left, right, floor):
-        exact = damerau_levenshtein_similarity(left, right)
+        exact = _osa_similarity(left, right)
         bounded = damerau_levenshtein_similarity_at_least(left, right, floor)
         if exact >= floor:
             assert bounded == pytest.approx(exact, abs=1e-12)
         else:
             assert bounded < floor
+
+
+class TestBitVectorKernelDifferential:
+    """Every public Damerau-Levenshtein entry point against the
+    full-table oracle, at the cutoffs around the true distance."""
+
+    @given(_transposed())
+    @settings(max_examples=150, deadline=None)
+    def test_injected_transpositions(self, pair):
+        _assert_kernels_match_oracle(*pair)
+
+    @given(st.text(alphabet=_UNICODE, max_size=16), st.text(alphabet=_UNICODE, max_size=16))
+    @settings(max_examples=200)
+    def test_unicode(self, left, right):
+        _assert_kernels_match_oracle(left, right)
+
+    @given(st.text(max_size=20), st.text(max_size=20))
+    @settings(max_examples=150)
+    def test_arbitrary_text(self, left, right):
+        _assert_kernels_match_oracle(left, right)
+
+    @pytest.mark.parametrize("other", ["", "a", "ab", "\U0001f600", "e\u0301"])
+    def test_empty_strings(self, other):
+        _assert_kernels_match_oracle("", other)
+        _assert_kernels_match_oracle(other, "")
+
+    @given(
+        st.sampled_from([65, 100, 129, 200]),
+        st.text(alphabet="abc", min_size=129, max_size=200),
+        _transposed(alphabet="abc", max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_vectors_wider_than_machine_words(self, size, text, edit):
+        # Pattern lengths past 64 and 128 bits: an edited head keeps the
+        # distance small, so the scan runs to the end; a shifted copy
+        # makes it large, so the early exit fires.
+        head, edited = edit
+        left = (head + text)[:size]
+        right = edited + text[: size - len(head)]
+        _assert_kernels_match_oracle(left, right)
+        _assert_kernels_match_oracle(text[:size], text[size // 3 :][:size])
 
 
 def _pim_values():
