@@ -18,9 +18,6 @@ Commands:
 * ``report`` — given a run directory (``--run-dir`` output), write a
   single self-contained HTML run report; given a ``.md`` path, run the
   full experiment suite and write the markdown report (legacy form).
-* ``watch`` — monitor a run directory from a second terminal: tail its
-  ``events.jsonl`` like ``tail -f``, or print one snapshot and exit
-  with ``--once``. Works on concurrent *and* finished runs.
 * ``doctor`` — post-mortem diagnosis of a recorded run: reads the
   crash bundle (when the run crashed or degraded) and the manifest,
   prints what failed, what degraded, the flight-recorder tail and
@@ -34,9 +31,6 @@ Commands:
 ``reconcile`` / ``evaluate`` / ``explain`` accept ``--run-dir DIR`` to
 collect a run's artifacts in one directory and emit a versioned
 ``run.json`` manifest — the unit ``diff`` and ``report`` operate on.
-They also accept ``--live`` (an in-place stderr HUD) and ``--profile``
-(a sampling wall-clock profiler exporting folded stacks + speedscope
-JSON); neither changes results.
 """
 
 from __future__ import annotations
@@ -86,6 +80,20 @@ def _config_for(algorithm: str, domain) -> EngineConfig:
     return EngineConfig()
 
 
+def _at_least(minimum, kind):
+    """Argparse ``type=`` converting with *kind* and rejecting values
+    below *minimum* (and NaN) at parse time, so a bad budget exits 2
+    instead of being coerced."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -129,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
             "versioned run.json manifest (config fingerprint, partition "
             "digest, per-class quality, convergence samples); records "
             "provenance to DIR/provenance.jsonl and the event stream to "
-            "DIR/events.jsonl (what `repro watch` tails) unless "
+            "DIR/events.jsonl unless "
             "--provenance / --log-json point elsewhere. The unit "
             "`repro diff` / `repro report` operate on",
         )
@@ -150,34 +158,19 @@ def build_parser() -> argparse.ArgumentParser:
             "PATH (load in chrome://tracing or Perfetto)",
         )
         obs.add_argument(
-            "--metrics", default=None, metavar="PATH", action="append",
-            help="write the metrics registry snapshot to PATH — Prometheus "
-            "text for .prom/.txt paths, JSON otherwise; repeatable to "
-            "export both formats",
+            "--metrics", default=None, metavar="PATH",
+            help="write the metrics registry snapshot to PATH as JSON",
         )
         obs.add_argument(
             "--provenance", default=None, metavar="PATH",
             help="record every merge/non-merge decision (channel scores, "
             "thresholds, triggering propagation) to a JSONL audit log",
         )
-        obs.add_argument(
-            "--profile", action="store_true",
-            help="sample the engine's wall-clock stack (~100 Hz, stdlib "
-            "sampler) and write profile.folded + profile.speedscope.json "
-            "into the run directory (or the working directory without "
-            "--run-dir); strictly observational, results unchanged",
-        )
-        obs.add_argument(
-            "--live", action="store_true",
-            help="redraw a one-line status HUD on stderr while the run "
-            "executes (phase, queue depth, merges, cache hit rate, ETA); "
-            "read-only, results unchanged",
-        )
 
     for runner in (reconcile, evaluate):
         perf = runner.add_argument_group("performance")
         perf.add_argument(
-            "--workers", type=int, default=1, metavar="N",
+            "--workers", type=_at_least(1, int), default=1, metavar="N",
             help="worker processes for candidate-pair scoring during the "
             "graph build; results are byte-identical to --workers 1 "
             "(default 1 = serial)",
@@ -189,12 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         runtime = runner.add_argument_group("runtime (fault tolerance)")
         runtime.add_argument(
-            "--deadline", type=float, default=None, metavar="SECONDS",
+            "--deadline", type=_at_least(0, float), default=None, metavar="SECONDS",
             help="wall-clock budget; past it the run stops gracefully with "
             "a partial (but valid) partition",
         )
         runtime.add_argument(
-            "--max-recomputations", type=int, default=None, metavar="N",
+            "--max-recomputations", type=_at_least(0, int), default=None, metavar="N",
             help="recomputation budget enforced by the run guard",
         )
         runtime.add_argument(
@@ -202,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="periodically checkpoint engine state into DIR",
         )
         runtime.add_argument(
-            "--checkpoint-every", type=int, default=500, metavar="STEPS",
+            "--checkpoint-every", type=_at_least(1, int), default=500, metavar="STEPS",
             help="iterate steps between checkpoints (default 500)",
         )
         runtime.add_argument(
@@ -266,30 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         "directory targets only",
     )
     report.add_argument("--scale", type=float, default=1.0)
-
-    watch = commands.add_parser(
-        "watch", help="monitor a run directory's event stream"
-    )
-    watch.add_argument(
-        "run_dir",
-        help="a run directory (its events artifact is resolved through "
-        "run.json when present, DIR/events.jsonl otherwise) or an "
-        "events.jsonl path",
-    )
-    watch.add_argument(
-        "--once", action="store_true",
-        help="print one multi-line snapshot of the run's current state "
-        "and exit instead of following the file",
-    )
-    watch.add_argument(
-        "--interval", type=float, default=0.5, metavar="SECONDS",
-        help="poll interval while following (default 0.5)",
-    )
-    watch.add_argument(
-        "--max-idle", type=float, default=None, metavar="SECONDS",
-        help="stop following after the log has been silent this long "
-        "(default: follow until run_end arrives)",
-    )
 
     doctor = commands.add_parser(
         "doctor", help="post-mortem diagnosis of a recorded run"
@@ -357,10 +326,9 @@ def _export_telemetry(telemetry: Telemetry | None, options) -> None:
     trace = getattr(options, "trace", None) if options is not None else None
     if trace and telemetry.tracer is not None:
         telemetry.tracer.write(trace)
-    metric_paths = getattr(options, "metrics", None) if options is not None else None
-    if metric_paths and telemetry.metrics is not None:
-        for path in metric_paths:
-            telemetry.metrics.write(path)
+    metrics = getattr(options, "metrics", None) if options is not None else None
+    if metrics and telemetry.metrics is not None:
+        telemetry.metrics.write(metrics)
     telemetry.close()
 
 
@@ -387,8 +355,6 @@ def _apply_run_dir(options) -> Path | None:
             default.unlink(missing_ok=True)
         options.provenance = str(default)
     if getattr(options, "log_json", None) is None:
-        # The event stream is what `repro watch` tails, so every
-        # --run-dir run records one by default.
         default = run_dir / "events.jsonl"
         if not resuming:
             default.unlink(missing_ok=True)
@@ -411,15 +377,11 @@ def _run_artifacts(options, run_dir: Path) -> dict:
         ("provenance", "provenance"),
         ("events", "log_json"),
         ("trace", "trace"),
+        ("metrics", "metrics"),
     ):
         value = getattr(options, attr, None)
         if value:
             artifacts[kind] = _rel(value)
-    for path in getattr(options, "metrics", None) or []:
-        artifacts.setdefault("metrics", _rel(path))
-    if getattr(options, "profile", False):
-        artifacts["profile"] = "profile.folded"
-        artifacts["speedscope"] = "profile.speedscope.json"
     return artifacts
 
 
@@ -456,7 +418,7 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
             )
     domain = _domain_for(dataset.name)
     config = _config_for(algorithm, domain)
-    workers = int(getattr(options, "workers", 1) or 1)
+    workers = getattr(options, "workers", 1)
     if workers > 1:
         from dataclasses import replace
 
@@ -490,12 +452,6 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
     observers = [FlightRecorder(), HotspotSketch()]
     if telemetry is not None:
         observers.insert(0, telemetry)
-    hud = None
-    if getattr(options, "live", False):
-        from .obs.live import LiveHud
-
-        hud = LiveHud()
-        observers.append(hud)
     resume_path = getattr(options, "resume", None) if options is not None else None
     if resume_path:
         reconciler = Reconciler.resume(
@@ -528,11 +484,6 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
             # directory the claim itself would fail instead.
             Path(marker).mkdir(parents=True, exist_ok=True)
         reconciler.chaos = ChaosInjector(marker_dir=marker, **spec)
-    profiler = None
-    if getattr(options, "profile", False):
-        from .obs.profile import SamplingProfiler
-
-        profiler = SamplingProfiler().start()
     try:
         result = reconciler.run(guard=guard, checkpointer=checkpointer)
     except BaseException as exc:
@@ -549,22 +500,6 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
             if bundle_path is not None:
                 print(f"wrote crash bundle to {bundle_path}", file=sys.stderr)
         raise
-    finally:
-        if hud is not None:
-            hud.close()
-        if profiler is not None:
-            profiler.stop()
-    if profiler is not None:
-        base = run_dir if run_dir is not None else Path(".")
-        folded_path = profiler.write_folded(base / "profile.folded")
-        profiler.write_speedscope(
-            base / "profile.speedscope.json", name=f"repro {dataset.name}"
-        )
-        print(
-            f"wrote profile ({profiler.sample_count} samples) to "
-            f"{folded_path} and {folded_path.with_name('profile.speedscope.json')}",
-            file=sys.stderr,
-        )
     degraded = render_degradations(result)
     if degraded:
         print(degraded, file=sys.stderr)
@@ -785,43 +720,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _watch_events_path(target: Path) -> Path:
-    """Resolve what ``repro watch`` should tail for *target*.
-
-    A run directory resolves through its manifest's ``events`` artifact
-    when a manifest exists (the run may have pointed --log-json
-    elsewhere), falling back to ``DIR/events.jsonl`` — which also
-    covers watching a run that has not written its manifest yet. A
-    torn manifest is an error. A file path is tailed as-is."""
-    if not target.is_dir():
-        return target
-    try:
-        resolved = load_run_dir(target).artifact("events")
-    except RunDirError as exc:
-        if not exc.missing:
-            raise
-        resolved = None
-    return resolved or target / "events.jsonl"
-
-
-def _cmd_watch(args) -> int:
-    from .obs.live import follow_events, read_events, render_watch, watch_snapshot
-
-    events_path = _watch_events_path(Path(args.run_dir))
-    if args.once:
-        events = read_events(events_path)
-        if not events:
-            print(f"no events found at {events_path}", file=sys.stderr)
-            return 2
-        print(render_watch(watch_snapshot(events)))
-        return 0
-    snap = follow_events(
-        events_path, interval=args.interval, max_idle=args.max_idle
-    )
-    print(render_watch(snap))
-    return 0
-
-
 def _cmd_doctor(args) -> int:
     from .obs.flight import load_crash_bundle
     from .obs.render import render_doctor
@@ -875,7 +773,6 @@ def main(argv: list[str] | None = None) -> int:
         "explain": _cmd_explain,
         "diff": _cmd_diff,
         "report": _cmd_report,
-        "watch": _cmd_watch,
         "doctor": _cmd_doctor,
         "hotspots": _cmd_hotspots,
     }

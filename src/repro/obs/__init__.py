@@ -11,7 +11,7 @@ The telemetry subscriber, :class:`Telemetry`, bundles four sinks:
   trace-event JSON (``--trace``, loads in Perfetto),
 * :mod:`~repro.obs.metrics` — a counters/gauges/histograms registry
   absorbing :class:`~repro.core.engine.EngineStats`, exported as JSON
-  or Prometheus text (``--metrics``),
+  (``--metrics``),
 * :mod:`~repro.obs.provenance` — the merge-provenance audit log every
   ``explain`` replay runs from (``--provenance``).
 
@@ -26,18 +26,12 @@ On top of the sinks sits the **run-analysis layer**:
 * :mod:`~repro.obs.report_html` — ``repro report``: a single
   self-contained HTML file with inline-SVG charts.
 
-And the **cross-process / live layer**:
-
-* :mod:`~repro.obs.relay` — worker-side telemetry capture shipped
-  back piggybacked on chunk results and merged into the parent's
-  sinks with real pid/tid trace lanes,
-* :mod:`~repro.obs.profile` — a stdlib sampling wall-clock profiler
-  (``--profile``; folded stacks + speedscope JSON),
-* :mod:`~repro.obs.live` — the ``--live`` stderr HUD and the
-  ``repro watch`` event-log tailer.
+And the **cross-process layer**: :mod:`~repro.obs.relay` ships
+worker-side telemetry back piggybacked on chunk results and merges it
+into the parent's sinks with real pid/tid trace lanes.
 
 By default the engine subscribes only the flight recorder and the
-hotspot sketch; telemetry, the HUD and fault injectors are subscribed
+hotspot sketch; telemetry and fault injectors are subscribed
 explicitly. Every subscriber is strictly observational — partitions
 are byte-identical with any set of them, and none of their state
 (timestamps, span ids, record sequence numbers) enters checkpoints or
@@ -54,14 +48,6 @@ from .flight import (
     load_crash_bundle,
 )
 from .hotspots import HotspotSketch, SpaceSaving, gini
-from .live import (
-    LiveHud,
-    follow_events,
-    read_events,
-    render_hud,
-    render_watch,
-    watch_snapshot,
-)
 from .manifest import (
     MANIFEST_FILENAME,
     MANIFEST_VERSION,
@@ -75,16 +61,8 @@ from .manifest import (
     resolve_artifact,
     write_manifest,
 )
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    escape_label_value,
-    format_labels,
-)
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .observer import Observer, Observers
-from .profile import SamplingProfiler, parse_folded, top_frames_from_folded
 from .provenance import DecisionRecord, ProvenanceLog
 from .relay import TelemetryRelay, WorkerTelemetry
 from .render import (
@@ -100,10 +78,7 @@ from .report_html import render_report, write_report
 from .schemas import (
     SchemaError,
     validate_crash_bundle,
-    parse_labels,
-    parse_prometheus,
     trace_process_names,
-    unescape_label_value,
     validate_chrome_trace,
     validate_event,
     validate_event_log,
@@ -111,7 +86,6 @@ from .schemas import (
     validate_manifest,
     validate_metrics_snapshot,
     validate_provenance_jsonl,
-    validate_speedscope,
 )
 from .telemetry import Telemetry
 from .tracing import Tracer
@@ -123,8 +97,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "escape_label_value",
-    "format_labels",
     "DecisionRecord",
     "ProvenanceLog",
     "DiffVerdict",
@@ -159,10 +131,7 @@ __all__ = [
     "gini",
     "SchemaError",
     "validate_crash_bundle",
-    "parse_labels",
-    "parse_prometheus",
     "trace_process_names",
-    "unescape_label_value",
     "validate_chrome_trace",
     "validate_event",
     "validate_event_log",
@@ -170,18 +139,8 @@ __all__ = [
     "validate_manifest",
     "validate_metrics_snapshot",
     "validate_provenance_jsonl",
-    "validate_speedscope",
     "Observer",
     "Observers",
-    "LiveHud",
-    "follow_events",
-    "read_events",
-    "render_hud",
-    "render_watch",
-    "watch_snapshot",
-    "SamplingProfiler",
-    "parse_folded",
-    "top_frames_from_folded",
     "TelemetryRelay",
     "WorkerTelemetry",
     "Telemetry",

@@ -253,15 +253,8 @@ def load_manifest(path: str | Path) -> dict:
 
 
 class RunDirError(ValueError):
-    """A run directory whose ``run.json`` is missing or unreadable.
-
-    ``missing`` tells the two apart: a live run has no manifest yet,
-    a torn one is damage.
-    """
-
-    def __init__(self, message: str, *, missing: bool = False) -> None:
-        super().__init__(message)
-        self.missing = missing
+    """A run directory whose ``run.json`` (or a recorded artifact the
+    command reads, such as ``provenance.jsonl``) is missing or torn."""
 
 
 @dataclass(frozen=True)
@@ -285,7 +278,7 @@ def load_run_dir(path: str | Path) -> RunDir:
     try:
         manifest = load_manifest(path)
     except FileNotFoundError:
-        raise RunDirError(f"no {MANIFEST_FILENAME} found at {path}", missing=True) from None
+        raise RunDirError(f"no {MANIFEST_FILENAME} found at {path}") from None
     except (OSError, ValueError) as exc:
         raise RunDirError(f"unreadable {MANIFEST_FILENAME} at {path}: {exc}") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("artifacts", {}), dict):

@@ -5,9 +5,8 @@ The registry is the single sink for run-level quantities: the engine's
 pairs are *absorbed* into it at the end of a run
 (:meth:`MetricsRegistry.absorb_stats`), and the hot loop feeds two
 live histograms (recompute latency, active-queue depth) while metrics
-are enabled. Snapshots export as plain JSON or as Prometheus text
-exposition format, so the same registry serves offline bench
-attribution and a scrape endpoint.
+are enabled. Snapshots export as plain JSON (``--metrics``) for offline
+bench attribution.
 
 Metric names follow Prometheus conventions: ``repro_`` prefix,
 ``_total`` suffix for counters, ``_seconds`` for durations.
@@ -24,8 +23,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "escape_label_value",
-    "format_labels",
 ]
 
 #: default histogram buckets for sub-second latencies (seconds).
@@ -36,32 +33,6 @@ LATENCY_BUCKETS = (
 
 #: default buckets for queue depths / counts.
 DEPTH_BUCKETS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000)
-
-
-def escape_label_value(value: str) -> str:
-    """Escape a label value per the exposition format (version 0.0.4).
-
-    Backslash, double-quote and newline are the three characters the
-    format reserves inside quoted label values; anything else passes
-    through verbatim. Backslash must go first or it would re-escape
-    the other two replacements.
-    """
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
-
-
-def format_labels(labels: dict[str, str] | None) -> str:
-    """``{k="v",...}`` with escaped values, or ``""`` for no labels."""
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{key}="{escape_label_value(value)}"' for key, value in sorted(labels.items())
-    )
-    return "{" + inner + "}"
 
 
 class Counter:
@@ -97,7 +68,7 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram (cumulative on export, Prometheus-style)."""
+    """Fixed-bucket histogram (cumulative on export)."""
 
     __slots__ = ("name", "help", "buckets", "counts", "sum", "count")
     kind = "histogram"
@@ -227,12 +198,8 @@ class MetricsRegistry:
 
     def absorb_run_info(self, **labels: str) -> Gauge:
         """Record run identity (dataset id, algorithm, ...) as the
-        conventional ``repro_run_info`` gauge with value 1.
-
-        Label values are free-form strings — dataset ids can contain
-        quotes or backslashes — so the exporters escape them per the
-        exposition format and :func:`repro.obs.schemas.parse_labels`
-        round-trips them.
+        conventional ``repro_run_info`` gauge with value 1; the labels
+        are free-form strings and land verbatim in the JSON snapshot.
         """
         info = self.gauge("repro_run_info", "run identity labels (constant 1)")
         info.labels = {key: str(value) for key, value in labels.items()}
@@ -281,32 +248,9 @@ class MetricsRegistry:
                 out[name] = entry
         return out
 
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition format (version 0.0.4)."""
-        lines: list[str] = []
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if metric.help:
-                lines.append(f"# HELP {name} {metric.help}")
-            lines.append(f"# TYPE {name} {metric.kind}")
-            if metric.kind == "histogram":
-                for bound, cumulative in metric.cumulative():
-                    label = "+Inf" if math.isinf(bound) else format(bound, "g")
-                    lines.append(f'{name}_bucket{{le="{label}"}} {cumulative}')
-                lines.append(f"{name}_sum {format(metric.sum, 'g')}")
-                lines.append(f"{name}_count {metric.count}")
-            else:
-                labels = format_labels(metric.labels)
-                lines.append(f"{name}{labels} {format(metric.value, 'g')}")
-        return "\n".join(lines) + "\n"
-
     def write(self, path: str | Path) -> Path:
-        """Write the snapshot to *path*: Prometheus text for ``.prom`` /
-        ``.txt`` paths, JSON otherwise."""
+        """Write the JSON snapshot to *path*."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        if path.suffix in (".prom", ".txt"):
-            path.write_text(self.to_prometheus())
-        else:
-            path.write_text(json.dumps(self.snapshot(), indent=2) + "\n")
+        path.write_text(json.dumps(self.snapshot(), indent=2) + "\n")
         return path

@@ -1,7 +1,7 @@
 """The engine's one observer seam: a no-op protocol and its fan-out.
 
 Everything that watches a run — telemetry sinks, flight recorder,
-hotspot sketch, live HUD, fault injectors — is an :class:`Observer`
+hotspot sketch, fault injectors — is an :class:`Observer`
 subscribed to the engine, which reports through one :class:`Observers`
 fan-out. The callbacks, in the order a run produces them:
 

@@ -219,13 +219,25 @@ class ProvenanceLog:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ProvenanceLog":
+        """Load a JSONL audit log. A torn or malformed line raises
+        :class:`~repro.obs.manifest.RunDirError` naming the file and
+        line; no record is skipped."""
         log = cls()
         with Path(path).open() as handle:
-            for line in handle:
+            for line_number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                record = DecisionRecord.from_dict(json.loads(line))
+                try:
+                    record = DecisionRecord.from_dict(json.loads(line))
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    # Deferred: manifest imports telemetry, which imports
+                    # this module.
+                    from .manifest import RunDirError
+
+                    raise RunDirError(
+                        f"torn provenance record at {path}:{line_number}: {exc}"
+                    ) from None
                 log.records.append(record)
                 # Index by position, not stored seq: an append-continued
                 # file (resume) restarts seq numbering mid-file.

@@ -22,7 +22,6 @@ import json
 from pathlib import Path
 
 from .manifest import load_run_dir
-from .profile import parse_folded, top_frames_from_folded
 from .schemas import trace_process_names
 
 __all__ = ["render_report", "write_report"]
@@ -387,39 +386,6 @@ def _lanes_section(trace: dict | None) -> str:
     )
 
 
-def _profile_section(folded: dict | None, top_n: int = 12) -> str:
-    if not folded:
-        return (
-            "<h2>Profiler hot frames</h2>"
-            '<div class="card"><p class="note">No profile recorded for this '
-            "run — hot-frame table unavailable. Re-run with "
-            "<code>--profile</code> to sample wall-clock stacks.</p></div>"
-        )
-    frames = top_frames_from_folded(folded, top_n)
-    total_samples = sum(folded.values()) or 1
-    rows = "".join(
-        f"<tr><td><code>{_esc(frame['frame'])}</code></td>"
-        f"<td class='num'>{frame['self']:,}</td>"
-        f"<td class='num'>{frame['self'] / total_samples:.1%}</td>"
-        f"<td class='num'>{frame['total']:,}</td>"
-        f"<td class='num'>{frame['total'] / total_samples:.1%}</td></tr>"
-        for frame in frames
-    )
-    return (
-        "<h2>Profiler hot frames</h2>"
-        '<div class="card"><table>'
-        "<tr><th>frame</th><th class='num'>self</th><th class='num'>self %</th>"
-        "<th class='num'>total</th><th class='num'>total %</th></tr>"
-        + rows
-        + f'</table><p class="note">Top {len(frames)} frames from '
-        f"{total_samples:,} wall-clock samples (<code>--profile</code>); "
-        '"self" counts samples with the frame on top of the stack, "total" '
-        "samples with it anywhere on the stack. Load "
-        "<code>profile.speedscope.json</code> in speedscope for the full "
-        "flamegraph.</p></div>"
-    )
-
-
 def _hotspots_section(hotspots: dict | None) -> str:
     if not hotspots:
         return (
@@ -590,15 +556,13 @@ def render_report(
     decisions=None,
     *,
     trace=None,
-    profile_folded=None,
 ) -> str:
     """The full HTML document for one run manifest.
 
-    *trace* is a parsed Chrome trace object (for the worker-lane strip)
-    and *profile_folded* a parsed folded-stack mapping (for the
-    hot-frame table). Both are optional; every section renders an
-    explicit "not recorded" placeholder when its artifact is absent
-    rather than vanishing.
+    *trace* is an optional parsed Chrome trace object (for the
+    worker-lane strip); every section renders an explicit "not
+    recorded" placeholder when its artifact is absent rather than
+    vanishing.
     """
     run = manifest["run"]
     status = "completed" if run["completed"] else f"degraded ({run.get('stop_reason')})"
@@ -641,7 +605,6 @@ def render_report(
 })}
 <h2>Worker lanes</h2>
 {_lanes_section(trace)}
-{_profile_section(profile_folded)}
 <h2>Workload hotspots</h2>
 {_hotspots_section(manifest['execution'].get('hotspots'))}
 <h2>Most-contested merge decisions</h2>
@@ -671,18 +634,7 @@ def write_report(run_dir: str | Path, output: str | Path | None = None) -> Path:
     trace_path = run.artifact("trace")
     if trace_path is not None:
         trace = json.loads(trace_path.read_text())
-    profile_folded = None
-    profile_path = run.artifact("profile")
-    if profile_path is not None:
-        profile_folded = parse_folded(profile_path.read_text())
     output = Path(output) if output is not None else run.path / "report.html"
     output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(
-        render_report(
-            manifest,
-            decisions,
-            trace=trace,
-            profile_folded=profile_folded,
-        )
-    )
+    output.write_text(render_report(manifest, decisions, trace=trace))
     return output

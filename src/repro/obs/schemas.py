@@ -5,8 +5,7 @@ for the four machine-readable outputs:
 
 * the JSONL **event log** (``--log-json``),
 * the **Chrome trace** file (``--trace``),
-* the **metrics snapshot** JSON and the **Prometheus text** export
-  (``--metrics``),
+* the **metrics snapshot** JSON (``--metrics``),
 * the **provenance** decision records (``--provenance`` / ``explain``).
 
 Each ``validate_*`` raises :class:`SchemaError` naming the offending
@@ -20,7 +19,6 @@ decisions, manifests and crash bundles.
 from __future__ import annotations
 
 import json
-import math
 import re
 from pathlib import Path
 
@@ -43,11 +41,7 @@ __all__ = [
     "validate_decision",
     "validate_provenance_jsonl",
     "validate_manifest",
-    "validate_speedscope",
     "trace_process_names",
-    "parse_prometheus",
-    "parse_labels",
-    "unescape_label_value",
 ]
 
 
@@ -360,65 +354,6 @@ def trace_process_names(obj: dict) -> dict[int, str]:
     return names
 
 
-def validate_speedscope(obj: dict) -> int:
-    """A speedscope JSON profile (``--profile`` export); returns the
-    total number of samples across its profiles."""
-    _require(isinstance(obj, dict), "speedscope profile must be a JSON object")
-    _require(
-        str(obj.get("$schema", "")).endswith("file-format-schema.json"),
-        "speedscope profile missing its $schema marker",
-    )
-    shared = obj.get("shared")
-    _require(
-        isinstance(shared, dict) and isinstance(shared.get("frames"), list),
-        "speedscope profile missing shared.frames",
-    )
-    frames = shared["frames"]
-    for index, frame in enumerate(frames):
-        _require(
-            isinstance(frame, dict) and isinstance(frame.get("name"), str),
-            f"shared.frames[{index}] must have a string name",
-        )
-    profiles = obj.get("profiles")
-    _require(
-        isinstance(profiles, list) and profiles,
-        "speedscope profile needs a non-empty 'profiles' list",
-    )
-    total = 0
-    for p_index, profile in enumerate(profiles):
-        _require(isinstance(profile, dict), f"profiles[{p_index}] must be an object")
-        _require(
-            profile.get("type") == "sampled",
-            f"profiles[{p_index}] must be a 'sampled' profile",
-        )
-        samples = profile.get("samples")
-        weights = profile.get("weights")
-        _require(
-            isinstance(samples, list) and isinstance(weights, list),
-            f"profiles[{p_index}] needs 'samples' and 'weights' lists",
-        )
-        _require(
-            len(samples) == len(weights),
-            f"profiles[{p_index}]: {len(samples)} samples vs {len(weights)} weights",
-        )
-        for s_index, stack in enumerate(samples):
-            _require(
-                isinstance(stack, list)
-                and all(
-                    isinstance(i, int) and 0 <= i < len(frames) for i in stack
-                ),
-                f"profiles[{p_index}].samples[{s_index}] has out-of-range "
-                "frame indices",
-            )
-        for w_index, weight in enumerate(weights):
-            _require(
-                isinstance(weight, (int, float)) and weight >= 0,
-                f"profiles[{p_index}].weights[{w_index}] must be non-negative",
-            )
-        total += len(samples)
-    return total
-
-
 def validate_metrics_snapshot(obj: dict) -> int:
     """A metrics snapshot JSON; returns the metric count."""
     _require(isinstance(obj, dict), "metrics snapshot must be a JSON object")
@@ -487,76 +422,3 @@ def validate_manifest(obj: dict) -> None:
 def validate_crash_bundle(obj: dict) -> None:
     """A crash bundle against :data:`CRASH_BUNDLE_SCHEMA`."""
     _check(obj, CRASH_BUNDLE_SCHEMA, "crash bundle")
-
-
-_ESCAPED = re.compile(r'\\(["\\n])')
-_LABEL = re.compile(r'\s*(\w+)="((?:[^"\\]|\\.)*)"\s*,?', re.S)
-
-
-def unescape_label_value(value: str) -> str:
-    """Invert :func:`repro.obs.metrics.escape_label_value`.
-
-    One left-to-right pass (not chained ``str.replace``) so ``\\\\n``
-    decodes to backslash + ``n``, never to a newline.
-    """
-    return _ESCAPED.sub(lambda match: "\n" if match[1] == "n" else match[1], value)
-
-
-def parse_labels(sample: str) -> tuple[str, dict[str, str]]:
-    """Split a Prometheus sample name into ``(metric, labels)``.
-
-    ``'repro_run_info{dataset="say \\"B\\""}'`` round-trips back to the
-    raw label values :meth:`MetricsRegistry.absorb_run_info` was given.
-    """
-    brace = sample.find("{")
-    if brace < 0:
-        return sample, {}
-    _require(sample.endswith("}"), f"unterminated label set in {sample!r}")
-    body = sample[brace + 1 : -1]
-    labels: dict[str, str] = {}
-    position = 0
-    while position < len(body):
-        match = _LABEL.match(body, position)
-        _require(match is not None, f"malformed label set in {sample!r}")
-        labels[match[1]] = unescape_label_value(match[2])
-        position = match.end()
-    return sample[:brace], labels
-
-
-def parse_prometheus(text: str) -> dict[str, float]:
-    """Parse Prometheus text exposition format into ``{sample: value}``.
-
-    Strict enough to catch real breakage: every non-comment line must
-    be ``name[{labels}] value``, TYPE lines must name a known metric
-    kind, and at least one sample must exist.
-    """
-    samples: dict[str, float] = {}
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split()
-            _require(
-                len(parts) >= 3 and parts[1] in ("HELP", "TYPE"),
-                f"line {line_number}: malformed comment {line!r}",
-            )
-            if parts[1] == "TYPE":
-                _require(
-                    len(parts) == 4
-                    and parts[3] in ("counter", "gauge", "histogram", "summary", "untyped"),
-                    f"line {line_number}: malformed TYPE line {line!r}",
-                )
-            continue
-        name, _, value_text = line.rpartition(" ")
-        _require(bool(name), f"line {line_number}: no metric name in {line!r}")
-        try:
-            value = float(value_text)
-        except ValueError as exc:
-            raise SchemaError(
-                f"line {line_number}: sample value {value_text!r} is not a number"
-            ) from exc
-        _require(not math.isnan(value), f"line {line_number}: NaN sample")
-        samples[name] = value
-    _require(bool(samples), "no samples found in Prometheus text")
-    return samples

@@ -29,6 +29,38 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate", "Z", "/tmp/x"])
 
+    @pytest.mark.parametrize("command", ["reconcile", "evaluate"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--workers", "-3"),
+            ("--workers", "0"),
+            ("--checkpoint-every", "0"),
+            ("--deadline", "-5"),
+            ("--deadline", "nan"),
+            ("--max-recomputations", "-1"),
+        ],
+    )
+    def test_bad_numeric_flag_rejected_at_parse_time(
+        self, dataset_dir, command, flag, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(dataset_dir), flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be >= " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, parsed",
+        [
+            ("--workers", "1", 1),
+            ("--checkpoint-every", "1", 1),
+            ("--max-recomputations", "0", 0),
+        ],
+    )
+    def test_numeric_flag_bounds_are_inclusive(self, flag, value, parsed):
+        args = build_parser().parse_args(["evaluate", "ds", flag, value])
+        assert getattr(args, flag.lstrip("-").replace("-", "_")) == parsed
+
 
 class TestCommands:
     def test_generate_writes_files(self, dataset_dir):

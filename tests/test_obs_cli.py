@@ -3,12 +3,12 @@
 replaying `explain`."""
 
 import json
+import shutil
 
 import pytest
 
 from repro.cli import main
 from repro.obs import (
-    parse_prometheus,
     validate_chrome_trace,
     validate_event_log,
     validate_metrics_snapshot,
@@ -34,7 +34,6 @@ def observed_run(dataset_dir, tmp_path_factory):
         "--log-level", "debug",
         "--trace", str(out / "trace.json"),
         "--metrics", str(out / "metrics.json"),
-        "--metrics", str(out / "metrics.prom"),
         "--provenance", str(out / "prov.jsonl"),
     ])
     assert code == 0
@@ -68,13 +67,10 @@ class TestFlagsEndToEnd:
         assert "build" in names
         assert "iterate" in names
 
-    def test_metrics_json_and_prometheus_agree(self, observed_run):
+    def test_metrics_snapshot_validates(self, observed_run):
         snapshot = json.loads((observed_run / "metrics.json").read_text())
         assert validate_metrics_snapshot(snapshot) > 0
-        samples = parse_prometheus((observed_run / "metrics.prom").read_text())
-        merges = snapshot["repro_merges_total"]["value"]
-        assert merges > 0
-        assert samples["repro_merges_total"] == merges
+        assert snapshot["repro_merges_total"]["value"] > 0
 
     def test_provenance_jsonl_validates(self, observed_run):
         assert validate_provenance_jsonl(observed_run / "prov.jsonl") > 0
@@ -172,36 +168,6 @@ class TestRunDir:
         assert events == run_dir / "events.jsonl"
         assert validate_event_log(events) > 0
 
-    def test_watch_once_renders_the_recorded_run(self, run_dir, capsys):
-        assert main(["watch", str(run_dir), "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "run: PIM B (depgraph)" in out
-        assert "result: completed" in out
-
-    def test_profile_artifacts_land_in_run_dir(self, dataset_dir, tmp_path):
-        from repro.obs import (
-            load_manifest,
-            parse_folded,
-            resolve_artifact,
-            validate_speedscope,
-        )
-
-        directory = tmp_path / "profiled"
-        code = main([
-            "evaluate", str(dataset_dir), "--run-dir", str(directory),
-            "--profile",
-        ])
-        assert code == 0
-        manifest = load_manifest(directory)
-        folded = resolve_artifact(manifest, directory, "profile")
-        speedscope = resolve_artifact(manifest, directory, "speedscope")
-        assert folded == directory / "profile.folded" and folded.exists()
-        assert speedscope == directory / "profile.speedscope.json"
-        validate_speedscope(json.loads(speedscope.read_text()))
-        # Folded export parses back (it may be empty on a very fast run;
-        # the file itself must still exist and be well-formed).
-        parse_folded(folded.read_text())
-
     def test_explain_resolves_provenance_from_manifest(
         self, dataset_dir, run_dir, capsys
     ):
@@ -238,7 +204,6 @@ _RUN_DIR_COMMANDS = {
     "explain": ["explain", "unused-dataset", "a", "b", "--run", "{run}"],
     "diff": ["diff", "{run}", "{run}"],
     "report": ["report", "{run}"],
-    "watch": ["watch", "{run}", "--once"],
     "doctor": ["doctor", "{run}"],
     "hotspots": ["hotspots", "{run}"],
 }
@@ -260,5 +225,29 @@ def test_run_dir_commands_refuse_missing_or_torn_manifest(
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err
-    if damage == "torn" or command != "watch":
-        assert "run.json" in err
+    assert "run.json" in err
+
+
+@pytest.mark.parametrize("command", ["diff", "explain", "report"])
+def test_torn_provenance_exits_2_naming_file_and_line(
+    command, run_dir, tmp_path, capsys
+):
+    """A run whose provenance.jsonl lost its tail (a crash mid-write)
+    is refused with one stderr line naming the file and the torn line,
+    never a JSONDecodeError traceback."""
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    provenance = run / "provenance.jsonl"
+    data = provenance.read_bytes()
+    provenance.write_bytes(data[:-40])
+    torn_line = data[:-40].count(b"\n") + 1
+    argv = {
+        "diff": ["diff", str(run), str(run)],
+        "explain": ["explain", "unused-dataset", "a", "b", "--run", str(run)],
+        "report": ["report", str(run)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert f"provenance.jsonl:{torn_line}" in err

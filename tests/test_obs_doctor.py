@@ -9,8 +9,6 @@ Contracts under test:
 * a guard-tripped run, a chaos-killed worker, and an unhandled engine
   exception each leave a schema-valid, atomically-written bundle and
   doctor exits 1 — deterministically, run after run;
-* `repro watch` tailing tolerates a partially-written final JSONL line
-  (satellite: buffer the fragment, never raise or drop it);
 * `repro report` renders explicit "not recorded" placeholders for
   absent optional artifacts instead of omitting sections.
 """
@@ -21,7 +19,6 @@ import pytest
 
 from repro.cli import main
 from repro.obs import load_crash_bundle, validate_crash_bundle
-from repro.obs.live import read_events
 from repro.obs.render import render_doctor, render_hotspots
 
 HOTSPOTS_SUMMARY = {
@@ -346,31 +343,6 @@ class TestHotspotsCommand:
         assert "no hotspot attribution" in capsys.readouterr().err
 
 
-class TestWatchPartialLine:
-    def test_read_events_holds_back_unterminated_tail(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        complete = {"event": "build_start", "level": "info"}
-        path.write_text(json.dumps(complete) + "\n" + '{"event": "build_')
-        events = read_events(path)
-        assert events == [complete]  # fragment buffered, not raised/dropped
-
-    def test_fragment_is_picked_up_once_completed(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        path.write_text('{"event": "run_start"}\n{"event": "run_')
-        assert len(read_events(path)) == 1
-        with path.open("a") as handle:
-            handle.write('end"}\n')
-        assert [event["event"] for event in read_events(path)] == [
-            "run_start",
-            "run_end",
-        ]
-
-    def test_interior_corruption_still_skipped(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        path.write_text('{"event": "a"}\nnot json at all\n{"event": "b"}\n')
-        assert [event["event"] for event in read_events(path)] == ["a", "b"]
-
-
 class TestReportPlaceholders:
     def test_absent_artifacts_render_explicit_placeholders(
         self, dataset_dir, tmp_path, capsys
@@ -379,9 +351,8 @@ class TestReportPlaceholders:
         assert main(["evaluate", str(dataset_dir), "--run-dir", str(run_dir)]) == 0
         assert main(["report", str(run_dir)]) == 0
         html = (run_dir / "report.html").read_text()
-        # Serial run without --trace/--profile: every optional section is
+        # Serial run without --trace: every optional section is
         # present with an explicit "not recorded" note, never omitted.
         assert "No trace recorded" in html
-        assert "No profile recorded" in html
         assert "<h2>Workload hotspots</h2>" in html
         assert "blocking skew" in html.lower() or "Gini" in html

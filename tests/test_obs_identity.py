@@ -83,15 +83,9 @@ def test_partition_identical_with_all_sinks_attached(name, tmp_path):
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "cora"])
 def test_parallel_run_identical_with_full_observability(name, tmp_path):
-    """The PR-8 contract: every observer at once — all four sinks, the
-    cross-process relay (implied by workers + telemetry), the sampling
-    profiler and the live HUD — on a parallel engine, and the partition
-    still matches a bare serial run."""
-    import io
-
-    from repro.obs.live import LiveHud
-    from repro.obs.profile import SamplingProfiler
-
+    """Every observer at once — all four sinks and the cross-process
+    relay (implied by workers + telemetry) — on a parallel engine, and
+    the partition still matches a bare serial run."""
     dataset, domain_factory = _dataset(name)
     _, baseline = _run(dataset, domain_factory)
     clear_similarity_caches()
@@ -104,16 +98,10 @@ def test_parallel_run_identical_with_full_observability(name, tmp_path):
         provenance_path=tmp_path / "prov.jsonl",
     )
     config = EngineConfig(workers=2)
-    hud = LiveHud(io.StringIO(), interval=0.0)
     engine = Reconciler(
-        dataset.store,
-        domain_factory(),
-        config,
-        observers=_observers(telemetry) + (hud,),
+        dataset.store, domain_factory(), config, observers=_observers(telemetry)
     )
-    with SamplingProfiler(interval=0.005):
-        result = engine.run()
-    hud.close()
+    result = engine.run()
     telemetry.close()
     assert result.partitions == baseline.partitions
     # The relay actually engaged: the build's scoring ran in workers.

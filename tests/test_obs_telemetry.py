@@ -19,7 +19,6 @@ from repro.obs import (
     Telemetry,
     Tracer,
     hit_rate,
-    parse_prometheus,
     render_degradations,
     render_stats,
     validate_chrome_trace,
@@ -172,21 +171,28 @@ class TestMetrics:
         assert restored["count"] == 3
         assert restored["buckets"]["+Inf"] == 3
 
-    def test_prometheus_text_parses(self, tmp_path):
+    def test_write_is_json_whatever_the_suffix(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("repro_merges_total", "merge decisions").inc(3)
-        registry.gauge("repro_build_seconds").set(1.5)
         registry.histogram("repro_queue_depth", buckets=(1, 10)).observe(4)
-        text = registry.to_prometheus()
-        samples = parse_prometheus(text)
-        assert samples["repro_merges_total"] == 3
-        assert samples["repro_build_seconds"] == 1.5
-        assert samples['repro_queue_depth_bucket{le="10"}'] == 1
-        assert samples['repro_queue_depth_bucket{le="+Inf"}'] == 1
-        assert samples["repro_queue_depth_count"] == 1
-        # The .prom suffix selects the Prometheus exposition format.
         path = registry.write(tmp_path / "metrics.prom")
-        assert parse_prometheus(path.read_text()) == samples
+        assert json.loads(path.read_text()) == registry.snapshot()
+
+    def test_snapshot_carries_labels_and_validates(self):
+        registry = MetricsRegistry()
+        registry.counter("repro_merges_total", "merges").inc()
+        registry.absorb_run_info(dataset='d"s', algorithm="depgraph")
+        snapshot = registry.snapshot()
+        assert validate_metrics_snapshot(snapshot) >= 2
+        info = snapshot["repro_run_info"]
+        assert info["labels"] == {"dataset": 'd"s', "algorithm": "depgraph"}
+        assert snapshot["repro_merges_total"].get("labels") is None
+
+    def test_absorb_run_info_updates_labels(self):
+        registry = MetricsRegistry()
+        registry.absorb_run_info(dataset="first", algorithm="depgraph")
+        registry.absorb_run_info(dataset="second", algorithm="depgraph")
+        assert registry.snapshot()["repro_run_info"]["labels"]["dataset"] == "second"
 
     def test_broken_snapshot_rejected(self):
         with pytest.raises(SchemaError):
