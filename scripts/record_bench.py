@@ -43,7 +43,6 @@ from repro.domains import CoraDomainModel, PimDomainModel  # noqa: E402
 from repro.obs import (  # noqa: E402
     FlightRecorder,
     HotspotSketch,
-    MetricsRegistry,
     Telemetry,
     Tracer,
     build_manifest,
@@ -96,10 +95,10 @@ def _measure(
     if workers > 1:
         config_kwargs["workers"] = workers
     config = EngineConfig(**config_kwargs)
-    # Span tracing + the metrics registry make every row attributable
-    # to a phase (which build stage, which cache) instead of a single
-    # wall-clock number; overhead is a handful of coarse spans.
-    telemetry = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
+    # Span tracing makes every row attributable to a phase (which build
+    # stage) instead of a single wall-clock number; overhead is a
+    # handful of coarse spans.
+    telemetry = Telemetry(tracer=Tracer())
     engine = Reconciler(
         dataset.store,
         _domain(name),
@@ -137,27 +136,23 @@ def _measure(
         "supervision": {"task_retries": stats.task_retries},
         # Phase-attributed telemetry snapshot: a regression in
         # total_seconds points at the phase (and cache) that moved.
-        "metrics": {
-            "phase_seconds": telemetry.tracer.phase_timings(),
-            "cache_hit_rates": telemetry.metrics.cache_hit_rates(),
-            "recompute_seconds": _histogram_summary(
-                telemetry.metrics, "repro_recompute_seconds"
-            ),
-            "queue_depth": _histogram_summary(
-                telemetry.metrics, "repro_queue_depth"
-            ),
-        },
+        "metrics": {"phase_seconds": telemetry.tracer.phase_timings()},
         # Workload attribution: where a timing regression would live.
         # The top-3 blocks by candidate pairs plus per-class blocking
         # skew — a bench row whose skew jumped explains its own
         # slowdown without re-running anything.
         "hotspots": _hotspot_digest(engine),
     }
+    row["metrics"]["cache_hit_rates"] = {
+        "values": row["values_cache_hit_rate"],
+        "contacts": row["contacts_cache_hit_rate"],
+        "feature": row["feature_cache_hit_rate"],
+        "pair_memo": row["pair_memo_hit_rate"],
+    }
     if manifest_dir is not None:
         # One run manifest per bench row: bench history and run history
         # share the run.json schema, so `repro diff` works across bench
         # generations the same way it works across --run-dir runs.
-        telemetry.metrics.absorb_run_info(dataset=dataset.name, algorithm="depgraph")
         manifest = build_manifest(dataset=dataset, reconciler=engine, result=result)
         row["manifest"] = str(write_manifest(manifest, manifest_dir))
     return result, row
@@ -181,20 +176,6 @@ def _hotspot_digest(engine) -> dict | None:
             }
             for class_name, stats in summary["skew"].items()
         },
-    }
-
-
-def _histogram_summary(registry, name: str) -> dict | None:
-    """count/sum/mean of one histogram, or None when it never fired."""
-    if name not in registry:
-        return None
-    histogram = registry.histogram(name)
-    if not histogram.count:
-        return None
-    return {
-        "count": histogram.count,
-        "sum": round(histogram.sum, 6),
-        "mean": round(histogram.sum / histogram.count, 9),
     }
 
 

@@ -15,9 +15,9 @@ Commands:
   localize regressions: flipped merge decisions with channel/threshold
   attribution and root-cause chains, quality deltas, phase slowdowns.
   Exits nonzero on regression so CI can gate on it.
-* ``report`` — given a run directory (``--run-dir`` output), write a
-  single self-contained HTML run report; given a ``.md`` path, run the
-  full experiment suite and write the markdown report (legacy form).
+* ``report`` — run the full experiment suite and write the markdown
+  report to a ``.md`` path. A recorded run is read with ``doctor``,
+  ``hotspots`` and ``explain --run`` instead.
 * ``doctor`` — post-mortem diagnosis of a recorded run: reads the
   crash bundle (when the run crashed or degraded) and the manifest,
   prints what failed, what degraded, the flight-recorder tail and
@@ -30,13 +30,16 @@ Commands:
 
 ``reconcile`` / ``evaluate`` / ``explain`` accept ``--run-dir DIR`` to
 collect a run's artifacts in one directory and emit a versioned
-``run.json`` manifest — the unit ``diff`` and ``report`` operate on.
+``run.json`` manifest — the one machine-readable summary of a run, and
+the unit ``diff``, ``doctor``, ``hotspots`` and ``explain --run``
+operate on.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -94,6 +97,16 @@ def _at_least(minimum, kind):
     return parse
 
 
+def _scale(text: str) -> float:
+    """Argparse ``type=`` of the generators' ``--scale``: a finite,
+    positive float, so a scale that would silently yield the minimum
+    world (or crash the generator) exits 2 at parse time."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -105,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate = commands.add_parser("generate", help="write a synthetic dataset")
     generate.add_argument("dataset", choices=["A", "B", "C", "D", "cora"])
     generate.add_argument("directory", help="output directory")
-    generate.add_argument("--scale", type=float, default=1.0)
+    generate.add_argument("--scale", type=_scale, default=1.0)
 
     reconcile = commands.add_parser("reconcile", help="reconcile a dataset directory")
     reconcile.add_argument("directory")
@@ -139,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
             "provenance to DIR/provenance.jsonl and the event stream to "
             "DIR/events.jsonl unless "
             "--provenance / --log-json point elsewhere. The unit "
-            "`repro diff` / `repro report` operate on",
+            "`repro diff`, `doctor`, `hotspots` and `explain --run` "
+            "operate on",
         )
         obs.add_argument(
             "--log-json", default=None, metavar="PATH",
@@ -156,10 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--trace", default=None, metavar="PATH",
             help="write nested timed spans as Chrome trace-event JSON to "
             "PATH (load in chrome://tracing or Perfetto)",
-        )
-        obs.add_argument(
-            "--metrics", default=None, metavar="PATH",
-            help="write the metrics registry snapshot to PATH as JSON",
         )
         obs.add_argument(
             "--provenance", default=None, metavar="PATH",
@@ -213,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         "which",
         choices=["1", "2", "3", "4", "5", "6", "7", "fig6"],
     )
-    tables.add_argument("--scale", type=float, default=1.0)
+    tables.add_argument("--scale", type=_scale, default=1.0)
 
     diff = commands.add_parser(
         "diff", help="localize regressions between two recorded runs"
@@ -225,40 +235,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="additionally write the structured verdict as JSON",
     )
     diff.add_argument(
-        "--quality-tolerance", type=float, default=0.0, metavar="DELTA",
+        "--quality-tolerance", type=_at_least(0, float), default=0.0, metavar="DELTA",
         help="absolute per-class metric drop tolerated before gating "
         "(default 0: runs are deterministic, any drop is real)",
     )
     diff.add_argument(
-        "--phase-tolerance", type=float, default=0.25, metavar="FRACTION",
+        "--phase-tolerance", type=_at_least(0, float), default=0.25, metavar="FRACTION",
         help="relative phase slowdown tolerated (default 0.25 = 25%%)",
     )
     diff.add_argument(
-        "--phase-floor", type=float, default=0.05, metavar="SECONDS",
+        "--phase-floor", type=_at_least(0, float), default=0.05, metavar="SECONDS",
         help="absolute slowdown a phase must also exceed (default 0.05s)",
     )
     diff.add_argument(
-        "--max-flips", type=int, default=20, metavar="N",
+        "--max-flips", type=_at_least(0, int), default=20, metavar="N",
         help="flipped pairs to localize in detail (default 20)",
     )
 
     report = commands.add_parser(
-        "report",
-        help="HTML report for a run directory, or the markdown "
-        "experiments report for a .md path",
+        "report", help="run every experiment and write the markdown report"
     )
     report.add_argument(
-        "target",
-        help="a run directory containing run.json (writes a "
-        "self-contained HTML report) or an output .md path (runs all "
-        "experiments and writes the markdown report)",
+        "target", help="output .md path (not a run directory)"
     )
-    report.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="HTML output path (default <run_dir>/report.html); run-"
-        "directory targets only",
-    )
-    report.add_argument("--scale", type=float, default=1.0)
+    report.add_argument("--scale", type=_scale, default=1.0)
 
     doctor = commands.add_parser(
         "doctor", help="post-mortem diagnosis of a recorded run"
@@ -303,16 +303,14 @@ def _telemetry_from(options, *, force_provenance: bool = False) -> Telemetry | N
         return None
     log_path = getattr(options, "log_json", None)
     trace = getattr(options, "trace", None)
-    metrics = getattr(options, "metrics", None)
     provenance_path = getattr(options, "provenance", None)
     wants_provenance = force_provenance or provenance_path is not None
-    if not (log_path or trace or metrics or wants_provenance):
+    if not (log_path or trace or wants_provenance):
         return None
     telemetry = Telemetry.enabled(
         log_path=log_path,
         log_level=getattr(options, "log_level", "info") or "info",
         trace=bool(trace),
-        metrics=bool(metrics),
         provenance=wants_provenance,
         provenance_path=provenance_path,
     )
@@ -326,9 +324,6 @@ def _export_telemetry(telemetry: Telemetry | None, options) -> None:
     trace = getattr(options, "trace", None) if options is not None else None
     if trace and telemetry.tracer is not None:
         telemetry.tracer.write(trace)
-    metrics = getattr(options, "metrics", None) if options is not None else None
-    if metrics and telemetry.metrics is not None:
-        telemetry.metrics.write(metrics)
     telemetry.close()
 
 
@@ -377,7 +372,6 @@ def _run_artifacts(options, run_dir: Path) -> dict:
         ("provenance", "provenance"),
         ("events", "log_json"),
         ("trace", "trace"),
-        ("metrics", "metrics"),
     ):
         value = getattr(options, attr, None)
         if value:
@@ -504,10 +498,6 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
     if degraded:
         print(degraded, file=sys.stderr)
     if telemetry is not None:
-        if telemetry.metrics is not None:
-            telemetry.metrics.absorb_run_info(
-                dataset=dataset.name, algorithm=algorithm
-            )
         telemetry.emit(
             "info",
             "run_end",
@@ -708,11 +698,14 @@ def _cmd_diff(args) -> int:
 def _cmd_report(args) -> int:
     target = Path(args.target)
     if target.is_dir() or target.name == MANIFEST_FILENAME:
-        from .obs.report_html import write_report as write_html_report
-
-        path = write_html_report(target, args.output)
-        print(f"wrote HTML run report to {path}")
-        return 0
+        # Refused before the experiment suite runs: a recorded run is
+        # summarized by its run.json, read with these commands.
+        print(
+            f"{target} is a recorded run, not a .md path; read a run "
+            "with `repro doctor`, `repro hotspots` or `repro explain --run`",
+            file=sys.stderr,
+        )
+        return 2
     from .evaluation.report import write_report
 
     path = write_report(args.target, scale=args.scale)

@@ -1,17 +1,14 @@
-"""Observability: structured logs, span traces, metrics, provenance.
+"""Observability: structured logs, span traces, provenance.
 
 Everything here reaches the engine through one seam,
 :mod:`~repro.obs.observer`: an :class:`Observer` protocol of typed
 callbacks and the :class:`Observers` fan-out the engine reports to.
-The telemetry subscriber, :class:`Telemetry`, bundles four sinks:
+The telemetry subscriber, :class:`Telemetry`, bundles three sinks:
 
 * :mod:`~repro.obs.events` — a levelled JSONL event stream
   (``--log-json`` / ``--log-level``),
 * :mod:`~repro.obs.tracing` — nested timed spans exported as Chrome
   trace-event JSON (``--trace``, loads in Perfetto),
-* :mod:`~repro.obs.metrics` — a counters/gauges/histograms registry
-  absorbing :class:`~repro.core.engine.EngineStats`, exported as JSON
-  (``--metrics``),
 * :mod:`~repro.obs.provenance` — the merge-provenance audit log every
   ``explain`` replay runs from (``--provenance``).
 
@@ -19,12 +16,11 @@ On top of the sinks sits the **run-analysis layer**:
 
 * :mod:`~repro.obs.manifest` — the versioned ``run.json`` summary
   every ``--run-dir`` run emits (config fingerprint, partition digest,
-  per-class quality, convergence samples, counters, timings),
+  per-class quality, convergence samples, counters, timings); the one
+  machine-readable summary of a run,
 * :mod:`~repro.obs.diffing` — ``repro diff``: cross-run regression
   localization down to the flipped pair, its channel, and the
-  root-cause chain through the provenance graph,
-* :mod:`~repro.obs.report_html` — ``repro report``: a single
-  self-contained HTML file with inline-SVG charts.
+  root-cause chain through the provenance graph.
 
 And the **cross-process layer**: :mod:`~repro.obs.relay` ships
 worker-side telemetry back piggybacked on chunk results and merges it
@@ -61,7 +57,6 @@ from .manifest import (
     resolve_artifact,
     write_manifest,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .observer import Observer, Observers
 from .provenance import DecisionRecord, ProvenanceLog
 from .relay import TelemetryRelay, WorkerTelemetry
@@ -74,7 +69,6 @@ from .render import (
     render_quarantine,
     render_stats,
 )
-from .report_html import render_report, write_report
 from .schemas import (
     SchemaError,
     validate_crash_bundle,
@@ -84,7 +78,6 @@ from .schemas import (
     validate_event_log,
     validate_decision,
     validate_manifest,
-    validate_metrics_snapshot,
     validate_provenance_jsonl,
 )
 from .telemetry import Telemetry
@@ -93,10 +86,6 @@ from .tracing import Tracer
 __all__ = [
     "LEVELS",
     "EventLog",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "DecisionRecord",
     "ProvenanceLog",
     "DiffVerdict",
@@ -112,8 +101,6 @@ __all__ = [
     "partition_digest",
     "resolve_artifact",
     "write_manifest",
-    "render_report",
-    "write_report",
     "hit_rate",
     "render_degradations",
     "render_diff",
@@ -137,7 +124,6 @@ __all__ = [
     "validate_event_log",
     "validate_decision",
     "validate_manifest",
-    "validate_metrics_snapshot",
     "validate_provenance_jsonl",
     "Observer",
     "Observers",

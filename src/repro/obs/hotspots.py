@@ -24,7 +24,7 @@ a similarity evaluation consulted) and per-pair timing, and feeds
 values the engine already computed, so partitions are byte-identical
 with the sketch subscribed or not.  The summary lives in the manifest's
 ``execution`` section (execution-dependent — wall-time varies run to
-run) and is rendered by ``repro hotspots`` / ``repro report``.
+run) and is rendered by ``repro hotspots``.
 
 Attribution is parent-process only: pair timings observed inside
 scoring workers die with the worker.  That is
@@ -227,20 +227,3 @@ class HotspotSketch(Observer):
             ],
             "skew": {name: dict(stats) for name, stats in sorted(self.skew.items())},
         }
-
-    def export_metrics(self, metrics) -> None:
-        """Publish skew gauges into a :class:`MetricsRegistry`."""
-        if not self.skew:
-            return
-        metrics.gauge(
-            "repro_block_skew_gini",
-            "Worst per-class Gini coefficient of blocking-index block sizes",
-        ).set(max(stats["gini"] for stats in self.skew.values()))
-        metrics.gauge(
-            "repro_block_max_pair_share",
-            "Largest share of one class's candidate pairs owned by a single block",
-        ).set(max(stats["max_pair_share"] for stats in self.skew.values()))
-        metrics.gauge(
-            "repro_oversized_blocks",
-            "Blocks split for exceeding max_block_size, across classes",
-        ).set(sum(stats["oversized"] for stats in self.skew.values()))

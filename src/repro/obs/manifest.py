@@ -1,12 +1,13 @@
 """Run manifests: one machine-readable summary per engine/CLI run.
 
-PR 3 left every run with rich but *separate* artifacts (event log,
-trace, metrics, provenance); the manifest is the versioned index that
-relates them and captures the run's semantic outcome in one place:
-configuration fingerprint, dataset id, partition digest, per-class
-quality against gold, per-iteration convergence samples, decision
-counters, degradations, and pointers to the sibling artifacts. It is
-what ``repro diff`` compares and ``repro report`` renders.
+A run leaves rich but *separate* artifacts (event log, trace,
+provenance); the manifest is the versioned index that relates them and
+captures the run's semantic outcome in one place: configuration
+fingerprint, dataset id, partition digest, per-class quality against
+gold, per-iteration convergence samples, decision counters,
+degradations, and pointers to the sibling artifacts. It is the one
+machine-readable summary of a run: what ``repro diff`` compares and
+``repro doctor`` / ``repro hotspots`` read.
 
 The manifest is split into an **invariant core** and two
 execution-dependent sections:
@@ -129,23 +130,6 @@ def quality_by_class(
     return quality
 
 
-def _histogram_summaries(metrics) -> dict:
-    """count/sum/mean per histogram in the registry — the manifest's
-    compressed view of latency and depth distributions (the full
-    buckets live in the ``--metrics`` export)."""
-    summaries: dict[str, dict] = {}
-    for name, metric in sorted(metrics.snapshot().items()):
-        if metric.get("type") != "histogram":
-            continue
-        count = metric["count"]
-        summaries[name] = {
-            "count": count,
-            "sum": round(metric["sum"], 6),
-            "mean": round(metric["sum"] / count, 6) if count else None,
-        }
-    return summaries
-
-
 def _cache_rates(stats) -> dict:
     rates: dict[str, float | None] = {}
     for cache_name, hits_attr, misses_attr in _CACHE_FIELDS:
@@ -171,7 +155,7 @@ def build_manifest(
     reconciled, *reconciler* the finished engine, *result* its
     :class:`~repro.core.result.ReconciliationResult`. *artifacts* maps
     artifact kind (``provenance`` / ``events`` / ``trace`` /
-    ``metrics`` / ``partition``) to a path, preferably relative to the
+    ``partition``) to a path, preferably relative to the
     run directory.
     """
     from ..runtime.checkpoint import config_fingerprint
@@ -180,7 +164,6 @@ def build_manifest(
     telemetry = reconciler.observers.find(Telemetry)
     tracer = getattr(telemetry, "tracer", None)
     phase_seconds = tracer.phase_timings() if tracer is not None else {}
-    metrics = getattr(telemetry, "metrics", None)
     relay = getattr(telemetry, "relay", None)
     hotspots = reconciler.observers.find(HotspotSketch)
     return {
@@ -218,11 +201,10 @@ def build_manifest(
             "parallel_workers": stats.parallel_workers,
             "queue_compactions": getattr(stats, "queue_compactions", 0),
             # Cross-process telemetry: what the relay harvested from
-            # scoring-worker lanes (None when no relay was attached) and
-            # the registry's histogram digests. Execution-only by
-            # construction — worker timings vary run to run.
+            # scoring-worker lanes (None when no relay was attached).
+            # Execution-only by construction — worker timings vary run
+            # to run.
             "worker_telemetry": relay.summary() if relay is not None else None,
-            "histograms": _histogram_summaries(metrics) if metrics is not None else {},
             # Heavy-hitter workload attribution (blocks / pairs /
             # channels + blocking skew). Wall-time attributions vary
             # run to run, so the whole summary is execution-only.

@@ -2,23 +2,23 @@
 
 The expensive build work happens outside the parent process — chunked
 pair scoring in pool workers (:mod:`repro.perf.parallel`) — but the
-telemetry sinks (tracer, metrics registry, event log) live in the
-parent and are not shareable across ``fork``. The relay bridges that
-gap without any extra IPC channel:
+telemetry sinks (tracer, event log) live in the parent and are not
+shareable across ``fork``. The relay bridges that gap without any
+extra IPC channel:
 
 * A :class:`WorkerTelemetry` recorder is installed in each pool worker
-  by ``_init_worker``. It buffers spans, counters, histogram
-  observations and events **locally** — plain lists and dicts, no
-  locks, no sockets.
+  by ``_init_worker``. It buffers spans, counters and events
+  **locally** — plain lists and dicts, no locks, no sockets.
 * :meth:`WorkerTelemetry.drain` turns the buffers into one picklable
   payload dict (or ``None`` when nothing was recorded) and clears
   them; the payload piggybacks on the chunk result the pool returns,
   so shipping telemetry costs zero additional round-trips.
 * The parent's :class:`TelemetryRelay` absorbs payloads into the real
   sinks: spans become foreign-lane trace events with the worker's
-  true ``pid``/``tid`` plus ``process_name`` metadata, counters and
-  observations fold into the metrics registry, and events append to
-  the JSONL log stamped with the worker's pid.
+  true ``pid``/``tid`` plus ``process_name`` metadata, counters sum
+  into :meth:`TelemetryRelay.summary` (the manifest's
+  ``execution.worker_telemetry``), and events append to the JSONL log
+  stamped with the worker's pid.
 
 **Clock alignment.** Workers record *absolute* ``time.perf_counter``
 readings. On Linux that clock is ``CLOCK_MONOTONIC``, which is
@@ -44,22 +44,7 @@ from __future__ import annotations
 from collections import deque
 from types import SimpleNamespace
 
-__all__ = ["WorkerTelemetry", "TelemetryRelay", "WORKER_METRIC_HELP"]
-
-#: help texts for the metrics the relay folds into the registry.
-WORKER_METRIC_HELP = {
-    "repro_worker_chunks_total": "scoring chunks completed by pool workers",
-    "repro_worker_pairs_scored_total": "candidate pairs scored in pool workers",
-    "repro_worker_pair_memo_hits_total": "worker-side pair-memo hits",
-    "repro_worker_pair_memo_misses_total": "worker-side pair-memo misses",
-    "repro_worker_prefilter_skips_total": "worker-side upper-bound prefilter skips",
-    "repro_lane_deaths_total": "scoring workers that died, forcing the serial fallback",
-}
-
-#: histogram metrics shipped as observations (latency buckets apply).
-_OBSERVATION_HELP = {
-    "repro_worker_chunk_seconds": "wall-clock seconds per scoring chunk, measured in the worker",
-}
+__all__ = ["WorkerTelemetry", "TelemetryRelay"]
 
 
 class WorkerTelemetry:
@@ -71,7 +56,7 @@ class WorkerTelemetry:
     tracer epoch.
     """
 
-    __slots__ = ("pid", "tid", "process_name", "spans", "counters", "observations", "events")
+    __slots__ = ("pid", "tid", "process_name", "spans", "counters", "events")
 
     def __init__(self, process_name: str) -> None:
         import os
@@ -82,7 +67,6 @@ class WorkerTelemetry:
         self.process_name = process_name
         self.spans: list[tuple] = []
         self.counters: dict[str, float] = {}
-        self.observations: dict[str, list[float]] = {}
         self.events: list[tuple] = []
 
     def pair_stats(self) -> SimpleNamespace:
@@ -99,9 +83,6 @@ class WorkerTelemetry:
         if amount:
             self.counters[name] = self.counters.get(name, 0) + amount
 
-    def observe(self, name: str, value: float) -> None:
-        self.observations.setdefault(name, []).append(value)
-
     def emit(self, level: str, event: str, **fields) -> None:
         self.events.append((level, event, fields))
 
@@ -116,7 +97,7 @@ class WorkerTelemetry:
         Clears the buffers: pool workers persist across chunks, so each
         chunk ships only its own delta.
         """
-        if not (self.spans or self.counters or self.observations or self.events):
+        if not (self.spans or self.counters or self.events):
             return None
         payload = {
             "pid": self.pid,
@@ -124,12 +105,10 @@ class WorkerTelemetry:
             "process_name": self.process_name,
             "spans": self.spans,
             "counters": self.counters,
-            "observations": self.observations,
             "events": self.events,
         }
         self.spans = []
         self.counters = {}
-        self.observations = {}
         self.events = []
         return payload
 
@@ -146,7 +125,6 @@ class TelemetryRelay:
 
     __slots__ = (
         "_tracer",
-        "_metrics",
         "_log",
         "payloads",
         "lane_names",
@@ -157,7 +135,6 @@ class TelemetryRelay:
 
     def __init__(self, telemetry) -> None:
         self._tracer = telemetry.tracer
-        self._metrics = telemetry.metrics
         self._log = telemetry.log
         self.payloads = 0
         self.lane_names: dict[int, str] = {}
@@ -194,14 +171,6 @@ class TelemetryRelay:
                     category=category,
                     **args,
                 )
-        metrics = self._metrics
-        if metrics is not None:
-            for name, amount in payload["counters"].items():
-                metrics.counter(name, WORKER_METRIC_HELP.get(name, "")).inc(amount)
-            for name, values in payload["observations"].items():
-                histogram = metrics.histogram(name, _OBSERVATION_HELP.get(name, ""))
-                for value in values:
-                    histogram.observe(value)
         log = self._log
         if log is not None:
             for level, event, fields in payload["events"]:
@@ -267,11 +236,6 @@ class TelemetryRelay:
                 self.lane_names[pid] = lane
                 tracer.set_process_name(pid, lane)
             tracer.instant("lane_died", pid=pid, tid=pid, reason=reason)
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.counter(
-                "repro_lane_deaths_total", WORKER_METRIC_HELP["repro_lane_deaths_total"]
-            ).inc()
         log = self._log
         if log is not None:
             log.emit("warning", "lane_died", pid=pid, reason=reason, lane=lane)

@@ -1,10 +1,10 @@
-"""Human-readable renderers over telemetry snapshots.
+"""Human-readable renderers over engine state and run manifests.
 
-The CLI's ``--stats`` output and degradation notices used to be
-ad-hoc ``print(..., file=sys.stderr)`` calls; they are now pure
-functions from engine state / metrics snapshots to text, so the same
-data renders identically whether it comes from a live run, a metrics
-JSON file, or a test. The ``--stats`` format is kept byte-stable with
+The CLI's ``--stats`` output, degradation notices and the ``diff`` /
+``doctor`` / ``hotspots`` reports are pure functions from engine state
+or a ``run.json`` manifest to text, so the same data renders
+identically whether it comes from a live run, a recorded run
+directory, or a test. The ``--stats`` format is kept byte-stable with
 the pre-observability output.
 """
 

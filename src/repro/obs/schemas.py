@@ -1,12 +1,12 @@
 """Schemas and validators for every telemetry artifact.
 
 Pure-python structural validation (no external JSON-Schema dependency)
-for the four machine-readable outputs:
+for the machine-readable outputs:
 
 * the JSONL **event log** (``--log-json``),
 * the **Chrome trace** file (``--trace``),
-* the **metrics snapshot** JSON (``--metrics``),
-* the **provenance** decision records (``--provenance`` / ``explain``).
+* the **provenance** decision records (``--provenance`` / ``explain``),
+* the **run manifest** (``run.json``) and the **crash bundle**.
 
 Each ``validate_*`` raises :class:`SchemaError` naming the offending
 field; CI's observability smoke job runs them against real run output
@@ -29,7 +29,6 @@ __all__ = [
     "SchemaError",
     "EVENT_SCHEMA",
     "TRACE_EVENT_SCHEMA",
-    "METRIC_SCHEMA",
     "DECISION_SCHEMA",
     "MANIFEST_SCHEMA",
     "CRASH_BUNDLE_SCHEMA",
@@ -37,7 +36,6 @@ __all__ = [
     "validate_event",
     "validate_event_log",
     "validate_chrome_trace",
-    "validate_metrics_snapshot",
     "validate_decision",
     "validate_provenance_jsonl",
     "validate_manifest",
@@ -72,20 +70,6 @@ TRACE_EVENT_SCHEMA = {
         "tid": {"type": "integer"},
         "cat": {"type": "string"},
         "args": {"type": "object"},
-    },
-}
-
-METRIC_SCHEMA = {
-    "type": "object",
-    "required": ["type"],
-    "properties": {
-        "type": {"enum": ["counter", "gauge", "histogram"]},
-        "help": {"type": "string"},
-        "value": {"type": "number"},
-        "count": {"type": "integer"},
-        "sum": {"type": "number"},
-        "buckets": {"type": "object"},
-        "labels": {"type": "object"},  # label name -> string value
     },
 }
 
@@ -352,45 +336,6 @@ def trace_process_names(obj: dict) -> dict[int, str]:
         if event.get("ph") == "M" and event.get("name") == "process_name":
             names[event["pid"]] = event.get("args", {}).get("name", "")
     return names
-
-
-def validate_metrics_snapshot(obj: dict) -> int:
-    """A metrics snapshot JSON; returns the metric count."""
-    _require(isinstance(obj, dict), "metrics snapshot must be a JSON object")
-    _require(bool(obj), "metrics snapshot is empty")
-    for name, metric in obj.items():
-        _require(isinstance(metric, dict), f"metric {name!r} must be an object")
-        kind = metric.get("type")
-        _require(
-            kind in ("counter", "gauge", "histogram"),
-            f"metric {name!r} has unknown type {kind!r}",
-        )
-        if kind == "histogram":
-            for key in ("count", "sum", "buckets"):
-                _require(key in metric, f"histogram {name!r} missing {key!r}")
-            buckets = metric["buckets"]
-            _require(
-                isinstance(buckets, dict) and "+Inf" in buckets,
-                f"histogram {name!r} buckets must include '+Inf'",
-            )
-            _require(
-                buckets["+Inf"] == metric["count"],
-                f"histogram {name!r}: +Inf bucket {buckets['+Inf']} != count {metric['count']}",
-            )
-            previous = -1
-            for bound, cumulative in buckets.items():
-                _require(
-                    isinstance(cumulative, int) and cumulative >= previous,
-                    f"histogram {name!r} bucket {bound!r} not cumulative",
-                )
-                previous = cumulative
-        else:
-            _require("value" in metric, f"{kind} {name!r} missing 'value'")
-            _require(
-                isinstance(metric["value"], (int, float)),
-                f"{kind} {name!r} value must be numeric",
-            )
-    return len(obj)
 
 
 def validate_decision(obj: dict) -> None:

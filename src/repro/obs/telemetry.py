@@ -1,26 +1,24 @@
-"""The telemetry subscriber: event log, tracer, metrics and provenance.
+"""The telemetry subscriber: event log, tracer and provenance.
 
-One :class:`Telemetry` bundles the four sinks — event log, tracer,
-metrics registry, provenance log — and subscribes them to the engine's
-observer seam (:mod:`repro.obs.observer`). Every sink is optional and
-every facade method returns at once when its sink is absent. The
-subscriber also owns the state that exists only to feed the sinks: the
-relay for build-pool worker telemetry (created by the first worker
-payload or lane death), the per-step histograms, and the iterate-chunk
-bookkeeping behind ``iterate_progress`` events and ``iterate_chunk``
-spans.
+One :class:`Telemetry` bundles the three sinks — event log, tracer,
+provenance log — and subscribes them to the engine's observer seam
+(:mod:`repro.obs.observer`). Every sink is optional and every facade
+method returns at once when its sink is absent. The subscriber also
+owns the state that exists only to feed the sinks: the relay for
+build-pool worker telemetry (created by the first worker payload or
+lane death) and the iterate-chunk bookkeeping behind
+``iterate_progress`` events and ``iterate_chunk`` spans.
 
 It asks the engine for decision evidence only with a provenance log,
-for per-decision timing only with a metrics registry, and for worker
-payloads only with a log, tracer or registry. Every sink is strictly
-observational, and nothing telemetry produces (timestamps, span ids,
-sequence numbers) enters the checkpoint fingerprint or any decision.
+and for worker payloads only with a log or tracer. Every sink is
+strictly observational, and nothing telemetry produces (timestamps,
+span ids, sequence numbers) enters the checkpoint fingerprint or any
+decision.
 """
 
 from __future__ import annotations
 
 from .events import EventLog
-from .metrics import DEPTH_BUCKETS, LATENCY_BUCKETS, MetricsRegistry
 from .observer import Observer
 from .provenance import ProvenanceLog
 from .tracing import Tracer
@@ -36,19 +34,6 @@ _LOGGED_PHASES = ("build", "iterate")
 #: events that also leave a tracer instant, by instant name.
 _INSTANTS = {"checkpoint_saved": "checkpoint"}
 
-#: (name, help, buckets) of the histograms one iterate run feeds: per
-#: decision, its latency and the queue depth it was popped at; per
-#: chunk, the queue depth.
-_ITERATE_HISTOGRAMS = (
-    ("repro_recompute_seconds", "per-node recomputation latency", LATENCY_BUCKETS),
-    ("repro_queue_depth", "active-queue depth sampled at each pop", DEPTH_BUCKETS),
-    (
-        "repro_iterate_queue_depth",
-        "active-queue depth sampled once per iterate chunk",
-        DEPTH_BUCKETS,
-    ),
-)
-
 
 class Telemetry(Observer):
     """Bundle of observability sinks; all optional, all observational.
@@ -62,25 +47,18 @@ class Telemetry(Observer):
         *,
         log: EventLog | None = None,
         tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
         provenance: ProvenanceLog | None = None,
     ) -> None:
         self.log = log
         self.tracer = tracer
-        self.metrics = metrics
         self.provenance = provenance
         self.wants_evidence = provenance is not None
-        self.wants_timing = metrics is not None
-        self.wants_worker_telemetry = any(
-            sink is not None for sink in (log, tracer, metrics)
-        )
+        self.wants_worker_telemetry = log is not None or tracer is not None
         self.active = self.wants_worker_telemetry or self.wants_evidence
         #: :class:`~repro.obs.relay.TelemetryRelay` for build-pool
         #: workers, or ``None`` until one reports.
         self.relay = None
         self._spans: list = []  # open tracer spans of nested phases
-        self._hists = None  # _ITERATE_HISTOGRAMS, once iterate began
-        self._queued = 0  # queue depth before the latest pop
         self._steps = None  # decisions this iterate run; None before one
         self._chunk = (0.0, 0, 0)  # tracer offset, first step, merges
         self._iterate_offset = 0.0
@@ -92,7 +70,6 @@ class Telemetry(Observer):
         log_path=None,
         log_level: str = "info",
         trace: bool = False,
-        metrics: bool = False,
         provenance: bool = False,
         provenance_path=None,
     ) -> "Telemetry":
@@ -100,7 +77,6 @@ class Telemetry(Observer):
         return cls(
             log=EventLog(log_path, level=log_level) if log_path else None,
             tracer=Tracer() if trace else None,
-            metrics=MetricsRegistry() if metrics else None,
             provenance=(
                 ProvenanceLog(provenance_path) if provenance or provenance_path else None
             ),
@@ -135,8 +111,6 @@ class Telemetry(Observer):
             self.emit("info", f"{phase}_start", **fields)
         if phase == "iterate":
             self._steps = 0
-            if self.metrics is not None:
-                self._hists = [self.metrics.histogram(*spec) for spec in _ITERATE_HISTOGRAMS]
             if self.tracer is not None:
                 self._iterate_offset = self.tracer.now()
                 self._chunk = (self._iterate_offset, 0, engine.stats.merges)
@@ -164,13 +138,6 @@ class Telemetry(Observer):
             )
         if phase in _LOGGED_PHASES:
             self.emit("info", f"{phase}_end", **fields)
-        if phase == "iterate" and self.metrics is not None:
-            self.metrics.absorb_stats(engine.stats)
-            from .hotspots import HotspotSketch
-
-            sketch = engine.observers.find(HotspotSketch)
-            if sketch is not None:
-                sketch.export_metrics(self.metrics)
 
     def on_blocks(self, engine, class_name: str, index, nodes: int) -> None:
         self.emit("debug", "build_phase", phase=f"class:{class_name}", nodes=nodes)
@@ -178,14 +145,6 @@ class Telemetry(Observer):
     def on_chunk(self, lane: str, seconds: float, pairs: int, payload) -> None:
         if payload is not None:
             self._relay().absorb(payload)
-        if self.metrics is not None:
-            self.metrics.histogram(
-                "repro_supervised_chunk_seconds",
-                "parent-observed seconds from chunk submission to harvest",
-            ).observe(seconds)
-
-    def on_step(self, engine, step: int) -> None:
-        self._queued = len(engine.queue)
 
     def on_decision(self, engine, node, decision: str, evidence, seconds) -> None:
         prov = self.provenance
@@ -209,15 +168,10 @@ class Telemetry(Observer):
                 trigger_pair=trigger_pair,
                 recompute_index=node.recompute_count,
             )
-        if seconds is not None and self._hists is not None:
-            self._hists[0].observe(seconds)
-            self._hists[1].observe(self._queued)
         if self._steps is None:
             return
         self._steps += 1
         if self._steps % _ITERATE_CHUNK == 0:
-            if self._hists is not None:
-                self._hists[2].observe(len(engine.queue))
             self.emit(
                 "debug",
                 "iterate_progress",

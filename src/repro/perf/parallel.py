@@ -166,5 +166,4 @@ def _score_chunk(payload):
     recorder.count("repro_worker_chunks_total")
     recorder.count("repro_worker_pairs_scored_total", len(pairs))
     recorder.absorb_pair_stats(stats)
-    recorder.observe("repro_worker_chunk_seconds", duration)
     return results, recorder.drain()

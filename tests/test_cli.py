@@ -61,6 +61,56 @@ class TestParser:
         args = build_parser().parse_args(["evaluate", "ds", flag, value])
         assert getattr(args, flag.lstrip("-").replace("-", "_")) == parsed
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--quality-tolerance", "nan"),
+            ("--quality-tolerance", "-0.1"),
+            ("--phase-tolerance", "nan"),
+            ("--phase-tolerance", "-1"),
+            ("--phase-floor", "nan"),
+            ("--phase-floor", "-0.05"),
+            ("--max-flips", "-3"),
+        ],
+    )
+    def test_bad_diff_tolerance_rejected_at_parse_time(
+        self, tmp_path, flag, value, capsys
+    ):
+        # Parsing fails before either run directory is read.
+        run = str(tmp_path / "missing-run")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["diff", run, run, flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, parsed",
+        [
+            ("--quality-tolerance", "0", 0.0),
+            ("--phase-tolerance", "0", 0.0),
+            ("--phase-floor", "0", 0.0),
+            ("--max-flips", "0", 0),
+        ],
+    )
+    def test_diff_tolerance_bounds_are_inclusive(self, flag, value, parsed):
+        args = build_parser().parse_args(["diff", "a", "b", flag, value])
+        assert getattr(args, flag.lstrip("-").replace("-", "_")) == parsed
+
+    @pytest.mark.parametrize("value", ["-1", "0", "-0.0", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["generate", "A", "{dir}"], ["tables", "1"], ["report", "{dir}/r.md"]],
+        ids=["generate", "tables", "report"],
+    )
+    def test_bad_scale_rejected_at_parse_time(self, tmp_path, argv, value, capsys):
+        directory = tmp_path / "out"
+        argv = [arg.replace("{dir}", str(directory)) for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--scale", value])
+        assert exit_info.value.code == 2
+        assert "argument --scale: must be a finite number > 0" in capsys.readouterr().err
+        assert not directory.exists()
+
 
 class TestCommands:
     def test_generate_writes_files(self, dataset_dir):

@@ -1,6 +1,6 @@
-"""End-to-end observability through the CLI: `--log-json`, `--trace`,
-`--metrics` and `--provenance` on real commands, plus the provenance-
-replaying `explain`."""
+"""End-to-end observability through the CLI: `--log-json`, `--trace`
+and `--provenance` on real commands, plus the provenance-replaying
+`explain`."""
 
 import json
 import shutil
@@ -11,7 +11,6 @@ from repro.cli import main
 from repro.obs import (
     validate_chrome_trace,
     validate_event_log,
-    validate_metrics_snapshot,
     validate_provenance_jsonl,
 )
 
@@ -33,7 +32,6 @@ def observed_run(dataset_dir, tmp_path_factory):
         "--log-json", str(out / "events.jsonl"),
         "--log-level", "debug",
         "--trace", str(out / "trace.json"),
-        "--metrics", str(out / "metrics.json"),
         "--provenance", str(out / "prov.jsonl"),
     ])
     assert code == 0
@@ -66,11 +64,6 @@ class TestFlagsEndToEnd:
         names = {event["name"] for event in trace["traceEvents"]}
         assert "build" in names
         assert "iterate" in names
-
-    def test_metrics_snapshot_validates(self, observed_run):
-        snapshot = json.loads((observed_run / "metrics.json").read_text())
-        assert validate_metrics_snapshot(snapshot) > 0
-        assert snapshot["repro_merges_total"]["value"] > 0
 
     def test_provenance_jsonl_validates(self, observed_run):
         assert validate_provenance_jsonl(observed_run / "prov.jsonl") > 0
@@ -203,7 +196,6 @@ class TestRunDir:
 _RUN_DIR_COMMANDS = {
     "explain": ["explain", "unused-dataset", "a", "b", "--run", "{run}"],
     "diff": ["diff", "{run}", "{run}"],
-    "report": ["report", "{run}"],
     "doctor": ["doctor", "{run}"],
     "hotspots": ["hotspots", "{run}"],
 }
@@ -228,7 +220,7 @@ def test_run_dir_commands_refuse_missing_or_torn_manifest(
     assert "run.json" in err
 
 
-@pytest.mark.parametrize("command", ["diff", "explain", "report"])
+@pytest.mark.parametrize("command", ["diff", "explain"])
 def test_torn_provenance_exits_2_naming_file_and_line(
     command, run_dir, tmp_path, capsys
 ):
@@ -244,10 +236,35 @@ def test_torn_provenance_exits_2_naming_file_and_line(
     argv = {
         "diff": ["diff", str(run), str(run)],
         "explain": ["explain", "unused-dataset", "a", "b", "--run", str(run)],
-        "report": ["report", str(run)],
     }[command]
     assert main(argv) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err
     assert f"provenance.jsonl:{torn_line}" in err
+
+
+@pytest.mark.parametrize("form", ["directory", "run.json"])
+def test_report_refuses_a_recorded_run_before_any_work(
+    form, run_dir, monkeypatch, capsys
+):
+    """``report`` writes only the markdown experiments report: a run
+    directory (or its run.json) exits 2 with one stderr line naming the
+    commands that read a recorded run, before the experiment suite
+    runs and without touching the run."""
+    import repro.evaluation.report as experiments_report
+
+    def suite_ran(*args, **kwargs):
+        raise AssertionError("the experiment suite ran")
+
+    monkeypatch.setattr(experiments_report, "build_report", suite_ran)
+    before = sorted(path.name for path in run_dir.iterdir())
+    target = run_dir if form == "directory" else run_dir / "run.json"
+    assert main(["report", str(target)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert len(err.splitlines()) == 1, err
+    for command in ("doctor", "hotspots", "explain --run"):
+        assert command in err
+    assert captured.out == ""
+    assert sorted(path.name for path in run_dir.iterdir()) == before

@@ -8,9 +8,7 @@ Contracts under test:
 * a clean `--run-dir` run leaves no crash bundle and doctor exits 0;
 * a guard-tripped run, a chaos-killed worker, and an unhandled engine
   exception each leave a schema-valid, atomically-written bundle and
-  doctor exits 1 — deterministically, run after run;
-* `repro report` renders explicit "not recorded" placeholders for
-  absent optional artifacts instead of omitting sections.
+  doctor exits 1 — deterministically, run after run.
 """
 
 import json
@@ -341,18 +339,3 @@ class TestHotspotsCommand:
         )
         assert main(["hotspots", str(tmp_path)]) == 2
         assert "no hotspot attribution" in capsys.readouterr().err
-
-
-class TestReportPlaceholders:
-    def test_absent_artifacts_render_explicit_placeholders(
-        self, dataset_dir, tmp_path, capsys
-    ):
-        run_dir = tmp_path / "run"
-        assert main(["evaluate", str(dataset_dir), "--run-dir", str(run_dir)]) == 0
-        assert main(["report", str(run_dir)]) == 0
-        html = (run_dir / "report.html").read_text()
-        # Serial run without --trace: every optional section is
-        # present with an explicit "not recorded" note, never omitted.
-        assert "No trace recorded" in html
-        assert "<h2>Workload hotspots</h2>" in html
-        assert "blocking skew" in html.lower() or "Gini" in html

@@ -39,7 +39,6 @@ from repro.obs import (
     load_crash_bundle,
     validate_crash_bundle,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.similarity import clear_similarity_caches
 
 
@@ -225,21 +224,6 @@ class TestHotspotSketch:
         assert summary["top_pairs"][0]["pair"] == "A:r1|r2"
         assert {c["channel"] for c in summary["channels"]} == {"name", "email"}
 
-    def test_export_metrics_gauges(self):
-        sketch = HotspotSketch()
-        sketch.note_blocks("A", self._index({"x": 4, "y": 1}, oversized=1))
-        registry = MetricsRegistry()
-        sketch.export_metrics(registry)
-        snapshot = registry.snapshot()
-        assert snapshot["repro_block_skew_gini"]["value"] > 0
-        assert snapshot["repro_block_max_pair_share"]["value"] == 1.0
-        assert snapshot["repro_oversized_blocks"]["value"] == 1
-
-    def test_export_metrics_noop_when_empty(self):
-        registry = MetricsRegistry()
-        HotspotSketch().export_metrics(registry)
-        assert "repro_block_skew_gini" not in registry
-
 
 class TestCrashBundle:
     def test_bundle_from_finished_engine(self, tiny_pim_a):
@@ -311,14 +295,13 @@ class TestCrashBundle:
         assert "<object object" in path.read_text()
 
     def test_lane_rings_feed_worker_lanes(self):
-        relay = TelemetryRelay(Telemetry.enabled(metrics=True))
+        relay = TelemetryRelay(Telemetry.enabled(trace=True))
         payload = {
             "pid": 4242,
             "tid": 1,
             "process_name": "scoring worker",
             "spans": [("score_chunk", "worker", 0.0, 0.1, {})],
             "counters": {"repro_worker_chunks_total": 1},
-            "observations": {},
             "events": [("info", "chunk_done", {})],
         }
         relay.absorb(dict(payload))
@@ -338,7 +321,7 @@ class TestCrashBundle:
     def test_lane_ring_eviction_is_bounded(self):
         from repro.obs.relay import _LANE_RING_DEPTH, _MAX_LANE_RINGS
 
-        relay = TelemetryRelay(Telemetry.enabled(metrics=True))
+        relay = TelemetryRelay(Telemetry.enabled(trace=True))
         for pid in range(_MAX_LANE_RINGS + 10):
             for _ in range(_LANE_RING_DEPTH + 3):
                 relay.absorb(
@@ -348,7 +331,6 @@ class TestCrashBundle:
                         "process_name": "scoring worker",
                         "spans": [],
                         "counters": {"c": 1},
-                        "observations": {},
                         "events": [],
                     }
                 )
@@ -375,7 +357,7 @@ def _observed_run(dataset, domain_factory, config, *, detach):
     """One run with provenance recording; *detach* leaves out the
     recorder and the sketch."""
     clear_similarity_caches()
-    telemetry = Telemetry.enabled(provenance=True, metrics=True)
+    telemetry = Telemetry.enabled(provenance=True)
     observers = [telemetry]
     if not detach:
         observers += [FlightRecorder(), HotspotSketch()]

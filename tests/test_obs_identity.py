@@ -67,7 +67,6 @@ def test_partition_identical_with_all_sinks_attached(name, tmp_path):
         log_path=tmp_path / "events.jsonl",
         log_level="debug",
         trace=True,
-        metrics=True,
         provenance=True,
         provenance_path=tmp_path / "prov.jsonl",
     )
@@ -78,12 +77,11 @@ def test_partition_identical_with_all_sinks_attached(name, tmp_path):
     assert validate_event_log(tmp_path / "events.jsonl") > 0
     assert len(telemetry.tracer.spans) > 0
     assert len(telemetry.provenance) > 0
-    assert "repro_merges_total" in telemetry.metrics
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "cora"])
 def test_parallel_run_identical_with_full_observability(name, tmp_path):
-    """Every observer at once — all four sinks and the cross-process
+    """Every observer at once — all three sinks and the cross-process
     relay (implied by workers + telemetry) — on a parallel engine, and
     the partition still matches a bare serial run."""
     dataset, domain_factory = _dataset(name)
@@ -93,7 +91,6 @@ def test_parallel_run_identical_with_full_observability(name, tmp_path):
         log_path=tmp_path / "events.jsonl",
         log_level="debug",
         trace=True,
-        metrics=True,
         provenance=True,
         provenance_path=tmp_path / "prov.jsonl",
     )
@@ -111,7 +108,7 @@ def test_parallel_run_identical_with_full_observability(name, tmp_path):
 
 def test_counters_identical_with_and_without_telemetry(tiny_pim_a):
     plain, plain_result = _run(tiny_pim_a, PimDomainModel)
-    telemetry = Telemetry.enabled(trace=True, metrics=True, provenance=True)
+    telemetry = Telemetry.enabled(trace=True, provenance=True)
     observed, observed_result = _run(tiny_pim_a, PimDomainModel, telemetry=telemetry)
     assert observed_result.partitions == plain_result.partitions
     # Every counter — wall-clock aside — must match exactly, including
@@ -134,7 +131,7 @@ def test_default_engine_subscribes_flight_and_hotspots(tiny_pim_a):
 def test_engine_state_carries_no_telemetry(tiny_pim_a):
     """Checkpoint payloads are identical with telemetry on or off."""
     plain, _ = _run(tiny_pim_a, PimDomainModel)
-    telemetry = Telemetry.enabled(trace=True, metrics=True, provenance=True)
+    telemetry = Telemetry.enabled(trace=True, provenance=True)
     observed, _ = _run(tiny_pim_a, PimDomainModel, telemetry=telemetry)
 
     def canonical(engine):
@@ -213,7 +210,7 @@ def test_null_sink_overhead_smoke(tiny_pim_a):
     # accidentally enabled by default), not micro-variance.
     clear_similarity_caches()
     start = time.perf_counter()
-    telemetry = Telemetry.enabled(trace=True, metrics=True)
+    telemetry = Telemetry.enabled(trace=True)
     Reconciler(
         tiny_pim_a.store, domain, EngineConfig(), observers=_observers(telemetry)
     ).run()

@@ -14,7 +14,6 @@ from repro.domains import CoraDomainModel, PimDomainModel
 from repro.obs import (
     FlightRecorder,
     HotspotSketch,
-    MetricsRegistry,
     ProvenanceLog,
     SchemaError,
     Telemetry,
@@ -115,7 +114,7 @@ class TestManifestShape:
         run_dir.mkdir()
         assert resolve_artifact(manifest, run_dir, "provenance") == run_dir / "prov.jsonl"
         assert str(resolve_artifact(manifest, run_dir, "trace")) == "/abs/t.json"
-        assert resolve_artifact(manifest, run_dir, "metrics") is None
+        assert resolve_artifact(manifest, run_dir, "events") is None
 
 
 class TestInvariance:
@@ -125,7 +124,6 @@ class TestInvariance:
         bare = _run(dataset, name, observers=())
         telemetry = Telemetry(
             tracer=Tracer(),
-            metrics=MetricsRegistry(),
             provenance=ProvenanceLog(tmp_path / f"{name}.jsonl"),
         )
         observed = _run(

@@ -21,11 +21,11 @@ from repro.obs import (
     Telemetry,
     TelemetryRelay,
     WorkerTelemetry,
+    build_manifest,
     trace_process_names,
     validate_chrome_trace,
     validate_event_log,
 )
-from repro.obs.relay import WORKER_METRIC_HELP
 from repro.runtime import Checkpointer, CrashAtStep, InjectedFault
 from repro.similarity import clear_similarity_caches
 
@@ -35,14 +35,12 @@ class TestWorkerTelemetry:
         recorder = WorkerTelemetry("scoring worker")
         recorder.add_span("score_chunk", 1.0, 0.5, pairs=3)
         recorder.count("repro_worker_chunks_total")
-        recorder.observe("repro_worker_chunk_seconds", 0.5)
         recorder.emit("warning", "something", detail="x")
         payload = recorder.drain()
         assert payload["process_name"] == "scoring worker"
         assert payload["pid"] == recorder.pid
         assert payload["spans"][0][0] == "score_chunk"
         assert payload["counters"] == {"repro_worker_chunks_total": 1}
-        assert payload["observations"] == {"repro_worker_chunk_seconds": [0.5]}
         assert payload["events"][0][1] == "something"
         # Buffers are deltas: a second drain with nothing new is None.
         assert recorder.drain() is None
@@ -73,7 +71,6 @@ class TestTelemetryRelay:
             log_path=tmp_path / "events.jsonl",
             log_level="debug",
             trace=True,
-            metrics=True,
         )
 
     def test_absorb_builds_named_foreign_lanes(self, tmp_path):
@@ -83,7 +80,6 @@ class TestTelemetryRelay:
         recorder.pid, recorder.tid = 4242, 4243  # a genuinely foreign lane
         recorder.add_span("score_chunk", telemetry.tracer.epoch, 0.25, pairs=7)
         recorder.count("repro_worker_chunks_total")
-        recorder.observe("repro_worker_chunk_seconds", 0.25)
         recorder.emit("warning", "worker_event", detail="d")
         relay.absorb(recorder.drain())
         telemetry.close()
@@ -95,7 +91,7 @@ class TestTelemetryRelay:
         assert len(names) == 2  # engine lane + the worker lane
         foreign = [e for e in trace["traceEvents"] if e.get("pid") == 4242]
         assert any(e["ph"] == "X" and e["name"] == "score_chunk" for e in foreign)
-        assert "repro_worker_chunks_total" in telemetry.metrics
+        assert relay.counters == {"repro_worker_chunks_total": 1}
         events = [
             json.loads(line)
             for line in (tmp_path / "events.jsonl").read_text().splitlines()
@@ -124,9 +120,9 @@ class TestTelemetryRelay:
         trace = telemetry.tracer.chrome_trace()
         deaths = [e for e in trace["traceEvents"] if e.get("name") == "lane_died"]
         assert deaths and deaths[0]["pid"] == 999
-        snapshot = telemetry.metrics.snapshot()
-        assert snapshot["repro_lane_deaths_total"]["value"] == 1
-        assert relay.summary()["lane_deaths"][0]["pid"] == 999
+        summary = relay.summary()
+        assert summary["counters"]["repro_lane_deaths_total"] == 1
+        assert summary["lane_deaths"][0]["pid"] == 999
 
     def test_provenance_only_telemetry_gets_no_relay(self):
         from repro.obs import ProvenanceLog
@@ -158,7 +154,6 @@ class TestParallelRunEndToEnd:
             log_path=tmp_path / "events.jsonl",
             log_level="debug",
             trace=True,
-            metrics=True,
         )
         config = EngineConfig(workers=2)
         engine = Reconciler(
@@ -190,15 +185,16 @@ class TestParallelRunEndToEnd:
             for event in trace["traceEvents"]
         )
 
-    def test_worker_counters_fold_into_parent_metrics(self, observed):
-        _, _, telemetry = observed
-        snapshot = telemetry.metrics.snapshot()
-        assert snapshot["repro_worker_chunks_total"]["value"] > 0
-        assert snapshot["repro_worker_chunk_seconds"]["count"] > 0
-        assert snapshot["repro_supervised_chunk_seconds"]["count"] > 0
-        for name in snapshot:
-            if name in WORKER_METRIC_HELP:
-                assert snapshot[name]["help"] == WORKER_METRIC_HELP[name]
+    def test_worker_counters_fold_into_parent_metrics(self, dataset, observed):
+        # The parent's record of the workers' counters is the run
+        # manifest's execution.worker_telemetry.
+        engine, result, _ = observed
+        manifest = build_manifest(dataset=dataset, reconciler=engine, result=result)
+        counters = manifest["execution"]["worker_telemetry"]["counters"]
+        assert counters["repro_worker_chunks_total"] > 0
+        assert 0 < counters["repro_worker_pairs_scored_total"] <= (
+            manifest["counters"]["candidate_pairs"]
+        )
 
     def test_relay_summary_reaches_the_engine(self, observed):
         engine, _, _ = observed
@@ -206,25 +202,6 @@ class TestParallelRunEndToEnd:
         assert summary["lane_count"] >= 2
         assert summary["lane_deaths"] == []
         assert summary["counters"]["repro_worker_chunks_total"] > 0
-
-
-def test_queue_depth_histogram_samples_each_chunk(monkeypatch, tiny_pim_a):
-    import repro.obs.telemetry as telemetry_module
-
-    monkeypatch.setattr(telemetry_module, "_ITERATE_CHUNK", 5)
-    clear_similarity_caches()
-    baseline = Reconciler(
-        tiny_pim_a.store, PimDomainModel(), EngineConfig()
-    ).run()
-    clear_similarity_caches()
-    telemetry = Telemetry.enabled(metrics=True)
-    engine = Reconciler(
-        tiny_pim_a.store, PimDomainModel(), EngineConfig(), observers=[telemetry]
-    )
-    result = engine.run()
-    snapshot = telemetry.metrics.snapshot()
-    assert snapshot["repro_iterate_queue_depth"]["count"] > 0
-    assert result.partitions == baseline.partitions
 
 
 def test_resume_append_continues_relay_telemetry(tmp_path):
@@ -235,7 +212,7 @@ def test_resume_append_continues_relay_telemetry(tmp_path):
 
     clear_similarity_caches()
     telemetry = Telemetry.enabled(
-        log_path=log_path, log_level="debug", trace=True, metrics=True
+        log_path=log_path, log_level="debug", trace=True
     )
     engine = Reconciler(
         dataset.store,
@@ -251,7 +228,7 @@ def test_resume_append_continues_relay_telemetry(tmp_path):
     assert events_before_crash > 0
 
     resumed_telemetry = Telemetry.enabled(
-        log_path=log_path, log_level="debug", trace=True, metrics=True
+        log_path=log_path, log_level="debug", trace=True
     )
     resumed = Reconciler.resume(
         checkpointer.path,

@@ -1,21 +1,15 @@
 """Unit tests for the observability primitives: event log, tracer,
-metrics registry, schema validators and stats renderers."""
+schema validators and stats renderers."""
 
 import io
 import json
-import math
 
 import pytest
 
 from repro.core.engine import EngineStats
 from repro.obs import (
     LEVELS,
-    Counter,
     EventLog,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    SchemaError,
     Telemetry,
     Tracer,
     hit_rate,
@@ -24,7 +18,6 @@ from repro.obs import (
     validate_chrome_trace,
     validate_event,
     validate_event_log,
-    validate_metrics_snapshot,
 )
 
 
@@ -123,88 +116,6 @@ class TestTracer:
         assert [s.name for s in tracer.spans] == ["doomed"]
 
 
-class TestMetrics:
-    def test_counter_gauge_histogram_basics(self):
-        counter = Counter("repro_merges_total")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        gauge = Gauge("repro_queue_size")
-        gauge.set(17)
-        assert gauge.value == 17
-        hist = Histogram("repro_latency_seconds", buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 5.0):
-            hist.observe(value)
-        assert hist.count == 3
-        assert hist.sum == pytest.approx(5.55)
-        assert hist.cumulative() == [(0.1, 1), (1.0, 2), (math.inf, 3)]
-
-    def test_registry_create_or_get(self):
-        registry = MetricsRegistry()
-        assert registry.counter("repro_x_total") is registry.counter("repro_x_total")
-        with pytest.raises(TypeError):
-            registry.gauge("repro_x_total")  # same name, different kind
-
-    def test_absorb_stats_maps_engine_counters(self):
-        stats = EngineStats()
-        stats.merges = 7
-        stats.recomputations = 21
-        stats.feature_cache_hits = 90
-        stats.feature_cache_misses = 10
-        registry = MetricsRegistry()
-        registry.absorb_stats(stats)
-        snapshot = registry.snapshot()
-        assert snapshot["repro_merges_total"]["value"] == 7
-        assert snapshot["repro_recomputations_total"]["value"] == 21
-        assert registry.cache_hit_rates()["feature"] == pytest.approx(0.9)
-        assert validate_metrics_snapshot(snapshot) == len(snapshot)
-
-    def test_snapshot_histogram_schema_roundtrip(self, tmp_path):
-        registry = MetricsRegistry()
-        hist = registry.histogram("repro_recompute_seconds")
-        for value in (0.0001, 0.001, 0.5):
-            hist.observe(value)
-        path = registry.write(tmp_path / "metrics.json")
-        snapshot = json.loads(path.read_text())
-        assert validate_metrics_snapshot(snapshot) == 1
-        restored = snapshot["repro_recompute_seconds"]
-        assert restored["count"] == 3
-        assert restored["buckets"]["+Inf"] == 3
-
-    def test_write_is_json_whatever_the_suffix(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("repro_merges_total", "merge decisions").inc(3)
-        registry.histogram("repro_queue_depth", buckets=(1, 10)).observe(4)
-        path = registry.write(tmp_path / "metrics.prom")
-        assert json.loads(path.read_text()) == registry.snapshot()
-
-    def test_snapshot_carries_labels_and_validates(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_merges_total", "merges").inc()
-        registry.absorb_run_info(dataset='d"s', algorithm="depgraph")
-        snapshot = registry.snapshot()
-        assert validate_metrics_snapshot(snapshot) >= 2
-        info = snapshot["repro_run_info"]
-        assert info["labels"] == {"dataset": 'd"s', "algorithm": "depgraph"}
-        assert snapshot["repro_merges_total"].get("labels") is None
-
-    def test_absorb_run_info_updates_labels(self):
-        registry = MetricsRegistry()
-        registry.absorb_run_info(dataset="first", algorithm="depgraph")
-        registry.absorb_run_info(dataset="second", algorithm="depgraph")
-        assert registry.snapshot()["repro_run_info"]["labels"]["dataset"] == "second"
-
-    def test_broken_snapshot_rejected(self):
-        with pytest.raises(SchemaError):
-            validate_metrics_snapshot({"x": {"type": "teapot"}})
-        with pytest.raises(SchemaError):
-            # +Inf bucket disagreeing with count is a truncated export.
-            validate_metrics_snapshot({
-                "x": {"type": "histogram", "count": 3, "sum": 1.0,
-                      "buckets": {"+Inf": 2}},
-            })
-
-
 class TestNullTelemetry:
     def test_null_sinks_are_inert(self):
         telemetry = Telemetry()
@@ -221,23 +132,20 @@ class TestNullTelemetry:
         telemetry.close()
         assert telemetry.log is None
         assert telemetry.tracer is None
-        assert telemetry.metrics is None
         assert telemetry.provenance is None
 
     def test_enabled_constructor_wires_requested_sinks(self, tmp_path):
         telemetry = Telemetry.enabled(
-            log_path=tmp_path / "e.jsonl", trace=True, metrics=True,
-            provenance=True,
+            log_path=tmp_path / "e.jsonl", trace=True, provenance=True,
         )
         assert telemetry.active is True
         assert telemetry.log is not None
         assert telemetry.tracer is not None
-        assert telemetry.metrics is not None
         assert telemetry.provenance is not None
         telemetry.close()
 
     def test_partial_telemetry_span_without_tracer(self):
-        telemetry = Telemetry(metrics=MetricsRegistry())
+        telemetry = Telemetry(log=EventLog(stream=io.StringIO()))
         assert telemetry.active is True
         # A phase is a span; with no tracer installed it must not raise.
         telemetry.on_phase_begin(None, "wire_weak")
