@@ -69,6 +69,7 @@ from .obs import (
     render_stats,
     write_manifest,
 )
+from .runtime import ReproError
 
 __all__ = ["main", "build_parser"]
 
@@ -95,6 +96,16 @@ def _at_least(minimum, kind):
 
     parse.__name__ = kind.__name__
     return parse
+
+
+def _deadline(text: str) -> float:
+    """Argparse ``type=`` of ``--deadline``: a finite number of seconds
+    >= 0, the bounds :class:`~repro.runtime.guards.RunGuard` enforces
+    (an infinite deadline could never trip)."""
+    value = _at_least(0, float)(text)
+    if value == math.inf:
+        raise argparse.ArgumentTypeError(f"must be >= 0 and finite, got {text}")
+    return value
 
 
 def _scale(text: str) -> float:
@@ -192,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         runtime = runner.add_argument_group("runtime (fault tolerance)")
         runtime.add_argument(
-            "--deadline", type=_at_least(0, float), default=None, metavar="SECONDS",
+            "--deadline", type=_deadline, default=None, metavar="SECONDS",
             help="wall-clock budget; past it the run stops gracefully with "
             "a partial (but valid) partition",
         )
@@ -771,8 +782,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except RunDirError as exc:
-        # A run-dir command pointed at a missing or torn run.json.
+    except (RunDirError, ReproError) as exc:
+        # A run-dir command pointed at a missing or torn run.json, or a
+        # typed runtime failure (bad data, unusable checkpoint): one
+        # line, not a traceback.
         print(exc, file=sys.stderr)
         return 2
     except BrokenPipeError:

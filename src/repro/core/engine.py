@@ -31,7 +31,7 @@ from pathlib import Path
 
 from ..obs import FlightRecorder, HotspotSketch, Observer, Observers
 from ..perf.scoring import pair_evidence
-from ..runtime.errors import BudgetExceeded, DeadlineExceeded, GuardTripped, QueueEmpty
+from ..runtime.errors import QueueEmpty
 from ..runtime.guards import DegradationEvent
 from .blocking import BlockingIndex
 from .graph import DependencyGraph
@@ -92,7 +92,7 @@ class EngineStats:
     #: only when :meth:`Reconciler.attach_convergence` was called.
     convergence_samples: list[dict] = field(default_factory=list)
     #: structured trail of everything that degraded during the run
-    #: (guard trips, pruned weak fan-out, baseline fallbacks).
+    #: (guard trips, pruned weak fan-out, serial-build fallbacks).
     degradations: list[DegradationEvent] = field(default_factory=list)
 
 
@@ -701,37 +701,31 @@ class Reconciler:
     # ------------------------------------------------------------------
     # iterate
     # ------------------------------------------------------------------
-    def run(
-        self,
-        *,
-        guard=None,
-        checkpointer=None,
-        raise_on_trip: bool = False,
-    ) -> ReconciliationResult:
+    def run(self, *, guard=None, checkpointer=None) -> ReconciliationResult:
         """Execute the full algorithm and return the partition.
 
-        ``guard`` is an optional :class:`~repro.runtime.guards.RunGuard`
-        checked once per iteration; a trip ends the run gracefully with
-        ``completed=False`` and the trip's reason, unless
-        ``raise_on_trip`` is set (the resilient wrapper catches the
-        typed exception instead). ``checkpointer`` (a
+        ``guard`` is an optional :class:`~repro.runtime.guards.RunGuard`,
+        the one way a run stops before its fixpoint: its deadline is
+        anchored before the build and it is checked once per iteration;
+        a trip ends the run gracefully with ``completed=False`` and the
+        trip's reason. ``checkpointer`` (a
         :class:`~repro.runtime.checkpoint.Checkpointer`) periodically
         serialises the full engine state so a killed run can continue
         via :meth:`resume`. An exception raised by a subscriber's step
         callback propagates (the fault-injection seam: a simulated crash).
         """
+        if guard is not None:
+            guard.start()
         if not self._built:
             self.build()
         started = time.perf_counter()
-        if guard is not None:
-            guard.start()
         self.stop_reason = "converged"
         self.observers.phase_begin(self, "iterate", queued=len(self.queue))
         # Always leave at least one checkpoint behind, even if the run
         # dies on its very first step.
         if checkpointer is not None and checkpointer.maybe_save(self, 0) is not None:
             self.observers.event("info", "checkpoint_saved", step=0)
-        step, trip = self._iterate_loop(guard=guard, checkpointer=checkpointer)
+        step = self._iterate_loop(guard=guard, checkpointer=checkpointer)
         if self._convergence is not None:
             self._sample_convergence(final=True)
         self.stats.iterate_seconds += time.perf_counter() - started
@@ -749,43 +743,22 @@ class Reconciler:
             merges=self.stats.merges,
             non_merges=self.stats.non_merges,
         )
-        if trip is not None and raise_on_trip:
-            raise trip
         return self._result()
 
-    def _iterate_loop(self, *, guard, checkpointer):
-        """The §3.2 pop/process loop. Returns ``(steps, trip)``."""
-        budget = self.config.max_recomputations
+    def _iterate_loop(self, *, guard, checkpointer) -> int:
+        """The §3.2 pop/process loop. Returns the number of steps."""
         step = 0
-        trip: GuardTripped | None = None
         while self.queue:
             if self._convergence is not None:
                 self._sample_convergence()
-            if budget is not None and self.stats.recomputations >= budget:
-                self.stop_reason = "budget"
-                self._degrade(
-                    DegradationEvent(
-                        kind="budget",
-                        detail=(
-                            f"max_recomputations={budget} exhausted with "
-                            f"{len(self.queue)} nodes still queued"
-                        ),
-                        recomputations=self.stats.recomputations,
-                    )
-                )
-                break
             if guard is not None:
-                try:
-                    guard.check(
-                        recomputations=self.stats.recomputations,
-                        queue_size=len(self.queue),
-                        graph_nodes=len(self.graph),
-                    )
-                except (BudgetExceeded, DeadlineExceeded) as exc:
-                    self.stop_reason = exc.event.kind if exc.event else "guard"
-                    if exc.event is not None:
-                        self._degrade(exc.event)
-                    trip = exc
+                event = guard.check(
+                    recomputations=self.stats.recomputations,
+                    queue_size=len(self.queue),
+                )
+                if event is not None:
+                    self.stop_reason = event.kind
+                    self._degrade(event)
                     break
             self.observers.step(self, step)
             try:
@@ -800,7 +773,7 @@ class Reconciler:
             step += 1
             if checkpointer is not None and checkpointer.maybe_save(self, step) is not None:
                 self.observers.event("info", "checkpoint_saved", step=step)
-        return step, trip
+        return step
 
     @classmethod
     def resume(
@@ -1093,17 +1066,6 @@ class Reconciler:
     # ------------------------------------------------------------------
     # result
     # ------------------------------------------------------------------
-    def partial_result(self) -> ReconciliationResult:
-        """Finalize whatever has been decided so far.
-
-        Every merge already taken is transitively closed by the
-        union-find, so the partial partition is a valid (if
-        conservative) answer; ``completed`` / ``stop_reason`` on the
-        result say how far the run got. Used by the resilient wrapper
-        after a guard trip.
-        """
-        return self._result()
-
     def _merge_result_clusters(self, survivor: str, absorbed: str) -> None:
         """Union-find merge hook: fold the absorbed root's cached
         clusters into the survivor's, class by class."""

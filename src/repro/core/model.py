@@ -279,8 +279,6 @@ class EngineConfig:
     disabled_channels: frozenset[str] = frozenset()
     disabled_strong: frozenset[tuple[str, str]] = frozenset()
     disabled_weak: frozenset[str] = frozenset()
-    #: safety valve for runaway propagation; None = unbounded.
-    max_recomputations: int | None = None
     #: skip blocking buckets larger than this (a key shared by half the
     #: dataset carries no signal); None = unbounded.
     max_block_size: int | None = 1000

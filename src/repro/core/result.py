@@ -23,9 +23,9 @@ class ReconciliationResult:
     closure of all merge decisions (honouring non-merge constraints).
 
     ``completed`` distinguishes a converged fixpoint from a run that
-    was cut short; when it is ``False``, ``stop_reason`` says why
-    (``"budget"``, ``"deadline"``, ``"queue_ceiling"``,
-    ``"graph_ceiling"``) and ``degradations`` carries the structured
+    was cut short by a :class:`~repro.runtime.guards.RunGuard` trip;
+    when it is ``False``, ``stop_reason`` says why (``"deadline"`` or
+    ``"budget"``) and ``degradations`` carries the structured
     trail of everything that degraded on the way — a truncated run is
     still a valid partition, just not the fixpoint one.
     """

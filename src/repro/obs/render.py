@@ -158,7 +158,7 @@ def render_diff(verdict) -> str:
 
 
 #: degradation kinds produced by RunGuard trips.
-_GUARD_KINDS = {"deadline", "budget", "queue_ceiling", "graph_ceiling"}
+_GUARD_KINDS = {"deadline", "budget"}
 
 
 def render_hotspots(summary: dict) -> str:
@@ -253,7 +253,8 @@ def _doctor_hints(bundle: dict | None, manifest: dict | None) -> list:
         if skewed:
             hints.append(
                 "blocking is skew-dominated for " + ", ".join(skewed)
-                + "; consider --max-block-size or finer blocking keys"
+                + "; consider a lower EngineConfig.max_block_size or finer "
+                "blocking keys"
             )
     return hints
 

@@ -5,12 +5,11 @@ about degradation:
 
 * :mod:`~repro.runtime.errors` — the typed exception taxonomy
   (:class:`ReproError` and friends),
-* :mod:`~repro.runtime.guards` — :class:`RunGuard` deadline / budget /
-  growth ceilings and :class:`DegradationEvent`,
+* :mod:`~repro.runtime.guards` — :class:`RunGuard`, the deadline and
+  recomputation budget that are the one way a run stops before its
+  fixpoint, and :class:`DegradationEvent`,
 * :mod:`~repro.runtime.checkpoint` — atomic, checksummed engine-state
   checkpoints and :class:`Checkpointer`,
-* :mod:`~repro.runtime.degrade` — :class:`ResilientReconciler`, the
-  guard-and-fall-back wrapper,
 * :mod:`~repro.runtime.supervisor` — :class:`SupervisedScorer`, the
   fork pool for parallel scoring; any failure kills it and the engine
   scores the rest of the build serially,
@@ -27,11 +26,8 @@ back) load lazily on first attribute access.
 """
 
 from .errors import (
-    BudgetExceeded,
     CheckpointError,
     DataError,
-    DeadlineExceeded,
-    GuardTripped,
     InjectedFault,
     QueueEmpty,
     ReproError,
@@ -47,7 +43,6 @@ _LAZY = {
     "load_checkpoint": "checkpoint",
     "restore_engine": "checkpoint",
     "save_checkpoint": "checkpoint",
-    "ResilientReconciler": "degrade",
     "ChaosInjector": "faults",
     "CrashAtStep": "faults",
     "corrupt_checkpoint": "faults",
@@ -60,9 +55,6 @@ __all__ = [
     "ReproError",
     "DataError",
     "QueueEmpty",
-    "GuardTripped",
-    "BudgetExceeded",
-    "DeadlineExceeded",
     "CheckpointError",
     "InjectedFault",
     *sorted(_LAZY),

@@ -2,7 +2,7 @@
 
 A checkpoint is one JSON document::
 
-    {"version": 3, "checksum": "<sha256 of canonical payload>", "payload": {...}}
+    {"version": 4, "checksum": "<sha256 of canonical payload>", "payload": {...}}
 
 where the payload captures the *complete* mutable engine state at an
 iterate-step boundary: union-find parents/sizes/enemies, the active
@@ -39,7 +39,10 @@ is what lets ``run.json`` manifests satisfy their invariance contract
 
 The version changes whenever the payload's shape does, so a file from
 another code generation is refused with a typed :class:`CheckpointError`
-instead of failing inside ``EngineStats``.
+instead of failing inside ``EngineStats``. Version 4 dropped
+``max_recomputations`` from the configuration fingerprint, because the
+recomputation budget moved from ``EngineConfig`` to the
+:class:`~repro.runtime.guards.RunGuard`; versions 1-3 are refused.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ __all__ = [
     "save_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def config_fingerprint(config) -> dict:
@@ -81,7 +84,6 @@ def config_fingerprint(config) -> dict:
         "disabled_channels": sorted(config.disabled_channels),
         "disabled_strong": sorted(list(pair) for pair in config.disabled_strong),
         "disabled_weak": sorted(config.disabled_weak),
-        "max_recomputations": config.max_recomputations,
         "max_block_size": config.max_block_size,
         "strong_to_front": config.strong_to_front,
     }

@@ -2,11 +2,12 @@
 
 Every failure mode the reconciliation runtime can surface is a typed
 :class:`ReproError` subclass, so callers can distinguish "the data is
-bad" (:class:`DataError`) from "the run hit a resource ceiling"
-(:class:`BudgetExceeded` / :class:`DeadlineExceeded`) from "a saved
-state is unusable" (:class:`CheckpointError`) — and handle each
-differently (fail fast, degrade gracefully, fall back to an older
-checkpoint). Bare ``KeyError`` / ``IndexError`` /
+bad" (:class:`DataError`) from "a saved state is unusable"
+(:class:`CheckpointError`) — and handle each differently (fail fast,
+fall back to an older checkpoint). A run that reaches its deadline or
+recomputation budget is not an error: the
+:class:`~repro.runtime.guards.RunGuard` trip ends it with a partial
+result whose ``stop_reason`` says why. Bare ``KeyError`` / ``IndexError`` /
 ``json.JSONDecodeError`` escapes from ``core/`` and ``datasets/`` are
 considered bugs.
 
@@ -21,9 +22,6 @@ __all__ = [
     "ReproError",
     "DataError",
     "QueueEmpty",
-    "GuardTripped",
-    "BudgetExceeded",
-    "DeadlineExceeded",
     "CheckpointError",
     "InjectedFault",
 ]
@@ -58,26 +56,6 @@ class DataError(ReproError):
 
 class QueueEmpty(ReproError):
     """Popping an active queue that holds no live keys."""
-
-
-class GuardTripped(ReproError):
-    """A :class:`~repro.runtime.guards.RunGuard` limit was hit.
-
-    ``event`` holds the structured
-    :class:`~repro.runtime.guards.DegradationEvent` describing the trip.
-    """
-
-    def __init__(self, message: str, *, event=None) -> None:
-        super().__init__(message)
-        self.event = event
-
-
-class BudgetExceeded(GuardTripped):
-    """A work budget (recomputations, queue size, graph size) ran out."""
-
-
-class DeadlineExceeded(GuardTripped):
-    """The wall-clock deadline of the run passed."""
 
 
 class CheckpointError(ReproError):

@@ -1,30 +1,28 @@
-"""Run guards: bounded, honest reconciliation runs.
+"""Run guards: the one way a reconciliation run stops before its fixpoint.
 
-The iterate loop of :class:`~repro.core.engine.Reconciler` is a
-fixpoint computation whose cost depends on the data; on adversarial or
-merely huge corpora it can run long past any operational budget. A
-:class:`RunGuard` is checked once per loop iteration and enforces
+The iterate loop of :class:`~repro.core.engine.Reconciler` terminates
+on its own (§3.2: scores only rise, and neighbours are reactivated only
+when a score rises by more than epsilon), but its cost depends on the
+data. A :class:`RunGuard` is an operating limit on that cost: the
+engine checks it once per loop iteration, and it enforces
 
-* a wall-clock **deadline**,
-* a **recomputation budget** (the same unit as
-  ``EngineConfig.max_recomputations``, but trip-recorded),
-* **growth ceilings** on the active queue and the pair-node count
-  (runaway propagation / node creation).
+* a wall-clock **deadline**, anchored before the build, so it bounds
+  the whole run, and
+* a **recomputation budget**.
 
-Every trip is recorded as a structured :class:`DegradationEvent` and
-raised as a typed exception (:class:`BudgetExceeded` /
-:class:`DeadlineExceeded`); the engine turns the trip into a partial —
-but honest — :class:`~repro.core.result.ReconciliationResult` whose
-``stop_reason`` and ``degradations`` say exactly what was cut short.
+A trip is a :class:`DegradationEvent` returned by :meth:`RunGuard.check`;
+the engine records it in ``stats.degradations``, stops, and returns a
+partial — but honest — :class:`~repro.core.result.ReconciliationResult`
+whose ``stop_reason`` and ``degradations`` say exactly what was cut
+short.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-
-from .errors import BudgetExceeded, DeadlineExceeded
 
 __all__ = ["DegradationEvent", "RunGuard"]
 
@@ -33,13 +31,12 @@ __all__ = ["DegradationEvent", "RunGuard"]
 class DegradationEvent:
     """One recorded instance of the run degrading from the ideal.
 
-    ``kind`` is a stable machine-readable tag: ``"deadline"``,
-    ``"budget"``, ``"queue_ceiling"``, ``"graph_ceiling"``,
-    ``"weak_fanout"`` (build-time weak-edge pruning), ``"fallback"``
-    (baseline substitution by the resilient wrapper),
-    or ``"parallel_fallback"`` (the build could not start or lost its
-    worker pool and scored serially; see :mod:`repro.runtime.supervisor`
-    and the "Degradation taxonomy" table in DESIGN.md).
+    ``kind`` is a stable machine-readable tag: ``"deadline"`` or
+    ``"budget"`` (a :class:`RunGuard` trip), ``"weak_fanout"``
+    (build-time weak-edge pruning), or ``"parallel_fallback"`` (the
+    build could not start or lost its worker pool and scored serially;
+    see :mod:`repro.runtime.supervisor` and the "Degradation taxonomy"
+    table in DESIGN.md).
     """
 
     kind: str
@@ -51,7 +48,10 @@ class DegradationEvent:
 class RunGuard:
     """Limits checked inside the engine's iterate loop.
 
-    All limits default to ``None`` (unlimited). ``clock`` is injectable
+    Both limits default to ``None`` (unlimited). ``deadline_seconds``
+    must be a finite number >= 0 and ``max_recomputations`` an int >= 0
+    (the bounds the CLI's ``--deadline`` / ``--max-recomputations``
+    enforce); ``0`` trips on the first check. ``clock`` is injectable
     for deterministic tests; it must be monotone.
     """
 
@@ -60,15 +60,24 @@ class RunGuard:
         *,
         deadline_seconds: float | None = None,
         max_recomputations: int | None = None,
-        max_queue_size: int | None = None,
-        max_graph_nodes: int | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
+        if deadline_seconds is not None and not 0 <= deadline_seconds < math.inf:
+            raise ValueError(
+                f"deadline_seconds must be a finite number >= 0, "
+                f"got {deadline_seconds!r}"
+            )
+        if max_recomputations is not None and (
+            isinstance(max_recomputations, bool)
+            or not isinstance(max_recomputations, int)
+            or max_recomputations < 0
+        ):
+            raise ValueError(
+                f"max_recomputations must be an int >= 0, "
+                f"got {max_recomputations!r}"
+            )
         self.deadline_seconds = deadline_seconds
         self.max_recomputations = max_recomputations
-        self.max_queue_size = max_queue_size
-        self.max_graph_nodes = max_graph_nodes
-        self.events: list[DegradationEvent] = []
         self._clock = clock
         self._started: float | None = None
 
@@ -83,61 +92,35 @@ class RunGuard:
             return 0.0
         return self._clock() - self._started
 
-    def _trip(self, exc_class, kind: str, detail: str, recomputations: int):
-        event = DegradationEvent(
-            kind=kind,
-            detail=detail,
-            recomputations=recomputations,
-            elapsed_seconds=self.elapsed(),
-        )
-        self.events.append(event)
-        raise exc_class(detail, event=event)
-
     def check(
-        self,
-        *,
-        recomputations: int = 0,
-        queue_size: int = 0,
-        graph_nodes: int = 0,
-    ) -> None:
-        """Raise a typed error if any limit is exceeded; no-op otherwise."""
+        self, *, recomputations: int = 0, queue_size: int = 0
+    ) -> DegradationEvent | None:
+        """The trip event if a limit is reached, else ``None``."""
         if self._started is None:
             self.start()
         if (
             self.deadline_seconds is not None
             and self.elapsed() >= self.deadline_seconds
         ):
-            self._trip(
-                DeadlineExceeded,
-                "deadline",
+            kind = "deadline"
+            detail = (
                 f"wall-clock deadline of {self.deadline_seconds}s exceeded "
-                f"after {recomputations} recomputations",
-                recomputations,
+                f"after {recomputations} recomputations"
             )
-        if (
+        elif (
             self.max_recomputations is not None
             and recomputations >= self.max_recomputations
         ):
-            self._trip(
-                BudgetExceeded,
-                "budget",
+            kind = "budget"
+            detail = (
                 f"recomputation budget of {self.max_recomputations} exhausted "
-                f"with {queue_size} nodes still queued",
-                recomputations,
+                f"with {queue_size} nodes still queued"
             )
-        if self.max_queue_size is not None and queue_size > self.max_queue_size:
-            self._trip(
-                BudgetExceeded,
-                "queue_ceiling",
-                f"active queue grew to {queue_size} keys "
-                f"(ceiling {self.max_queue_size})",
-                recomputations,
-            )
-        if self.max_graph_nodes is not None and graph_nodes > self.max_graph_nodes:
-            self._trip(
-                BudgetExceeded,
-                "graph_ceiling",
-                f"dependency graph grew to {graph_nodes} pair nodes "
-                f"(ceiling {self.max_graph_nodes})",
-                recomputations,
-            )
+        else:
+            return None
+        return DegradationEvent(
+            kind=kind,
+            detail=detail,
+            recomputations=recomputations,
+            elapsed_seconds=self.elapsed(),
+        )

@@ -38,6 +38,7 @@ class TestParser:
             ("--checkpoint-every", "0"),
             ("--deadline", "-5"),
             ("--deadline", "nan"),
+            ("--deadline", "inf"),
             ("--max-recomputations", "-1"),
         ],
     )
@@ -201,6 +202,47 @@ class TestRuntimeFlags:
         assert code == 0
         assert json.loads(first.read_text()) == json.loads(second.read_text())
 
+    def _one_line_exit_2(self, argv, capsys, needle):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert needle in err, err
+
+    def test_missing_checkpoint_is_one_line(self, dataset_dir, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        self._one_line_exit_2(
+            ["reconcile", str(dataset_dir), "--resume", str(missing)],
+            capsys,
+            "cannot read checkpoint",
+        )
+
+    def test_retired_checkpoint_is_one_line(self, dataset_dir, tmp_path, capsys):
+        ckpt_dir = tmp_path / "ckpt"
+        main([
+            "reconcile", str(dataset_dir), "--output", str(tmp_path / "p.json"),
+            "--checkpoint-dir", str(ckpt_dir),
+        ])
+        path = ckpt_dir / "checkpoint.json"
+        document = json.loads(path.read_text())
+        document["version"] = 3
+        path.write_text(json.dumps(document))
+        self._one_line_exit_2(
+            ["reconcile", str(dataset_dir), "--resume", str(path)],
+            capsys,
+            "has version 3, expected 4",
+        )
+
+    def test_malformed_strict_load_is_one_line(self, tmp_path, capsys):
+        directory = tmp_path / "dataset"
+        assert main(["generate", "A", str(directory), "--scale", "0.15"]) == 0
+        lines = (directory / "references.jsonl").read_text().splitlines()
+        lines[2] = "{not json"
+        (directory / "references.jsonl").write_text("\n".join(lines) + "\n")
+        self._one_line_exit_2(
+            ["evaluate", str(directory)], capsys, "references.jsonl:3:"
+        )
+
     def test_lenient_flag_quarantines(self, tmp_path, capsys):
         from repro.runtime import inject_malformed_lines
 
@@ -208,8 +250,7 @@ class TestRuntimeFlags:
         assert main(["generate", "A", str(directory), "--scale", "0.15"]) == 0
         capsys.readouterr()
         inject_malformed_lines(directory / "references.jsonl", rate=0.05, seed=7)
-        with pytest.raises(Exception):
-            main(["evaluate", str(directory)])  # strict load fails fast
+        assert main(["evaluate", str(directory)]) == 2  # strict load fails fast
         code = main(["evaluate", str(directory), "--lenient"])
         assert code == 0
         captured = capsys.readouterr()

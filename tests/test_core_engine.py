@@ -23,18 +23,19 @@ from repro.core import (
 )
 from repro.core.nodes import NodeStatus
 from repro.domains import PimDomainModel
+from repro.runtime import RunGuard
 
 from .conftest import example1_references
 
 
-def run_example1(config=None, mutate=None):
+def run_example1(config=None, mutate=None, guard=None):
     refs = example1_references()
     if mutate:
         refs = mutate(refs)
     domain = PimDomainModel()
     store = ReferenceStore(domain.schema, refs)
     reconciler = Reconciler(store, domain, config or EngineConfig())
-    return reconciler, reconciler.run()
+    return reconciler, reconciler.run(guard=guard)
 
 
 class TestExample1:
@@ -169,7 +170,7 @@ class TestInvariants:
         assert len(reconciler.queue) == 0
 
     def test_max_recomputations_budget(self):
-        reconciler, result = run_example1(EngineConfig(max_recomputations=3))
+        reconciler, result = run_example1(guard=RunGuard(max_recomputations=3))
         assert reconciler.stats.recomputations <= 3
         # Still returns a valid (partial) partition.
         assert sum(len(c) for c in result.clusters("Person")) == 9

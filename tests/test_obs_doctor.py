@@ -11,11 +11,14 @@ Contracts under test:
   doctor exits 1 — deterministically, run after run.
 """
 
+import argparse
+import copy
 import json
+import re
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.obs import load_crash_bundle, validate_crash_bundle
 from repro.obs.render import render_doctor, render_hotspots
 
@@ -141,6 +144,27 @@ doctor: unhandled ValueError during run
   hint: worker processes died; rerun with --workers 1 to isolate the fault, and check memory limits
   hint: parallel scoring fell back to the serial build; results are unchanged but slower
   verdict: crashed"""
+
+
+def test_every_flag_a_doctor_hint_names_exists():
+    """A hint may only recommend a flag some subcommand accepts."""
+    bundle = copy.deepcopy(CRASH_BUNDLE)
+    bundle["rings"]["degradations"].append(
+        {"seq": 10, "kind": "budget", "detail": "recomputation budget of 5"}
+    )
+    manifest = {"execution": {"hotspots": HOTSPOTS_SUMMARY}}
+    hints = [
+        line for line in render_doctor(bundle, manifest).splitlines()
+        if line.startswith("  hint: ")
+    ]
+    assert len(hints) == 5  # every hint branch fired
+    accepted = set()
+    for action in build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                accepted.update(subparser._option_string_actions)
+    named = {flag for hint in hints for flag in re.findall(r"--[a-z][a-z-]*", hint)}
+    assert named and named <= accepted, named - accepted
 
 
 class TestGoldenRenderers:

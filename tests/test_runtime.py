@@ -1,29 +1,26 @@
 """Tests for the fault-tolerant runtime: error taxonomy, run guards,
-checkpoint/resume, graceful degradation and the fault injectors."""
+checkpoint/resume and the fault injectors."""
 
 import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 
 from repro.core import EngineConfig, Reconciler, ReferenceStore
 from repro.core.queue import ActiveQueue
 from repro.domains import PimDomainModel
-from repro.obs import EventLog, FlightRecorder, Telemetry
+from repro.obs import Observer
 from repro.runtime import (
-    BudgetExceeded,
     CheckpointError,
     Checkpointer,
     CrashAtStep,
     DataError,
-    DeadlineExceeded,
     DegradationEvent,
-    GuardTripped,
     InjectedFault,
     QueueEmpty,
     ReproError,
-    ResilientReconciler,
     RunGuard,
     corrupt_checkpoint,
     inject_malformed_lines,
@@ -42,11 +39,8 @@ def _engine(config=None, observers=None) -> Reconciler:
 
 class TestErrorTaxonomy:
     def test_hierarchy(self):
-        for error in (DataError, QueueEmpty, CheckpointError, InjectedFault,
-                      GuardTripped):
+        for error in (DataError, QueueEmpty, CheckpointError, InjectedFault):
             assert issubclass(error, ReproError)
-        assert issubclass(BudgetExceeded, GuardTripped)
-        assert issubclass(DeadlineExceeded, GuardTripped)
 
     def test_data_error_carries_location(self):
         error = DataError("missing key 'id'", path="refs.jsonl", line=17)
@@ -92,36 +86,52 @@ class TestRunGuard:
         cell = [0.0]
         guard = RunGuard(deadline_seconds=5.0, clock=lambda: cell[0])
         guard.start()
-        guard.check(recomputations=1)
+        assert guard.check(recomputations=1) is None
         cell[0] = 6.0
-        with pytest.raises(DeadlineExceeded) as excinfo:
-            guard.check(recomputations=2)
-        event = excinfo.value.event
+        event = guard.check(recomputations=2)
         assert event.kind == "deadline"
         assert event.recomputations == 2
-        assert guard.events == [event]
+        assert event.elapsed_seconds == 6.0
 
     def test_budget_trips(self):
         guard = RunGuard(max_recomputations=10)
-        guard.check(recomputations=9)
-        with pytest.raises(BudgetExceeded) as excinfo:
-            guard.check(recomputations=10)
-        assert excinfo.value.event.kind == "budget"
-
-    def test_queue_and_graph_ceilings(self):
-        guard = RunGuard(max_queue_size=5)
-        with pytest.raises(BudgetExceeded) as excinfo:
-            guard.check(queue_size=6)
-        assert excinfo.value.event.kind == "queue_ceiling"
-        guard = RunGuard(max_graph_nodes=100)
-        with pytest.raises(BudgetExceeded) as excinfo:
-            guard.check(graph_nodes=101)
-        assert excinfo.value.event.kind == "graph_ceiling"
+        assert guard.check(recomputations=9) is None
+        assert guard.check(recomputations=10, queue_size=4).kind == "budget"
 
     def test_unlimited_guard_never_trips(self):
         guard = RunGuard()
-        guard.check(recomputations=10**9, queue_size=10**9, graph_nodes=10**9)
-        assert guard.events == []
+        assert guard.check(recomputations=10**9, queue_size=10**9) is None
+
+    @pytest.mark.parametrize(
+        ("argument", "value"),
+        [
+            ("deadline_seconds", math.nan),
+            ("deadline_seconds", math.inf),
+            ("deadline_seconds", -0.5),
+            ("max_recomputations", -1),
+            ("max_recomputations", 2.5),
+            ("max_recomputations", True),
+        ],
+    )
+    def test_limits_that_could_never_trip_are_rejected(self, argument, value):
+        with pytest.raises(ValueError, match=argument):
+            RunGuard(**{argument: value})
+
+    def test_zero_limits_are_valid_and_trip_at_once(self):
+        assert RunGuard(deadline_seconds=0).check().kind == "deadline"
+        assert RunGuard(max_recomputations=0).check().kind == "budget"
+
+
+class _AdvanceClockAfterBuild(Observer):
+    """Makes the build look like it took ``seconds`` of wall clock."""
+
+    def __init__(self, cell, seconds):
+        self.cell = cell
+        self.seconds = seconds
+
+    def on_phase_end(self, engine, phase, **fields):
+        if phase == "build":
+            self.cell[0] += self.seconds
 
 
 class TestEngineWithGuard:
@@ -130,10 +140,8 @@ class TestEngineWithGuard:
         assert result.completed
         assert result.stop_reason == "converged"
 
-    def test_config_budget_sets_stop_reason(self):
-        # The satellite fix: the max_recomputations break is no longer
-        # silent — the result says the run was truncated and why.
-        result = _engine(EngineConfig(max_recomputations=3)).run()
+    def test_budget_sets_stop_reason(self):
+        result = _engine().run(guard=RunGuard(max_recomputations=3))
         assert not result.completed
         assert result.stop_reason == "budget"
         assert any(event.kind == "budget" for event in result.degradations)
@@ -148,18 +156,16 @@ class TestEngineWithGuard:
         refs = [ref for cluster in result.clusters("Person") for ref in cluster]
         assert sorted(refs) == [f"p{i}" for i in range(1, 10)]
 
-    def test_raise_on_trip(self):
-        engine = _engine()
-        with pytest.raises(DeadlineExceeded):
-            engine.run(guard=RunGuard(deadline_seconds=0.0), raise_on_trip=True)
-        # State is finalized, so the partial result is still available.
-        assert engine.partial_result().stop_reason == "deadline"
-
-    def test_guard_budget_result_matches_config_budget(self):
-        via_guard = _engine().run(guard=RunGuard(max_recomputations=3))
-        via_config = _engine(EngineConfig(max_recomputations=3)).run()
-        assert via_guard.partitions == via_config.partitions
-        assert via_guard.stop_reason == via_config.stop_reason == "budget"
+    def test_deadline_counts_the_build(self):
+        # --deadline is the whole run's wall-clock budget: a build that
+        # alone outlasts it stops the run before its first step.
+        cell = [0.0]
+        engine = _engine(observers=[_AdvanceClockAfterBuild(cell, 10.0)])
+        guard = RunGuard(deadline_seconds=5.0, clock=lambda: cell[0])
+        result = engine.run(guard=guard)
+        assert result.stop_reason == "deadline"
+        assert engine.stats.recomputations == 0
+        assert [event.kind for event in result.degradations] == ["deadline"]
 
 
 class TestCheckpoint:
@@ -220,16 +226,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"version {version}"):
             Reconciler.resume(path, store=store, domain=domain)
 
-    def test_version_1_checkpoint_is_refused(self, tmp_path):
-        # Version 1 stats carried five counters EngineStats no longer
-        # has; the version check must refuse such a file with a typed
-        # error before its stats reach EngineStats(**stats).
-        self._refuse_version(tmp_path, 1)
-
-    def test_version_2_checkpoint_is_refused(self, tmp_path):
-        # Version 2 stats carried the task_timeouts, pool_rebuilds and
-        # pairs_poisoned counters of the removed retry machinery.
-        self._refuse_version(tmp_path, 2)
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_retired_checkpoint_version_is_refused(self, tmp_path, version):
+        # Each retired version's payload has a shape this code no longer
+        # reads (v1/v2: removed EngineStats counters; v3: the
+        # max_recomputations config key), so the version check must
+        # refuse it with a typed error before it is restored.
+        self._refuse_version(tmp_path, version)
 
     def test_config_mismatch_is_refused(self, tmp_path):
         engine = _engine()
@@ -269,89 +272,6 @@ class TestCheckpoint:
         store = ReferenceStore(domain.schema, example1_references())
         resumed = Reconciler.resume(checkpointer.path, store=store, domain=domain)
         assert resumed.run().partitions == expected.partitions
-
-
-class TestResilientReconciler:
-    def _store(self):
-        domain = PimDomainModel()
-        return ReferenceStore(domain.schema, example1_references()), domain
-
-    def test_partial_fallback_returns_truncated_partition(self):
-        store, domain = self._store()
-        wrapper = ResilientReconciler(
-            store, domain, guard=RunGuard(deadline_seconds=0.0)
-        )
-        result = wrapper.run()
-        assert not result.completed
-        assert result.stop_reason == "deadline"
-        refs = [ref for cluster in result.clusters("Person") for ref in cluster]
-        assert sorted(refs) == [f"p{i}" for i in range(1, 10)]
-
-    def test_indepdec_fallback_substitutes_unresolved_classes(self):
-        from repro.baselines import indepdec_config
-
-        store, domain = self._store()
-        wrapper = ResilientReconciler(
-            store, domain,
-            guard=RunGuard(deadline_seconds=0.0),
-            fallback="indepdec",
-        )
-        result = wrapper.run()
-        assert not result.completed
-        assert any(event.kind == "fallback" for event in result.degradations)
-        baseline = Reconciler(
-            self._store()[0], domain, indepdec_config(domain)
-        ).run()
-        # Classes with queued work were re-resolved by the baseline.
-        fallback_event = next(
-            event for event in result.degradations if event.kind == "fallback"
-        )
-        assert "InDepDec" in fallback_event.detail
-        for class_name in ("Person",):
-            assert result.partitions[class_name] == baseline.partitions[class_name]
-
-    def test_fallback_degradation_takes_the_engine_path(self, tmp_path):
-        """The InDepDec fallback is recorded once everywhere a
-        degradation goes: the stats, the result, the flight recorder's
-        ring and the event log."""
-        store, domain = self._store()
-        recorder = FlightRecorder()
-        telemetry = Telemetry(log=EventLog(tmp_path / "events.jsonl"))
-        wrapper = ResilientReconciler(
-            store, domain,
-            guard=RunGuard(deadline_seconds=0.0),
-            fallback="indepdec",
-            observers=[telemetry, recorder],
-        )
-        result = wrapper.run()
-        telemetry.close()
-        engine = wrapper.reconciler
-
-        def fallbacks(kinds):
-            return sum(1 for kind in kinds if kind == "fallback")
-
-        assert fallbacks(e.kind for e in engine.stats.degradations) == 1
-        assert fallbacks(e.kind for e in result.degradations) == 1
-        assert fallbacks(e["kind"] for e in recorder.degradations) == 1
-        events = [
-            json.loads(line)
-            for line in (tmp_path / "events.jsonl").read_text().splitlines()
-        ]
-        assert fallbacks(
-            e["kind"] for e in events if e["event"] == "degradation"
-        ) == 1
-
-    def test_untripped_guard_returns_converged_run(self):
-        store, domain = self._store()
-        wrapper = ResilientReconciler(store, domain, guard=RunGuard())
-        result = wrapper.run()
-        assert result.completed
-        assert result.stop_reason == "converged"
-
-    def test_unknown_fallback_rejected(self):
-        store, domain = self._store()
-        with pytest.raises(ValueError):
-            ResilientReconciler(store, domain, fallback="wishful")
 
 
 class TestFaultInjectors:
