@@ -28,11 +28,15 @@ Commands:
   pairs by attributed wall time, similarity-channel comparison
   counts, and per-class blocking skew (Gini / max-block share).
 
-``reconcile`` / ``evaluate`` / ``explain`` accept ``--run-dir DIR`` to
-collect a run's artifacts in one directory and emit a versioned
-``run.json`` manifest — the one machine-readable summary of a run, and
-the unit ``diff``, ``doctor``, ``hotspots`` and ``explain --run``
-operate on.
+``reconcile`` / ``evaluate`` / ``explain`` accept ``--run-dir DIR``,
+the one place a run writes. DIR always holds the versioned ``run.json``
+manifest (the one machine-readable summary of a run), ``events.jsonl``,
+``provenance.jsonl`` and ``trace.json``; it also holds
+``checkpoint.json`` under ``--checkpoint-every`` and
+``crash_bundle.json`` when the run crashed or degraded. ``--resume``
+continues DIR from its checkpoint. A run directory is the unit
+``diff``, ``doctor``, ``hotspots`` and ``explain --run`` operate on,
+and they find its files by these fixed names.
 """
 
 from __future__ import annotations
@@ -53,20 +57,21 @@ from .domains import CoraDomainModel, PimDomainModel
 from .evaluation.clustering import bcubed_scores
 from .evaluation.metrics import pairwise_scores
 from .obs import (
-    LEVELS,
     MANIFEST_FILENAME,
+    RUN_FILES,
+    EventLog,
     FlightRecorder,
     HotspotSketch,
     ProvenanceLog,
     RunDirError,
     Telemetry,
+    Tracer,
     build_manifest,
     diff_runs,
     load_run_dir,
     render_degradations,
     render_diff,
     render_quarantine,
-    render_stats,
     write_manifest,
 )
 from .runtime import ReproError
@@ -148,44 +153,18 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("ref_b")
     explain.add_argument(
         "--run", default=None, metavar="DIR",
-        help="answer from a recorded run directory: the provenance log "
-        "is resolved through DIR's run.json manifest instead of being "
-        "re-recorded",
+        help="answer from a recorded run directory: replay DIR's "
+        "provenance.jsonl instead of recording a new one",
     )
 
     for runner in (reconcile, evaluate, explain):
-        obs = runner.add_argument_group("observability")
-        obs.add_argument(
+        runner.add_argument(
             "--run-dir", default=None, metavar="DIR",
-            help="collect this run's artifacts in DIR and write a "
-            "versioned run.json manifest (config fingerprint, partition "
-            "digest, per-class quality, convergence samples); records "
-            "provenance to DIR/provenance.jsonl and the event stream to "
-            "DIR/events.jsonl unless "
-            "--provenance / --log-json point elsewhere. The unit "
-            "`repro diff`, `doctor`, `hotspots` and `explain --run` "
-            "operate on",
-        )
-        obs.add_argument(
-            "--log-json", default=None, metavar="PATH",
-            help="write a structured JSONL event stream (run phases, "
-            "degradations, checkpoints) to PATH; append mode, so a "
-            "resumed run continues the same log",
-        )
-        obs.add_argument(
-            "--log-level", default="info", choices=sorted(LEVELS),
-            help="minimum event level for --log-json (default info; debug "
-            "adds per-merge events and iterate progress)",
-        )
-        obs.add_argument(
-            "--trace", default=None, metavar="PATH",
-            help="write nested timed spans as Chrome trace-event JSON to "
-            "PATH (load in chrome://tracing or Perfetto)",
-        )
-        obs.add_argument(
-            "--provenance", default=None, metavar="PATH",
-            help="record every merge/non-merge decision (channel scores, "
-            "thresholds, triggering propagation) to a JSONL audit log",
+            help="record this run in DIR: run.json (the versioned run "
+            "manifest), events.jsonl, provenance.jsonl and trace.json, "
+            "plus checkpoint.json and crash_bundle.json when they apply. "
+            "The unit `repro diff`, `doctor`, `hotspots` and "
+            "`explain --run` operate on",
         )
 
     for runner in (reconcile, evaluate):
@@ -195,11 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes for candidate-pair scoring during the "
             "graph build; results are byte-identical to --workers 1 "
             "(default 1 = serial)",
-        )
-        perf.add_argument(
-            "--stats", action="store_true",
-            help="print engine statistics (timings, counters, cache hit "
-            "rates) to stderr after the run",
         )
         runtime = runner.add_argument_group("runtime (fault tolerance)")
         runtime.add_argument(
@@ -212,16 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="recomputation budget enforced by the run guard",
         )
         runtime.add_argument(
-            "--checkpoint-dir", default=None, metavar="DIR",
-            help="periodically checkpoint engine state into DIR",
+            "--checkpoint-every", type=_at_least(1, int), default=None, metavar="STEPS",
+            help="checkpoint engine state to RUN_DIR/checkpoint.json every "
+            "STEPS iterate steps (needs --run-dir)",
         )
         runtime.add_argument(
-            "--checkpoint-every", type=_at_least(1, int), default=500, metavar="STEPS",
-            help="iterate steps between checkpoints (default 500)",
-        )
-        runtime.add_argument(
-            "--resume", default=None, metavar="CHECKPOINT",
-            help="resume from a checkpoint file written by --checkpoint-dir",
+            "--resume", action="store_true",
+            help="continue RUN_DIR from its checkpoint.json, appending to "
+            "its logs (needs --run-dir)",
         )
         runtime.add_argument(
             "--lenient", action="store_true",
@@ -308,86 +280,37 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _telemetry_from(options, *, force_provenance: bool = False) -> Telemetry | None:
-    """Build the telemetry bundle the CLI flags ask for (or ``None``)."""
-    if options is None:
-        return None
-    log_path = getattr(options, "log_json", None)
-    trace = getattr(options, "trace", None)
-    provenance_path = getattr(options, "provenance", None)
-    wants_provenance = force_provenance or provenance_path is not None
-    if not (log_path or trace or wants_provenance):
-        return None
-    telemetry = Telemetry.enabled(
-        log_path=log_path,
-        log_level=getattr(options, "log_level", "info") or "info",
-        trace=bool(trace),
-        provenance=wants_provenance,
-        provenance_path=provenance_path,
-    )
-    return telemetry
-
-
-def _export_telemetry(telemetry: Telemetry | None, options) -> None:
-    """Write the file-backed exports after the run and close sinks."""
-    if telemetry is None:
-        return
-    trace = getattr(options, "trace", None) if options is not None else None
-    if trace and telemetry.tracer is not None:
-        telemetry.tracer.write(trace)
-    telemetry.close()
-
-
 def _apply_run_dir(options) -> Path | None:
-    """Materialize ``--run-dir``: create it and default the provenance
-    log and event stream into it (truncating stale ones on a fresh,
-    non-resume run so both artifacts match this run exactly; a resumed
-    run append-continues them). Idempotent."""
-    run_dir = getattr(options, "run_dir", None) if options is not None else None
+    """Materialize ``--run-dir``: create it and, on a fresh (non-resume)
+    run, clear every fixed-name file an earlier run left there, so each
+    file describes this run alone. A resumed run keeps them and appends
+    to its logs."""
+    run_dir = getattr(options, "run_dir", None)
     if not run_dir:
         return None
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    resuming = bool(getattr(options, "resume", None))
-    if not resuming:
-        # A stale crash bundle describes some *previous* run; a fresh
-        # run must start with none so its absence means "clean".
-        from .obs.flight import CRASH_BUNDLE_FILENAME
-
-        (run_dir / CRASH_BUNDLE_FILENAME).unlink(missing_ok=True)
-    if getattr(options, "provenance", None) is None:
-        default = run_dir / "provenance.jsonl"
-        if not resuming:
-            default.unlink(missing_ok=True)
-        options.provenance = str(default)
-    if getattr(options, "log_json", None) is None:
-        default = run_dir / "events.jsonl"
-        if not resuming:
-            default.unlink(missing_ok=True)
-        options.log_json = str(default)
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise RunDirError(
+            f"--run-dir {run_dir} is not a usable directory: {exc.strerror}"
+        ) from None
+    if not getattr(options, "resume", False):
+        for name in RUN_FILES.values():
+            (run_dir / name).unlink(missing_ok=True)
     return run_dir
 
 
-def _run_artifacts(options, run_dir: Path) -> dict:
-    """Artifact-kind -> path map for the manifest; paths inside the run
-    directory are recorded relative so the directory stays portable."""
-    def _rel(path) -> str:
-        resolved = Path(path).resolve()
-        try:
-            return str(resolved.relative_to(run_dir.resolve()))
-        except ValueError:
-            return str(resolved)
-
-    artifacts: dict[str, str] = {}
-    for kind, attr in (
-        ("provenance", "provenance"),
-        ("events", "log_json"),
-        ("trace", "trace"),
-    ):
-        value = getattr(options, attr, None)
-        if value:
-            artifacts[kind] = _rel(value)
-    return artifacts
+def _telemetry(run_dir: Path | None, *, provenance: bool = False) -> Telemetry | None:
+    """Every sink, writing into *run_dir*; without a run directory, an
+    in-memory provenance log when *provenance* asks for one, else none."""
+    if run_dir is not None:
+        return Telemetry(
+            log=EventLog(run_dir / RUN_FILES["events"]),
+            tracer=Tracer(),
+            provenance=ProvenanceLog(run_dir / RUN_FILES["provenance"]),
+        )
+    return Telemetry(provenance=ProvenanceLog()) if provenance else None
 
 
 def _dump_bundle(run_dir: Path, reconciler, *, reason, exc=None, stop_reason=None):
@@ -409,18 +332,20 @@ def _dump_bundle(run_dir: Path, reconciler, *, reason, exc=None, stop_reason=Non
         return None
 
 
-def _run(directory: str, algorithm: str, options=None, telemetry=None):
-    lenient = bool(getattr(options, "lenient", False))
-    run_dir = _apply_run_dir(options)
-    if telemetry is None:
-        telemetry = _telemetry_from(options)
-    dataset = load_dataset(directory, lenient=lenient)
+def _load(options):
+    """Load the dataset directory of a run command, reporting any
+    records ``--lenient`` quarantined."""
+    dataset = load_dataset(options.directory, lenient=bool(getattr(options, "lenient", False)))
     if dataset.quarantined:
         print(render_quarantine(dataset.quarantined), file=sys.stderr)
-        if telemetry is not None:
-            telemetry.emit(
-                "warning", "quarantine", records=len(dataset.quarantined)
-            )
+    return dataset
+
+
+def _run(dataset, algorithm: str, options, *, provenance: bool = False):
+    run_dir = _apply_run_dir(options)
+    telemetry = _telemetry(run_dir, provenance=provenance)
+    if telemetry is not None and dataset.quarantined:
+        telemetry.emit("warning", "quarantine", records=len(dataset.quarantined))
     domain = _domain_for(dataset.name)
     config = _config_for(algorithm, domain)
     workers = getattr(options, "workers", 1)
@@ -430,21 +355,19 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
         config = replace(config, workers=workers)
     guard = None
     checkpointer = None
-    if options is not None:
-        deadline = getattr(options, "deadline", None)
-        max_recomputations = getattr(options, "max_recomputations", None)
-        if deadline is not None or max_recomputations is not None:
-            from .runtime import RunGuard
+    deadline = getattr(options, "deadline", None)
+    max_recomputations = getattr(options, "max_recomputations", None)
+    if deadline is not None or max_recomputations is not None:
+        from .runtime import RunGuard
 
-            guard = RunGuard(
-                deadline_seconds=deadline, max_recomputations=max_recomputations
-            )
-        if getattr(options, "checkpoint_dir", None):
-            from .runtime import Checkpointer
+        guard = RunGuard(deadline_seconds=deadline, max_recomputations=max_recomputations)
+    checkpoint_every = getattr(options, "checkpoint_every", None)
+    if checkpoint_every:
+        from .runtime import Checkpointer
 
-            checkpointer = Checkpointer(
-                options.checkpoint_dir, every=options.checkpoint_every
-            )
+        checkpointer = Checkpointer(
+            run_dir, every=checkpoint_every, filename=RUN_FILES["checkpoint"]
+        )
     if telemetry is not None:
         telemetry.emit(
             "info",
@@ -457,10 +380,10 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
     observers = [FlightRecorder(), HotspotSketch()]
     if telemetry is not None:
         observers.insert(0, telemetry)
-    resume_path = getattr(options, "resume", None) if options is not None else None
-    if resume_path:
+    resumed = bool(getattr(options, "resume", False))
+    if resumed:
         reconciler = Reconciler.resume(
-            resume_path,
+            run_dir / RUN_FILES["checkpoint"],
             store=dataset.store,
             domain=domain,
             config=config,
@@ -504,6 +427,10 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
             )
             if bundle_path is not None:
                 print(f"wrote crash bundle to {bundle_path}", file=sys.stderr)
+        if telemetry is not None:
+            # Flush the event log now, so a resume in this process
+            # appends after the crashed run's events, not before them.
+            telemetry.close()
         raise
     degraded = render_degradations(result)
     if degraded:
@@ -517,12 +444,10 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
             merges=reconciler.stats.merges,
             recomputations=reconciler.stats.recomputations,
         )
-        _export_telemetry(telemetry, options)
-    if options is not None and getattr(options, "stats", False):
-        print(render_stats(reconciler.stats), file=sys.stderr)
+        if run_dir is not None:
+            telemetry.tracer.write(run_dir / RUN_FILES["trace"])
+        telemetry.close()
     if run_dir is not None:
-        from .obs.flight import CRASH_BUNDLE_FILENAME
-
         if result.degraded:
             # The run finished but not cleanly (guard trip, serial
             # fallback after a pool failure, ...): leave a bundle so
@@ -544,27 +469,22 @@ def _run(directory: str, algorithm: str, options=None, telemetry=None):
         else:
             # A clean finish clears any bundle left by a crashed
             # attempt this run resumed from: no bundle == clean.
-            (run_dir / CRASH_BUNDLE_FILENAME).unlink(missing_ok=True)
-        artifacts = _run_artifacts(options, run_dir)
-        if (run_dir / CRASH_BUNDLE_FILENAME).exists():
-            # Execution-dependent by nature, and the artifacts section
-            # is excluded from the manifest's invariant view.
-            artifacts["crash_bundle"] = CRASH_BUNDLE_FILENAME
+            (run_dir / RUN_FILES["crash_bundle"]).unlink(missing_ok=True)
         manifest = build_manifest(
             dataset=dataset,
             reconciler=reconciler,
             result=result,
             algorithm=algorithm,
-            artifacts=artifacts,
-            resumed=bool(resume_path),
+            resumed=resumed,
         )
         manifest_path = write_manifest(manifest, run_dir)
         print(f"wrote run manifest to {manifest_path}", file=sys.stderr)
-    return dataset, reconciler, result
+    return reconciler, result
 
 
 def _cmd_reconcile(args) -> int:
-    dataset, _, result = _run(args.directory, args.algorithm, args)
+    dataset = _load(args)
+    _, result = _run(dataset, args.algorithm, args)
     payload = {
         class_name: result.clusters(class_name)
         for class_name in dataset.store.schema.class_names
@@ -580,7 +500,8 @@ def _cmd_reconcile(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    dataset, _, result = _run(args.directory, args.algorithm, args)
+    dataset = _load(args)
+    _, result = _run(dataset, args.algorithm, args)
     if not dataset.gold.entity_of:
         print("dataset has no gold standard", file=sys.stderr)
         return 2
@@ -635,33 +556,23 @@ def _cmd_tables(args) -> int:
 
 def _cmd_explain(args) -> int:
     recorded = None
-    if getattr(args, "run", None):
-        # Resolve the provenance log through the run's manifest, so
-        # the caller names the run, not the raw artifact path.
+    if args.run:
         provenance_path = load_run_dir(args.run).artifact("provenance")
         if provenance_path is None:
-            print(
-                f"run {args.run} has no provenance artifact "
-                "(re-run with --run-dir or --provenance)",
-                file=sys.stderr,
-            )
+            print(f"run {args.run} has no {RUN_FILES['provenance']}", file=sys.stderr)
             return 2
+        # The explanation replays the recorded log: exactly what that
+        # run decided.
         recorded = ProvenanceLog.from_jsonl(provenance_path)
-        # The engine reruns without a live provenance sink; the
-        # explanation replays the recorded log instead, exactly what
-        # that run decided.
-        telemetry = _telemetry_from(args)
-    else:
-        # Always record provenance for explain: the explanation replays
-        # the engine's actual decision records instead of recomputing
-        # similarities against post-hoc cluster state.
-        telemetry = _telemetry_from(args, force_provenance=True)
-        if telemetry is None:  # pragma: no cover - force_provenance guarantees it
-            telemetry = Telemetry(provenance=ProvenanceLog())
-    dataset, reconciler, _ = _run(args.directory, "depgraph", args, telemetry)
-    if args.ref_a not in dataset.store or args.ref_b not in dataset.store:
-        print("unknown reference id", file=sys.stderr)
+    dataset = _load(args)
+    unknown = [ref for ref in (args.ref_a, args.ref_b) if ref not in dataset.store]
+    if unknown:
+        print(f"unknown reference id: {', '.join(unknown)}", file=sys.stderr)
         return 2
+    # Without a recorded run, always record provenance: the explanation
+    # replays the engine's actual decision records instead of
+    # recomputing similarities against post-hoc cluster state.
+    reconciler, _ = _run(dataset, "depgraph", args, provenance=recorded is None)
     explanation = explain_merge(reconciler, args.ref_a, args.ref_b, provenance=recorded)
     print(explanation.describe())
     return 0
@@ -768,7 +679,12 @@ def _cmd_hotspots(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not getattr(args, "run_dir", None) and (
+        getattr(args, "checkpoint_every", None) or getattr(args, "resume", False)
+    ):
+        parser.error("--checkpoint-every and --resume need --run-dir")
     handlers = {
         "generate": _cmd_generate,
         "reconcile": _cmd_reconcile,
@@ -783,9 +699,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except (RunDirError, ReproError) as exc:
-        # A run-dir command pointed at a missing or torn run.json, or a
-        # typed runtime failure (bad data, unusable checkpoint): one
-        # line, not a traceback.
+        # An unusable run directory (not a directory, a missing, torn or
+        # other-version run.json, a torn crash bundle) or a typed
+        # runtime failure (bad data, unusable checkpoint): one line,
+        # not a traceback.
         print(exc, file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -206,7 +206,6 @@ class Reconciler:
             "recall": round(scores.recall, 6),
         }
         samples.append(point)
-        self.observers.event("debug", "convergence_sample", **point)
 
     def _sync_feature_cache_stats(self) -> None:
         """Mirror the domain's :class:`~repro.perf.features.FeatureCache`
@@ -971,14 +970,6 @@ class Reconciler:
             return None
         node.status = NodeStatus.NON_MERGE
         self.stats.non_merges += 1
-        self.observers.event(
-            "debug",
-            "non_merge",
-            left=node.left,
-            right=node.right,
-            class_name=node.class_name,
-            reason="conflict",
-        )
         try:
             self.uf.add_enemy(node.left, node.right)
         except ConstraintViolation:  # pragma: no cover - guarded above
@@ -1000,14 +991,6 @@ class Reconciler:
         absorbed = right_root if survivor == left_root else left_root
         node.status = NodeStatus.MERGED
         self.stats.merges += 1
-        self.observers.event(
-            "debug",
-            "merge",
-            left=node.left,
-            right=node.right,
-            class_name=node.class_name,
-            score=round(node.score, 6),
-        )
         if self.config.propagate:
             self._propagate_merge(node)
         if self.config.enrich:

@@ -5,12 +5,15 @@ Everything here reaches the engine through one seam,
 callbacks and the :class:`Observers` fan-out the engine reports to.
 The telemetry subscriber, :class:`Telemetry`, bundles three sinks:
 
-* :mod:`~repro.obs.events` — a levelled JSONL event stream
-  (``--log-json`` / ``--log-level``),
+* :mod:`~repro.obs.events` — the JSONL event stream
+  (``events.jsonl``),
 * :mod:`~repro.obs.tracing` — nested timed spans exported as Chrome
-  trace-event JSON (``--trace``, loads in Perfetto),
+  trace-event JSON (``trace.json``, loads in Perfetto),
 * :mod:`~repro.obs.provenance` — the merge-provenance audit log every
-  ``explain`` replay runs from (``--provenance``).
+  ``explain`` replay runs from (``provenance.jsonl``).
+
+A ``--run-dir`` run attaches all three and writes them, with the
+manifest, into the run directory under fixed names.
 
 On top of the sinks sits the **run-analysis layer**:
 
@@ -47,6 +50,7 @@ from .hotspots import HotspotSketch, SpaceSaving, gini
 from .manifest import (
     MANIFEST_FILENAME,
     MANIFEST_VERSION,
+    RUN_FILES,
     RunDir,
     RunDirError,
     build_manifest,
@@ -54,20 +58,17 @@ from .manifest import (
     load_manifest,
     load_run_dir,
     partition_digest,
-    resolve_artifact,
     write_manifest,
 )
 from .observer import Observer, Observers
 from .provenance import DecisionRecord, ProvenanceLog
 from .relay import TelemetryRelay, WorkerTelemetry
 from .render import (
-    hit_rate,
     render_degradations,
     render_diff,
     render_doctor,
     render_hotspots,
     render_quarantine,
-    render_stats,
 )
 from .schemas import (
     SchemaError,
@@ -92,6 +93,7 @@ __all__ = [
     "diff_runs",
     "MANIFEST_FILENAME",
     "MANIFEST_VERSION",
+    "RUN_FILES",
     "RunDir",
     "RunDirError",
     "build_manifest",
@@ -99,15 +101,12 @@ __all__ = [
     "load_manifest",
     "load_run_dir",
     "partition_digest",
-    "resolve_artifact",
     "write_manifest",
-    "hit_rate",
     "render_degradations",
     "render_diff",
     "render_doctor",
     "render_hotspots",
     "render_quarantine",
-    "render_stats",
     "CRASH_BUNDLE_FILENAME",
     "FlightRecorder",
     "build_crash_bundle",

@@ -1,23 +1,19 @@
-"""Structured run logging: a levelled JSONL event stream.
+"""Structured run logging: the JSONL event stream of a run.
 
 Every noteworthy moment of a reconciliation run becomes one JSON
-object on its own line — machine-readable, greppable, and safely
-appendable (a resumed run continues the same file). The taxonomy is
-deliberately small and stable:
+object on its own line of ``<run-dir>/events.jsonl`` — machine-readable,
+greppable, and safely appendable (a resumed run continues the same
+file). Each event carries its level (info, warning or error) and is
+always written: per-decision detail lives in ``provenance.jsonl`` and
+the trace, not here. The taxonomy is deliberately small and stable:
 
 ========================  ==========================================
 event                     emitted when
 ========================  ==========================================
 ``run_start``             a CLI / harness run begins (dataset, algo)
 ``build_start``           graph construction begins
-``build_phase``           one build phase finished (premerge,
-                          ``class:<name>``, wiring, constraints)
 ``build_end``             graph construction finished (counters)
 ``iterate_start``         the fixpoint loop begins
-``iterate_progress``      periodic progress (step, queue, merges)
-``merge`` / ``non_merge`` one reconciliation decision (debug level)
-``convergence_sample``    a P/R-vs-gold convergence sample was taken
-                          (debug level; run-manifest sampling)
 ``degradation``           anything degraded (guard trip, pruning,
                           parallel fallback, budget stop)
 ``lane_died``             a scoring worker died and the build fell
@@ -43,18 +39,17 @@ from pathlib import Path
 
 __all__ = ["LEVELS", "EventLog"]
 
-#: severity name -> numeric rank (standard-library-compatible values).
-LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
+#: the levels an event may carry, least severe first.
+LEVELS = ("info", "warning", "error")
 
 
 class EventLog:
-    """A levelled JSONL event sink.
+    """A JSONL event sink.
 
     ``path`` opens (lazily, in append mode — resumed runs continue the
     same file) a JSONL file; ``stream`` writes to an existing
-    file-like object instead (e.g. ``sys.stderr``). Events below
-    ``level`` are dropped. ``clock`` is injectable for deterministic
-    tests.
+    file-like object instead (e.g. ``sys.stderr``). ``clock`` is
+    injectable for deterministic tests.
     """
 
     def __init__(
@@ -62,14 +57,9 @@ class EventLog:
         path: str | Path | None = None,
         *,
         stream=None,
-        level: str = "info",
         clock=time.time,
     ) -> None:
-        if level not in LEVELS:
-            raise ValueError(f"unknown log level {level!r}; expected one of {sorted(LEVELS)}")
         self.path = Path(path) if path is not None else None
-        self.level = level
-        self.threshold = LEVELS[level]
         self.emitted = 0
         self._clock = clock
         self._stream = stream
@@ -86,9 +76,7 @@ class EventLog:
         return self._handle
 
     def emit(self, level: str, event: str, /, **fields) -> None:
-        """Write one event; silently dropped when below the log level."""
-        if LEVELS.get(level, 0) < self.threshold:
-            return
+        """Write one event."""
         sink = self._sink()
         if sink is None:
             return

@@ -39,7 +39,6 @@ import traceback
 from collections import deque
 from pathlib import Path
 
-from .events import LEVELS
 from .observer import Observer
 
 __all__ = [
@@ -56,10 +55,6 @@ CRASH_BUNDLE_FILENAME = "crash_bundle.json"
 #: failing run (hundreds of decisions) while bounding memory.
 DEFAULT_RING_SIZE = 256
 
-#: events below this level (per-merge debug chatter) stay out of the
-#: ring, which would otherwise lose the lifecycle landmarks.
-_MIN_EVENT_LEVEL = LEVELS["info"]
-
 
 class FlightRecorder(Observer):
     """Bounded ring buffers of the most recent engine activity.
@@ -67,12 +62,12 @@ class FlightRecorder(Observer):
     Four rings, each a ``deque(maxlen=ring_size)``:
 
     * ``events`` — lifecycle landmarks (phase begins and ends as
-      ``<phase>_start``/``<phase>_end``, and every event at info level
-      or above: checkpoints, lane deaths) as
+      ``<phase>_start``/``<phase>_end``, and every logged event:
+      checkpoints, lane deaths) as
       ``{"seq", "event", ...fields}``;
     * ``decisions`` — the last N merge/defer decisions (recorded
       independently of the provenance sink, so a crash bundle always
-      carries the decision tail even on runs without ``--provenance``);
+      carries the decision tail even on runs without a provenance log);
     * ``chunks`` — parallel scoring-chunk timings;
     * ``degradations`` — every :class:`DegradationEvent` the engine
       recorded.
@@ -140,8 +135,7 @@ class FlightRecorder(Observer):
         self.note_degradation(event.kind, event.detail)
 
     def on_event(self, level: str, event: str, **fields) -> None:
-        if LEVELS[level] >= _MIN_EVENT_LEVEL:
-            self.note_event(event, **fields)
+        self.note_event(event, **fields)
 
     def snapshot(self) -> dict:
         """JSON-able copy of all rings (oldest first within each)."""
@@ -260,10 +254,22 @@ def dump_crash_bundle(run_dir, bundle: dict) -> Path:
 
 def load_crash_bundle(path) -> dict | None:
     """Load ``crash_bundle.json`` from a run dir (or direct path);
-    ``None`` when the run produced no bundle."""
+    ``None`` when the run produced no bundle, and
+    :class:`~repro.obs.manifest.RunDirError` naming the file when it is
+    torn or not a crash bundle."""
+    from .manifest import RunDirError
+    from .schemas import SchemaError, validate_crash_bundle
+
     path = Path(path)
     if path.is_dir():
         path = path / CRASH_BUNDLE_FILENAME
     if not path.exists():
         return None
-    return json.loads(path.read_text())
+    try:
+        bundle = json.loads(path.read_text())
+        validate_crash_bundle(bundle)
+    except SchemaError as exc:
+        raise RunDirError(f"{path} is not a crash bundle: {exc}") from None
+    except (OSError, ValueError) as exc:
+        raise RunDirError(f"unreadable crash bundle {path}: {exc}") from None
+    return bundle

@@ -1,16 +1,18 @@
 """Run manifests: one machine-readable summary per engine/CLI run.
 
-A run leaves rich but *separate* artifacts (event log, trace,
-provenance); the manifest is the versioned index that relates them and
-captures the run's semantic outcome in one place: configuration
-fingerprint, dataset id, partition digest, per-class quality against
-gold, per-iteration convergence samples, decision counters,
-degradations, and pointers to the sibling artifacts. It is the one
-machine-readable summary of a run: what ``repro diff`` compares and
-``repro doctor`` / ``repro hotspots`` read.
+A ``--run-dir`` run writes every file into its run directory under a
+fixed name (:data:`RUN_FILES`): ``run.json`` (this manifest),
+``events.jsonl``, ``provenance.jsonl`` and ``trace.json`` always,
+``checkpoint.json`` when checkpointing is on and ``crash_bundle.json``
+when the run crashed or degraded. The manifest captures the run's
+semantic outcome in one place: configuration fingerprint, dataset id,
+partition digest, per-class quality against gold, per-iteration
+convergence samples, decision counters and degradations. It is the
+one machine-readable summary of a run: what ``repro diff`` compares
+and ``repro doctor`` / ``repro hotspots`` read.
 
-The manifest is split into an **invariant core** and two
-execution-dependent sections:
+The manifest is split into an **invariant core** and one
+execution-dependent section:
 
 * The core (``run``, ``config``, ``partition``, ``quality``,
   ``convergence``, ``counters``, ``degradations``) is a pure function
@@ -18,10 +20,9 @@ execution-dependent sections:
   on or off, and for a resumed run vs an uninterrupted one.
 * ``execution`` holds wall-clock timings, phase attributions, cache
   hit rates (caches restart cold on resume, so their counters are
-  execution state, not outcome state) and the resume flag;
-  ``artifacts`` holds sibling file paths. Both are excluded by
-  :func:`invariant_view`, which the invariance tests and ``repro
-  diff`` compare on.
+  execution state, not outcome state) and the resume flag. It is
+  excluded by :func:`invariant_view`, which the invariance tests and
+  ``repro diff`` compare on.
 """
 
 from __future__ import annotations
@@ -32,12 +33,14 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .flight import CRASH_BUNDLE_FILENAME
 from .hotspots import HotspotSketch
 from .telemetry import Telemetry
 
 __all__ = [
     "MANIFEST_VERSION",
     "MANIFEST_FILENAME",
+    "RUN_FILES",
     "RunDir",
     "RunDirError",
     "build_manifest",
@@ -47,14 +50,20 @@ __all__ = [
     "invariant_view",
     "partition_digest",
     "quality_by_class",
-    "resolve_artifact",
 ]
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 MANIFEST_FILENAME = "run.json"
 
-#: top-level sections excluded from cross-run invariance comparisons.
-EXECUTION_SECTIONS = ("execution", "artifacts")
+#: the fixed name of every file a run writes into its run directory.
+RUN_FILES = {
+    "manifest": MANIFEST_FILENAME,
+    "events": "events.jsonl",
+    "provenance": "provenance.jsonl",
+    "trace": "trace.json",
+    "checkpoint": "checkpoint.json",
+    "crash_bundle": CRASH_BUNDLE_FILENAME,
+}
 
 #: EngineStats fields that describe the run's *outcome* (deterministic
 #: across telemetry on/off and resume) rather than its execution.
@@ -146,17 +155,13 @@ def build_manifest(
     reconciler,
     result,
     algorithm: str = "depgraph",
-    artifacts: dict | None = None,
     resumed: bool = False,
 ) -> dict:
     """Assemble the manifest for one finished run.
 
     *dataset* is the :class:`~repro.datasets.dataset.Dataset` the run
     reconciled, *reconciler* the finished engine, *result* its
-    :class:`~repro.core.result.ReconciliationResult`. *artifacts* maps
-    artifact kind (``provenance`` / ``events`` / ``trace`` /
-    ``partition``) to a path, preferably relative to the
-    run directory.
+    :class:`~repro.core.result.ReconciliationResult`.
     """
     from ..runtime.checkpoint import config_fingerprint
 
@@ -211,7 +216,6 @@ def build_manifest(
             "hotspots": hotspots.summary() if hotspots is not None else None,
             "generated_at": round(time.time(), 3),
         },
-        "artifacts": dict(artifacts or {}),
     }
 
 
@@ -235,8 +239,10 @@ def load_manifest(path: str | Path) -> dict:
 
 
 class RunDirError(ValueError):
-    """A run directory whose ``run.json`` (or a recorded artifact the
-    command reads, such as ``provenance.jsonl``) is missing or torn."""
+    """A run directory that cannot be used: not a directory, or its
+    ``run.json`` (or a recorded file the command reads, such as
+    ``provenance.jsonl`` or ``crash_bundle.json``) is missing, torn or
+    of another manifest version."""
 
 
 @dataclass(frozen=True)
@@ -247,15 +253,17 @@ class RunDir:
     manifest: dict
 
     def artifact(self, kind: str) -> Path | None:
-        """The recorded artifact of *kind*, resolved, when it exists."""
-        path = resolve_artifact(self.manifest, self.path, kind)
-        return path if path is not None and path.exists() else None
+        """The run's file of *kind* (a :data:`RUN_FILES` key), when it
+        exists."""
+        path = self.path / RUN_FILES[kind]
+        return path if path.exists() else None
 
 
 def load_run_dir(path: str | Path) -> RunDir:
     """The one loader of the run-dir commands: a run directory (or its
     ``run.json``), or :class:`RunDirError` with a one-line message when
-    the manifest is missing, torn or not a manifest."""
+    the manifest is missing, torn, not a manifest or of another
+    :data:`MANIFEST_VERSION`."""
     path = Path(path)
     try:
         manifest = load_manifest(path)
@@ -263,41 +271,23 @@ def load_run_dir(path: str | Path) -> RunDir:
         raise RunDirError(f"no {MANIFEST_FILENAME} found at {path}") from None
     except (OSError, ValueError) as exc:
         raise RunDirError(f"unreadable {MANIFEST_FILENAME} at {path}: {exc}") from None
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("artifacts", {}), dict):
+    if not isinstance(manifest, dict):
         raise RunDirError(f"{MANIFEST_FILENAME} at {path} is not a run manifest")
+    version = manifest.get("manifest_version")
+    if version != MANIFEST_VERSION:
+        raise RunDirError(
+            f"{MANIFEST_FILENAME} at {path} has manifest_version {version}, "
+            f"expected {MANIFEST_VERSION}"
+        )
     return RunDir(path if path.is_dir() else path.parent, manifest)
 
 
 def invariant_view(manifest: dict) -> dict:
-    """The manifest minus its execution-dependent sections.
+    """The manifest minus its execution-dependent section.
 
     Two runs of the same dataset under the same configuration must
     produce byte-equal invariant views regardless of telemetry sinks
     or checkpoint/resume interruptions; the invariance tests and
     ``repro diff`` compare this view.
     """
-    return {
-        key: value
-        for key, value in manifest.items()
-        if key not in EXECUTION_SECTIONS
-    }
-
-
-def resolve_artifact(
-    manifest: dict, run_path: str | Path, kind: str
-) -> Path | None:
-    """Absolute path of one recorded artifact, or ``None``.
-
-    Relative artifact paths resolve against the run directory (the
-    directory holding ``run.json``), so a run directory can be moved
-    or unpacked anywhere and its manifest keeps working.
-    """
-    value = manifest.get("artifacts", {}).get(kind)
-    if not value:
-        return None
-    run_path = Path(run_path)
-    base = run_path if run_path.is_dir() else run_path.parent
-    path = Path(value)
-    if not path.is_absolute():
-        path = base / path
-    return path
+    return {key: value for key, value in manifest.items() if key != "execution"}

@@ -1,52 +1,23 @@
-"""Human-readable renderers over engine state and run manifests.
+"""Human-readable renderers over engine results and run manifests.
 
-The CLI's ``--stats`` output, degradation notices and the ``diff`` /
-``doctor`` / ``hotspots`` reports are pure functions from engine state
+The CLI's degradation and quarantine notices and the ``diff`` /
+``doctor`` / ``hotspots`` reports are pure functions from a run result
 or a ``run.json`` manifest to text, so the same data renders
 identically whether it comes from a live run, a recorded run
-directory, or a test. The ``--stats`` format is kept byte-stable with
-the pre-observability output.
+directory, or a test. Engine statistics have no text form: ``run.json``
+(``counters``, ``execution.cache_hit_rates``,
+``execution.parallel_workers``) is the one run summary.
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "hit_rate",
-    "render_stats",
     "render_degradations",
     "render_quarantine",
     "render_diff",
     "render_hotspots",
     "render_doctor",
 ]
-
-
-def hit_rate(hits: int, misses: int) -> str:
-    """``"62.5% (5/8)"`` or ``"n/a"`` for an untouched cache."""
-    total = hits + misses
-    if not total:
-        return "n/a"
-    return f"{hits / total:.1%} ({hits}/{total})"
-
-
-def render_stats(stats) -> str:
-    """The ``--stats`` block from an :class:`~repro.core.engine.EngineStats`."""
-    lines = [
-        "engine stats:",
-        f"  build {stats.build_seconds:.2f}s, iterate {stats.iterate_seconds:.2f}s "
-        f"(workers={stats.parallel_workers})",
-        f"  candidate_pairs={stats.candidate_pairs} pair_nodes={stats.pair_nodes} "
-        f"value_nodes={stats.value_nodes} graph_nodes={stats.graph_nodes}",
-        f"  recomputations={stats.recomputations} merges={stats.merges} "
-        f"non_merges={stats.non_merges} fusions={stats.fusions}",
-        "  cache effectiveness:",
-        f"    values cache   {hit_rate(stats.values_cache_hits, stats.values_cache_misses)}",
-        f"    contacts cache {hit_rate(stats.contacts_cache_hits, stats.contacts_cache_misses)}",
-        f"    feature cache  {hit_rate(stats.feature_cache_hits, stats.feature_cache_misses)}",
-        f"    pair-score memo {hit_rate(stats.pair_memo_hits, stats.pair_memo_misses)}, "
-        f"prefilter skips {stats.prefilter_skips}",
-    ]
-    return "\n".join(lines)
 
 
 def render_degradations(result) -> str:

@@ -3,10 +3,11 @@
 Pure-python structural validation (no external JSON-Schema dependency)
 for the machine-readable outputs:
 
-* the JSONL **event log** (``--log-json``),
-* the **Chrome trace** file (``--trace``),
-* the **provenance** decision records (``--provenance`` / ``explain``),
-* the **run manifest** (``run.json``) and the **crash bundle**.
+* the JSONL **event log** (``events.jsonl``),
+* the **Chrome trace** file (``trace.json``),
+* the **provenance** decision records (``provenance.jsonl``),
+* the **run manifest** (``run.json``) and the **crash bundle**
+  (``crash_bundle.json``).
 
 Each ``validate_*`` raises :class:`SchemaError` naming the offending
 field; CI's observability smoke job runs them against real run output
@@ -52,7 +53,7 @@ EVENT_SCHEMA = {
     "required": ["ts", "level", "event"],
     "properties": {
         "ts": {"type": "number"},
-        "level": {"enum": sorted(LEVELS)},
+        "level": {"enum": list(LEVELS)},
         "event": {"type": "string", "minLength": 1},
     },
     "additionalProperties": True,  # event-specific flat fields
@@ -87,10 +88,10 @@ MANIFEST_SCHEMA = {
     "required": [
         "manifest_version", "kind", "run", "config", "partition",
         "quality", "convergence", "counters", "degradations",
-        "execution", "artifacts",
+        "execution",
     ],
     "properties": {
-        "manifest_version": {"const": 1},
+        "manifest_version": {"const": 2},
         "kind": {"const": "repro_run_manifest"},
         "run": {
             "type": "object",
@@ -126,7 +127,6 @@ MANIFEST_SCHEMA = {
             "type": "object",
             "required": ["resumed", "build_seconds", "iterate_seconds"],
         },
-        "artifacts": {"type": "object"},  # kind -> path
     },
 }
 

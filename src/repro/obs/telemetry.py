@@ -2,12 +2,14 @@
 
 One :class:`Telemetry` bundles the three sinks — event log, tracer,
 provenance log — and subscribes them to the engine's observer seam
-(:mod:`repro.obs.observer`). Every sink is optional and every facade
-method returns at once when its sink is absent. The subscriber also
-owns the state that exists only to feed the sinks: the relay for
-build-pool worker telemetry (created by the first worker payload or
-lane death) and the iterate-chunk bookkeeping behind
-``iterate_progress`` events and ``iterate_chunk`` spans.
+(:mod:`repro.obs.observer`). A ``--run-dir`` run attaches all three,
+writing ``events.jsonl``, ``trace.json`` and ``provenance.jsonl``;
+``explain`` without a run directory keeps only an in-memory provenance
+log. Every sink is optional and every facade method returns at once
+when its sink is absent. The subscriber also owns the state that
+exists only to feed the sinks: the relay for build-pool worker
+telemetry (created by the first worker payload or lane death) and the
+iterate-chunk bookkeeping behind ``iterate_chunk`` spans.
 
 It asks the engine for decision evidence only with a provenance log,
 and for worker payloads only with a log or tracer. Every sink is
@@ -25,7 +27,7 @@ from .tracing import Tracer
 
 __all__ = ["Telemetry"]
 
-#: iterate steps per ``iterate_progress`` event and ``iterate_chunk`` span.
+#: iterate steps per ``iterate_chunk`` span.
 _ITERATE_CHUNK = 1_000
 
 #: phases logged as ``<phase>_start`` / ``<phase>_end`` events.
@@ -62,25 +64,6 @@ class Telemetry(Observer):
         self._steps = None  # decisions this iterate run; None before one
         self._chunk = (0.0, 0, 0)  # tracer offset, first step, merges
         self._iterate_offset = 0.0
-
-    @classmethod
-    def enabled(
-        cls,
-        *,
-        log_path=None,
-        log_level: str = "info",
-        trace: bool = False,
-        provenance: bool = False,
-        provenance_path=None,
-    ) -> "Telemetry":
-        """Convenience constructor from feature switches."""
-        return cls(
-            log=EventLog(log_path, level=log_level) if log_path else None,
-            tracer=Tracer() if trace else None,
-            provenance=(
-                ProvenanceLog(provenance_path) if provenance or provenance_path else None
-            ),
-        )
 
     # -- facade (each a no-op when its sink is absent) -------------------
     def emit(self, level: str, event: str, /, **fields) -> None:
@@ -139,9 +122,6 @@ class Telemetry(Observer):
         if phase in _LOGGED_PHASES:
             self.emit("info", f"{phase}_end", **fields)
 
-    def on_blocks(self, engine, class_name: str, index, nodes: int) -> None:
-        self.emit("debug", "build_phase", phase=f"class:{class_name}", nodes=nodes)
-
     def on_chunk(self, lane: str, seconds: float, pairs: int, payload) -> None:
         if payload is not None:
             self._relay().absorb(payload)
@@ -172,14 +152,6 @@ class Telemetry(Observer):
             return
         self._steps += 1
         if self._steps % _ITERATE_CHUNK == 0:
-            self.emit(
-                "debug",
-                "iterate_progress",
-                step=self._steps,
-                queued=len(engine.queue),
-                merges=engine.stats.merges,
-                recomputations=engine.stats.recomputations,
-            )
             self._trace_chunk(engine)
 
     def on_activation(self, node, cause: str, source) -> None:

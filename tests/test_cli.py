@@ -154,9 +154,23 @@ class TestCommands:
         assert code == 0
         assert refs[0] in capsys.readouterr().out
 
-    def test_explain_unknown_ref(self, dataset_dir, capsys):
-        code = main(["explain", str(dataset_dir), "nope", "nada"])
+    def test_explain_unknown_ref(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        """An unknown reference id is refused right after the dataset
+        loads: exit 2, one stderr line, no engine built, nothing
+        recorded."""
+        from repro import cli
+
+        def engine_built(*args, **kwargs):
+            raise AssertionError("the engine was built")
+
+        monkeypatch.setattr(cli, "Reconciler", engine_built)
+        run = tmp_path / "run"
+        code = main(["explain", str(dataset_dir), "nope", "nada", "--run-dir", str(run)])
         assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1, err
+        assert "unknown reference id" in err
+        assert not (run / "run.json").exists()
 
     def test_tables_table1(self, capsys):
         code = main(["tables", "1", "--scale", "0.2"])
@@ -183,24 +197,67 @@ class TestRuntimeFlags:
         assert "stop_reason=budget" in capsys.readouterr().err
 
     def test_checkpoint_then_resume_matches(self, dataset_dir, tmp_path, capsys):
-        ckpt_dir = tmp_path / "ckpt"
+        run = tmp_path / "run"
         first = tmp_path / "first.json"
         code = main([
             "reconcile", str(dataset_dir),
-            "--checkpoint-dir", str(ckpt_dir),
+            "--run-dir", str(run),
             "--checkpoint-every", "20",
             "--output", str(first),
         ])
         assert code == 0
-        assert (ckpt_dir / "checkpoint.json").exists()
+        assert (run / "checkpoint.json").exists()
+        events = (run / "events.jsonl").read_text()
         second = tmp_path / "second.json"
         code = main([
             "reconcile", str(dataset_dir),
-            "--resume", str(ckpt_dir / "checkpoint.json"),
+            "--run-dir", str(run),
+            "--resume",
             "--output", str(second),
         ])
         assert code == 0
         assert json.loads(first.read_text()) == json.loads(second.read_text())
+        # The resumed run appends to the run directory's event log.
+        resumed = (run / "events.jsonl").read_text()
+        assert resumed.startswith(events)
+        assert '"event": "resume"' in resumed[len(events):]
+
+    def test_crash_then_resume_run_dir_matches(
+        self, dataset_dir, tmp_path, monkeypatch, capsys
+    ):
+        """A run that crashes mid-iterate resumes from its run directory
+        to the uninterrupted partition, and the resumed run's events
+        follow the crashed run's in events.jsonl."""
+        from repro import cli
+        from repro.runtime import CrashAtStep
+
+        full = tmp_path / "full.json"
+        assert main(["reconcile", str(dataset_dir), "--output", str(full)]) == 0
+        run = tmp_path / "run"
+        argv = ["reconcile", str(dataset_dir), "--run-dir", str(run)]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "HotspotSketch", lambda: CrashAtStep(40))
+            assert main([*argv, "--checkpoint-every", "10"]) == 2
+        assert (run / "crash_bundle.json").exists()
+        resumed = tmp_path / "resumed.json"
+        assert main([*argv, "--resume", "--output", str(resumed)]) == 0
+        assert json.loads(resumed.read_text()) == json.loads(full.read_text())
+        events = [
+            json.loads(line)["event"]
+            for line in (run / "events.jsonl").read_text().splitlines()
+        ]
+        assert events.count("run_start") == 2
+        assert events.index("checkpoint_saved") < events.index("resume")
+        assert events[-1] == "run_end"
+
+    @pytest.mark.parametrize(
+        "flags", [["--checkpoint-every", "20"], ["--resume"]], ids=["checkpoint", "resume"]
+    )
+    def test_checkpoint_flags_need_run_dir(self, dataset_dir, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["reconcile", str(dataset_dir), *flags])
+        assert exit_info.value.code == 2
+        assert "need --run-dir" in capsys.readouterr().err
 
     def _one_line_exit_2(self, argv, capsys, needle):
         capsys.readouterr()
@@ -210,25 +267,24 @@ class TestRuntimeFlags:
         assert needle in err, err
 
     def test_missing_checkpoint_is_one_line(self, dataset_dir, tmp_path, capsys):
-        missing = tmp_path / "missing.json"
         self._one_line_exit_2(
-            ["reconcile", str(dataset_dir), "--resume", str(missing)],
+            ["reconcile", str(dataset_dir), "--run-dir", str(tmp_path / "run"), "--resume"],
             capsys,
             "cannot read checkpoint",
         )
 
     def test_retired_checkpoint_is_one_line(self, dataset_dir, tmp_path, capsys):
-        ckpt_dir = tmp_path / "ckpt"
+        run = tmp_path / "run"
         main([
             "reconcile", str(dataset_dir), "--output", str(tmp_path / "p.json"),
-            "--checkpoint-dir", str(ckpt_dir),
+            "--run-dir", str(run), "--checkpoint-every", "500",
         ])
-        path = ckpt_dir / "checkpoint.json"
+        path = run / "checkpoint.json"
         document = json.loads(path.read_text())
         document["version"] = 3
         path.write_text(json.dumps(document))
         self._one_line_exit_2(
-            ["reconcile", str(dataset_dir), "--resume", str(path)],
+            ["reconcile", str(dataset_dir), "--run-dir", str(run), "--resume"],
             capsys,
             "has version 3, expected 4",
         )

@@ -1,5 +1,5 @@
-"""End-to-end observability through the CLI: `--log-json`, `--trace`
-and `--provenance` on real commands, plus the provenance-replaying
+"""End-to-end observability through the CLI: the files a `--run-dir`
+run writes under fixed names, plus the provenance-replaying
 `explain`."""
 
 import json
@@ -24,15 +24,13 @@ def dataset_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def observed_run(dataset_dir, tmp_path_factory):
-    """One reconcile with every sink attached; returns the output dir."""
-    out = tmp_path_factory.mktemp("obs_out")
+    """One reconcile recorded with --run-dir; returns the run dir, which
+    also holds the partition."""
+    out = tmp_path_factory.mktemp("obs_out") / "run"
     code = main([
         "reconcile", str(dataset_dir),
-        "--output", str(out / "partition.json"),
-        "--log-json", str(out / "events.jsonl"),
-        "--log-level", "debug",
-        "--trace", str(out / "trace.json"),
-        "--provenance", str(out / "prov.jsonl"),
+        "--output", str(out.parent / "partition.json"),
+        "--run-dir", str(out),
     ])
     assert code == 0
     return out
@@ -44,7 +42,7 @@ class TestFlagsEndToEnd:
     ):
         plain = tmp_path / "plain.json"
         assert main(["reconcile", str(dataset_dir), "--output", str(plain)]) == 0
-        assert plain.read_bytes() == (observed_run / "partition.json").read_bytes()
+        assert plain.read_bytes() == (observed_run.parent / "partition.json").read_bytes()
 
     def test_event_log_validates_and_covers_the_run(self, observed_run):
         path = observed_run / "events.jsonl"
@@ -55,8 +53,8 @@ class TestFlagsEndToEnd:
         for expected in ("run_start", "build_start", "build_end",
                         "iterate_start", "iterate_end", "run_end"):
             assert expected in names, f"missing {expected}"
-        # debug level lets per-decision events through
-        assert "merge" in names
+        # Per-decision detail is in provenance.jsonl, not the event log.
+        assert "merge" not in names
 
     def test_trace_is_valid_chrome_trace(self, observed_run):
         trace = json.loads((observed_run / "trace.json").read_text())
@@ -64,16 +62,10 @@ class TestFlagsEndToEnd:
         names = {event["name"] for event in trace["traceEvents"]}
         assert "build" in names
         assert "iterate" in names
+        assert "iterate_chunk" in names
 
     def test_provenance_jsonl_validates(self, observed_run):
-        assert validate_provenance_jsonl(observed_run / "prov.jsonl") > 0
-
-    def test_stats_rendering_unchanged(self, dataset_dir, capsys):
-        assert main(["reconcile", str(dataset_dir), "--stats"]) == 0
-        err = capsys.readouterr().err
-        assert "engine stats:" in err
-        assert "cache effectiveness:" in err
-        assert "pair-score memo" in err
+        assert validate_provenance_jsonl(observed_run / "provenance.jsonl") > 0
 
 
 def _gold_entities(dataset_dir):
@@ -107,8 +99,8 @@ class TestExplainReplay:
         # examined but refused; explain must replay one of those.
         from repro.obs import ProvenanceLog
 
-        prov = ProvenanceLog.from_jsonl(observed_run / "prov.jsonl")
-        partition = json.loads((observed_run / "partition.json").read_text())
+        prov = ProvenanceLog.from_jsonl(observed_run / "provenance.jsonl")
+        partition = json.loads((observed_run.parent / "partition.json").read_text())
         cluster_of = {
             ref_id: (class_name, index)
             for class_name, clusters in partition.items()
@@ -146,18 +138,16 @@ class TestRunDir:
         assert len(manifest["convergence"]) >= 2
 
     def test_provenance_defaults_into_run_dir(self, run_dir):
-        from repro.obs import load_manifest, resolve_artifact, validate_provenance_jsonl
+        from repro.obs import load_run_dir, validate_provenance_jsonl
 
-        manifest = load_manifest(run_dir)
-        provenance = resolve_artifact(manifest, run_dir, "provenance")
+        provenance = load_run_dir(run_dir).artifact("provenance")
         assert provenance == run_dir / "provenance.jsonl"
         assert validate_provenance_jsonl(provenance) > 0
 
     def test_event_stream_defaults_into_run_dir(self, run_dir):
-        from repro.obs import load_manifest, resolve_artifact, validate_event_log
+        from repro.obs import load_run_dir, validate_event_log
 
-        manifest = load_manifest(run_dir)
-        events = resolve_artifact(manifest, run_dir, "events")
+        events = load_run_dir(run_dir).artifact("events")
         assert events == run_dir / "events.jsonl"
         assert validate_event_log(events) > 0
 
@@ -179,16 +169,96 @@ class TestRunDir:
     def test_explain_missing_run_provenance_exits_2(
         self, dataset_dir, tmp_path, capsys
     ):
-        from repro.obs import build_manifest  # noqa: F401  (import check)
-
         bare = tmp_path / "bare"
         bare.mkdir()
-        (bare / "run.json").write_text(
-            json.dumps({"artifacts": {}}) + "\n"
-        )
+        (bare / "run.json").write_text(json.dumps({"manifest_version": 2}) + "\n")
         code = main(["explain", str(dataset_dir), "x", "y", "--run", str(bare)])
         assert code == 2
         assert "provenance" in capsys.readouterr().err
+
+
+def _merged_pair(run):
+    from repro.obs import ProvenanceLog
+
+    return next(iter(ProvenanceLog.from_jsonl(run / "provenance.jsonl").merged_pairs()))
+
+
+@pytest.mark.parametrize("command", ["reconcile", "evaluate", "explain"])
+def test_every_run_dir_run_leaves_its_fixed_name_files(
+    command, dataset_dir, run_dir, tmp_path
+):
+    """Each run command records the same four files by fixed name, and
+    its manifest is version 2 with per-phase seconds from the trace."""
+    from repro.obs import load_manifest, validate_manifest
+
+    run = tmp_path / "run"
+    argv = {
+        "reconcile": ["reconcile", str(dataset_dir), "--output", str(tmp_path / "p.json")],
+        "evaluate": ["evaluate", str(dataset_dir)],
+        "explain": ["explain", str(dataset_dir), *_merged_pair(run_dir)],
+    }[command]
+    assert main([*argv, "--run-dir", str(run)]) == 0
+    assert sorted(path.name for path in run.iterdir()) == [
+        "events.jsonl", "provenance.jsonl", "run.json", "trace.json",
+    ]
+    manifest = load_manifest(run)
+    validate_manifest(manifest)
+    assert manifest["manifest_version"] == 2
+    assert "artifacts" not in manifest
+    phases = manifest["execution"]["phase_seconds"]
+    assert {"build", "iterate"} <= set(phases), phases
+
+
+def test_fresh_run_clears_stale_run_files(dataset_dir, tmp_path):
+    """A fresh run owns its directory's fixed-name files: a stale
+    checkpoint or crash bundle from an earlier run does not survive."""
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("checkpoint.json", "crash_bundle.json", "events.jsonl"):
+        (run / name).write_text("stale\n")
+    assert main(["evaluate", str(dataset_dir), "--run-dir", str(run)]) == 0
+    assert not (run / "checkpoint.json").exists()
+    assert not (run / "crash_bundle.json").exists()
+    assert "stale" not in (run / "events.jsonl").read_text()
+
+
+def test_explain_run_dir_records_what_explain_run_replays(
+    dataset_dir, run_dir, tmp_path, capsys
+):
+    """``explain --run-dir`` records its provenance into the run
+    directory, so ``explain --run`` on that directory replays it."""
+    ref_a, ref_b = _merged_pair(run_dir)
+    recorded = tmp_path / "recorded"
+    argv = ["explain", str(dataset_dir), ref_a, ref_b]
+    assert main([*argv, "--run-dir", str(recorded)]) == 0
+    first = capsys.readouterr().out
+    assert main([*argv, "--run", str(recorded)]) == 0
+    replayed = capsys.readouterr().out
+    assert "[replayed from decision record]" in replayed
+    assert replayed == first
+
+
+@pytest.mark.parametrize("case", ["run_dir_is_a_file", "torn_bundle", "not_a_bundle"])
+def test_bad_run_directory_is_one_line(case, dataset_dir, tmp_path, capsys):
+    """A --run-dir naming a file, and a torn or foreign crash bundle
+    handed to ``doctor``, exit 2 with one stderr line naming the path."""
+    target = tmp_path / "target"
+    if case == "run_dir_is_a_file":
+        target.write_text("not a directory\n")
+        argv = ["evaluate", str(dataset_dir), "--run-dir", str(target)]
+    elif case == "torn_bundle":
+        target.mkdir()
+        (target / "crash_bundle.json").write_text('{"bundle_version": 1, "rea')
+        argv = ["doctor", str(target)]
+    else:
+        target = tmp_path / "j.json"
+        target.write_text(json.dumps({"valid": "json"}))
+        argv = ["doctor", str(target)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert str(target) in err
 
 
 #: every command that reads a run directory, as argv after the run dir
@@ -201,17 +271,24 @@ _RUN_DIR_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("damage", ["missing", "torn"])
+@pytest.mark.parametrize("damage", ["missing", "torn", "version1"])
 @pytest.mark.parametrize("command", sorted(_RUN_DIR_COMMANDS))
 def test_run_dir_commands_refuse_missing_or_torn_manifest(
     command, damage, tmp_path, capsys
 ):
     """No run-dir command tracebacks on a bad run.json: each exits 2
-    with a one-line message on stderr."""
+    with a one-line message on stderr. A version-1 manifest (with its
+    artifact map) is refused, not read."""
     run = tmp_path / "run"
     run.mkdir()
     if damage == "torn":
         (run / "run.json").write_text('{"manifest_version": 1, "run": {"data')
+    elif damage == "version1":
+        (run / "run.json").write_text(json.dumps({
+            "manifest_version": 1,
+            "artifacts": {"provenance": "provenance.jsonl"},
+        }))
+        (run / "provenance.jsonl").write_text("")
     argv = [arg.replace("{run}", str(run)) for arg in _RUN_DIR_COMMANDS[command]]
     assert main(argv) == 2
     err = capsys.readouterr().err.strip()

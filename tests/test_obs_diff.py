@@ -56,7 +56,6 @@ def _record_run(dataset, domain, run_dir):
         dataset=dataset,
         reconciler=engine,
         result=result,
-        artifacts={"provenance": "provenance.jsonl"},
     )
     write_manifest(manifest, run_dir)
     log.close()

@@ -19,7 +19,7 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
-from repro.obs import load_crash_bundle, validate_crash_bundle
+from repro.obs import load_crash_bundle, load_run_dir, validate_crash_bundle
 from repro.obs.render import render_doctor, render_hotspots
 
 HOTSPOTS_SUMMARY = {
@@ -255,9 +255,8 @@ class TestDoctorExitCodes:
         assert bundle["reason"] == "degraded run: budget"
         assert bundle["stop_reason"] == "budget"
         assert bundle["rings"]["degradations"][-1]["kind"] == "budget"
-        # The bundle is a recorded artifact of the run.
-        manifest = json.loads((run_dir / "run.json").read_text())
-        assert manifest["artifacts"]["crash_bundle"] == "crash_bundle.json"
+        # The bundle is found by its fixed name in the run directory.
+        assert load_run_dir(run_dir).artifact("crash_bundle") == run_dir / "crash_bundle.json"
         capsys.readouterr()  # drain the evaluate's own output
         assert main(["doctor", str(run_dir)]) == 1
         first = capsys.readouterr().out
@@ -359,7 +358,7 @@ class TestHotspotsCommand:
         self, tmp_path, capsys
     ):
         (tmp_path / "run.json").write_text(
-            json.dumps({"execution": {"hotspots": None}})
+            json.dumps({"manifest_version": 2, "execution": {"hotspots": None}})
         )
         assert main(["hotspots", str(tmp_path)]) == 2
         assert "no hotspot attribution" in capsys.readouterr().err

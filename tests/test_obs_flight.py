@@ -27,10 +27,12 @@ from repro.obs import (
     FlightRecorder,
     HotspotSketch,
     Observers,
+    ProvenanceLog,
     SchemaError,
     SpaceSaving,
     Telemetry,
     TelemetryRelay,
+    Tracer,
     build_crash_bundle,
     build_manifest,
     dump_crash_bundle,
@@ -295,7 +297,7 @@ class TestCrashBundle:
         assert "<object object" in path.read_text()
 
     def test_lane_rings_feed_worker_lanes(self):
-        relay = TelemetryRelay(Telemetry.enabled(trace=True))
+        relay = TelemetryRelay(Telemetry(tracer=Tracer()))
         payload = {
             "pid": 4242,
             "tid": 1,
@@ -321,7 +323,7 @@ class TestCrashBundle:
     def test_lane_ring_eviction_is_bounded(self):
         from repro.obs.relay import _LANE_RING_DEPTH, _MAX_LANE_RINGS
 
-        relay = TelemetryRelay(Telemetry.enabled(trace=True))
+        relay = TelemetryRelay(Telemetry(tracer=Tracer()))
         for pid in range(_MAX_LANE_RINGS + 10):
             for _ in range(_LANE_RING_DEPTH + 3):
                 relay.absorb(
@@ -357,7 +359,7 @@ def _observed_run(dataset, domain_factory, config, *, detach):
     """One run with provenance recording; *detach* leaves out the
     recorder and the sketch."""
     clear_similarity_caches()
-    telemetry = Telemetry.enabled(provenance=True)
+    telemetry = Telemetry(provenance=ProvenanceLog())
     observers = [telemetry]
     if not detach:
         observers += [FlightRecorder(), HotspotSketch()]

@@ -16,9 +16,12 @@ from repro.datasets import generate_cora_dataset, generate_pim_dataset
 from repro.datasets.cora import CoraConfig
 from repro.domains import CoraDomainModel, PimDomainModel
 from repro.obs import (
+    EventLog,
     FlightRecorder,
     HotspotSketch,
+    ProvenanceLog,
     Telemetry,
+    Tracer,
     validate_event_log,
 )
 from repro.runtime import Checkpointer, CrashAtStep, InjectedFault
@@ -63,12 +66,10 @@ def _run(dataset, domain_factory, telemetry=None):
 def test_partition_identical_with_all_sinks_attached(name, tmp_path):
     dataset, domain_factory = _dataset(name)
     _, baseline = _run(dataset, domain_factory)
-    telemetry = Telemetry.enabled(
-        log_path=tmp_path / "events.jsonl",
-        log_level="debug",
-        trace=True,
-        provenance=True,
-        provenance_path=tmp_path / "prov.jsonl",
+    telemetry = Telemetry(
+        log=EventLog(tmp_path / "events.jsonl"),
+        tracer=Tracer(),
+        provenance=ProvenanceLog(tmp_path / "prov.jsonl"),
     )
     engine, observed = _run(dataset, domain_factory, telemetry=telemetry)
     telemetry.close()
@@ -87,12 +88,10 @@ def test_parallel_run_identical_with_full_observability(name, tmp_path):
     dataset, domain_factory = _dataset(name)
     _, baseline = _run(dataset, domain_factory)
     clear_similarity_caches()
-    telemetry = Telemetry.enabled(
-        log_path=tmp_path / "events.jsonl",
-        log_level="debug",
-        trace=True,
-        provenance=True,
-        provenance_path=tmp_path / "prov.jsonl",
+    telemetry = Telemetry(
+        log=EventLog(tmp_path / "events.jsonl"),
+        tracer=Tracer(),
+        provenance=ProvenanceLog(tmp_path / "prov.jsonl"),
     )
     config = EngineConfig(workers=2)
     engine = Reconciler(
@@ -108,7 +107,7 @@ def test_parallel_run_identical_with_full_observability(name, tmp_path):
 
 def test_counters_identical_with_and_without_telemetry(tiny_pim_a):
     plain, plain_result = _run(tiny_pim_a, PimDomainModel)
-    telemetry = Telemetry.enabled(trace=True, provenance=True)
+    telemetry = Telemetry(tracer=Tracer(), provenance=ProvenanceLog())
     observed, observed_result = _run(tiny_pim_a, PimDomainModel, telemetry=telemetry)
     assert observed_result.partitions == plain_result.partitions
     # Every counter — wall-clock aside — must match exactly, including
@@ -131,7 +130,7 @@ def test_default_engine_subscribes_flight_and_hotspots(tiny_pim_a):
 def test_engine_state_carries_no_telemetry(tiny_pim_a):
     """Checkpoint payloads are identical with telemetry on or off."""
     plain, _ = _run(tiny_pim_a, PimDomainModel)
-    telemetry = Telemetry.enabled(trace=True, provenance=True)
+    telemetry = Telemetry(tracer=Tracer(), provenance=ProvenanceLog())
     observed, _ = _run(tiny_pim_a, PimDomainModel, telemetry=telemetry)
 
     def canonical(engine):
@@ -151,7 +150,7 @@ def test_resume_append_continues_the_event_log(tmp_path):
     checkpointer = Checkpointer(tmp_path, every=1)
 
     clear_similarity_caches()
-    telemetry = Telemetry.enabled(log_path=log_path, log_level="debug")
+    telemetry = Telemetry(log=EventLog(log_path))
     engine = Reconciler(
         dataset.store,
         domain_factory(),
@@ -164,7 +163,7 @@ def test_resume_append_continues_the_event_log(tmp_path):
     events_before_crash = validate_event_log(log_path)
     assert events_before_crash > 0
 
-    resumed_telemetry = Telemetry.enabled(log_path=log_path, log_level="debug")
+    resumed_telemetry = Telemetry(log=EventLog(log_path))
     resumed = Reconciler.resume(
         checkpointer.path,
         store=dataset.store,
@@ -210,7 +209,7 @@ def test_null_sink_overhead_smoke(tiny_pim_a):
     # accidentally enabled by default), not micro-variance.
     clear_similarity_caches()
     start = time.perf_counter()
-    telemetry = Telemetry.enabled(trace=True)
+    telemetry = Telemetry(tracer=Tracer())
     Reconciler(
         tiny_pim_a.store, domain, EngineConfig(), observers=_observers(telemetry)
     ).run()

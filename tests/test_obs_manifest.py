@@ -1,6 +1,6 @@
 """Run manifests: schema validity, round-trip, and the invariance
 contract — the manifest's invariant view (everything but the
-``execution`` / ``artifacts`` sections) must be byte-equal with
+``execution`` section) must be byte-equal with
 telemetry on or off, and for a resumed run vs an uninterrupted one,
 on every benchmark dataset."""
 
@@ -22,7 +22,7 @@ from repro.obs import (
     invariant_view,
     load_manifest,
     partition_digest,
-    resolve_artifact,
+    load_run_dir,
     validate_manifest,
     write_manifest,
 )
@@ -108,13 +108,15 @@ class TestManifestShape:
         assert samples[-1]["merges"] == manifest["counters"]["merges"]
         assert samples[-1]["queued"] == 0
 
-    def test_resolve_artifact_relative_and_absolute(self, tmp_path):
-        manifest = {"artifacts": {"provenance": "prov.jsonl", "trace": "/abs/t.json"}}
-        run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        assert resolve_artifact(manifest, run_dir, "provenance") == run_dir / "prov.jsonl"
-        assert str(resolve_artifact(manifest, run_dir, "trace")) == "/abs/t.json"
-        assert resolve_artifact(manifest, run_dir, "events") is None
+    def test_artifact_is_a_fixed_name_lookup(self, datasets, tmp_path):
+        run_dir = write_manifest(_run(datasets["A"], "A"), tmp_path / "run").parent
+        (run_dir / "provenance.jsonl").write_text("")
+        # A moved run directory keeps working: names, not paths.
+        moved = run_dir.rename(tmp_path / "moved")
+        run = load_run_dir(moved / "run.json")
+        assert run.path == moved
+        assert run.artifact("provenance") == moved / "provenance.jsonl"
+        assert run.artifact("trace") is None
 
 
 class TestInvariance:

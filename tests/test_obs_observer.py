@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import EngineConfig, Reconciler
 from repro.domains import PimDomainModel
-from repro.obs import FlightRecorder, HotspotSketch, Observer, Observers, Telemetry
+from repro.obs import FlightRecorder, HotspotSketch, Observer, Observers, Telemetry, Tracer
 
 
 class _Recorder(Observer):
@@ -27,7 +27,7 @@ class TestFanOut:
         assert not Observers([FlightRecorder()]).timing
         sketch = Observers([HotspotSketch()])
         assert sketch.evidence and sketch.timing and not sketch.worker_telemetry
-        telemetry = Observers([Telemetry.enabled(trace=True)])
+        telemetry = Observers([Telemetry(tracer=Tracer())])
         assert telemetry.worker_telemetry and not telemetry.evidence
 
     def test_non_observer_rejected(self):

@@ -32,7 +32,7 @@ def audited():
     """One engine run over Example 1 with a provenance log attached."""
     domain = PimDomainModel()
     store = ReferenceStore(domain.schema, example1_references())
-    telemetry = Telemetry.enabled(provenance=True)
+    telemetry = Telemetry(provenance=ProvenanceLog())
     engine = Reconciler(store, domain, EngineConfig(), observers=[telemetry])
     engine.run()
     return engine
@@ -46,7 +46,7 @@ def audited_pim():
     from repro.datasets import generate_pim_dataset
 
     dataset = generate_pim_dataset("A", scale=0.15)
-    telemetry = Telemetry.enabled(provenance=True)
+    telemetry = Telemetry(provenance=ProvenanceLog())
     engine = Reconciler(
         dataset.store, PimDomainModel(), EngineConfig(), observers=[telemetry]
     )
@@ -109,7 +109,7 @@ class TestDecisionRecords:
         domain = PimDomainModel()
         store = ReferenceStore(domain.schema, example1_references())
         path = tmp_path / "stream.jsonl"
-        telemetry = Telemetry.enabled(provenance=True, provenance_path=path)
+        telemetry = Telemetry(provenance=ProvenanceLog(path))
         Reconciler(store, domain, EngineConfig(), observers=[telemetry]).run()
         telemetry.close()
         prov = telemetry.provenance

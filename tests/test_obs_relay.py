@@ -15,11 +15,13 @@ from repro.core import EngineConfig, Reconciler
 from repro.datasets import generate_pim_dataset
 from repro.domains import PimDomainModel
 from repro.obs import (
+    EventLog,
     FlightRecorder,
     HotspotSketch,
     Observers,
     Telemetry,
     TelemetryRelay,
+    Tracer,
     WorkerTelemetry,
     build_manifest,
     trace_process_names,
@@ -67,11 +69,7 @@ class TestWorkerTelemetry:
 
 class TestTelemetryRelay:
     def _telemetry(self, tmp_path):
-        return Telemetry.enabled(
-            log_path=tmp_path / "events.jsonl",
-            log_level="debug",
-            trace=True,
-        )
+        return Telemetry(log=EventLog(tmp_path / "events.jsonl"), tracer=Tracer())
 
     def test_absorb_builds_named_foreign_lanes(self, tmp_path):
         telemetry = self._telemetry(tmp_path)
@@ -132,7 +130,7 @@ class TestTelemetryRelay:
         telemetry = Telemetry(provenance=ProvenanceLog())
         assert not telemetry.wants_worker_telemetry
         assert not Observers([telemetry]).worker_telemetry
-        assert Observers([Telemetry.enabled(trace=True)]).worker_telemetry
+        assert Observers([Telemetry(tracer=Tracer())]).worker_telemetry
 
 
 class TestParallelRunEndToEnd:
@@ -150,11 +148,7 @@ class TestParallelRunEndToEnd:
     def observed(self, dataset, tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("relay_run")
         clear_similarity_caches()
-        telemetry = Telemetry.enabled(
-            log_path=tmp_path / "events.jsonl",
-            log_level="debug",
-            trace=True,
-        )
+        telemetry = Telemetry(log=EventLog(tmp_path / "events.jsonl"), tracer=Tracer())
         config = EngineConfig(workers=2)
         engine = Reconciler(
             dataset.store,
@@ -211,9 +205,7 @@ def test_resume_append_continues_relay_telemetry(tmp_path):
     checkpointer = Checkpointer(tmp_path, every=1)
 
     clear_similarity_caches()
-    telemetry = Telemetry.enabled(
-        log_path=log_path, log_level="debug", trace=True
-    )
+    telemetry = Telemetry(log=EventLog(log_path), tracer=Tracer())
     engine = Reconciler(
         dataset.store,
         PimDomainModel(),
@@ -227,9 +219,7 @@ def test_resume_append_continues_relay_telemetry(tmp_path):
     events_before_crash = validate_event_log(log_path)
     assert events_before_crash > 0
 
-    resumed_telemetry = Telemetry.enabled(
-        log_path=log_path, log_level="debug", trace=True
-    )
+    resumed_telemetry = Telemetry(log=EventLog(log_path), tracer=Tracer())
     resumed = Reconciler.resume(
         checkpointer.path,
         store=dataset.store,

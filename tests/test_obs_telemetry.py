@@ -1,20 +1,18 @@
 """Unit tests for the observability primitives: event log, tracer,
-schema validators and stats renderers."""
+schema validators and renderers."""
 
 import io
 import json
 
 import pytest
 
-from repro.core.engine import EngineStats
 from repro.obs import (
     LEVELS,
     EventLog,
+    SchemaError,
     Telemetry,
     Tracer,
-    hit_rate,
     render_degradations,
-    render_stats,
     validate_chrome_trace,
     validate_event,
     validate_event_log,
@@ -34,10 +32,9 @@ class FakeClock:
 
 
 class TestEventLog:
-    def test_writes_jsonl_with_level_filtering(self, tmp_path):
+    def test_writes_every_event_as_one_json_line(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        with EventLog(path, level="info", clock=lambda: 42.0) as log:
-            log.emit("debug", "ignored", detail="below threshold")
+        with EventLog(path, clock=lambda: 42.0) as log:
             log.emit("info", "run_start", dataset="B")
             log.emit("warning", "degradation", kind="budget")
         lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -60,19 +57,17 @@ class TestEventLog:
 
     def test_stream_sink(self):
         stream = io.StringIO()
-        log = EventLog(stream=stream, level="debug")
-        log.emit("debug", "probe", x=1)
+        log = EventLog(stream=stream)
+        log.emit("info", "probe", x=1)
         assert json.loads(stream.getvalue())["event"] == "probe"
 
-    def test_unknown_level_dropped(self):
-        stream = io.StringIO()
-        log = EventLog(stream=stream, level="debug")
-        log.emit("loud", "boom")  # unknown levels rank below every threshold
-        assert stream.getvalue() == ""
-        assert log.emitted == 0
-
     def test_levels_are_ordered(self):
-        assert LEVELS["debug"] < LEVELS["info"] < LEVELS["warning"] < LEVELS["error"]
+        assert LEVELS == ("info", "warning", "error")
+
+    def test_debug_level_is_not_an_event_level(self):
+        # Per-decision detail lives in provenance.jsonl and the trace.
+        with pytest.raises(SchemaError):
+            validate_event({"ts": 0.0, "level": "debug", "event": "merge"})
 
 
 class TestTracer:
@@ -134,16 +129,6 @@ class TestNullTelemetry:
         assert telemetry.tracer is None
         assert telemetry.provenance is None
 
-    def test_enabled_constructor_wires_requested_sinks(self, tmp_path):
-        telemetry = Telemetry.enabled(
-            log_path=tmp_path / "e.jsonl", trace=True, provenance=True,
-        )
-        assert telemetry.active is True
-        assert telemetry.log is not None
-        assert telemetry.tracer is not None
-        assert telemetry.provenance is not None
-        telemetry.close()
-
     def test_partial_telemetry_span_without_tracer(self):
         telemetry = Telemetry(log=EventLog(stream=io.StringIO()))
         assert telemetry.active is True
@@ -153,20 +138,6 @@ class TestNullTelemetry:
 
 
 class TestRenderers:
-    def test_hit_rate_formats(self):
-        assert hit_rate(9, 1) == "90.0% (9/10)"
-        assert hit_rate(0, 0) == "n/a"
-
-    def test_render_stats_contains_counters(self):
-        stats = EngineStats()
-        stats.candidate_pairs = 12
-        stats.pair_nodes = 10
-        stats.merges = 4
-        text = render_stats(stats)
-        assert "candidate_pairs=12" in text
-        assert "merges=4" in text
-        assert text.startswith("engine stats:")
-
     def test_render_degradations_empty_when_clean(self, tiny_pim_a):
         from repro.core import EngineConfig, Reconciler
         from repro.domains import PimDomainModel

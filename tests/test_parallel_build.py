@@ -154,6 +154,7 @@ class TestCliIntegration:
     def test_workers_and_stats_flags(self, tmp_path, capsys):
         from repro.cli import main
         from repro.datasets.io import save_dataset
+        from repro.obs import load_manifest
 
         dataset = generate_pim_dataset("A", scale=0.15)
         save_dataset(dataset, tmp_path / "ds")
@@ -161,11 +162,14 @@ class TestCliIntegration:
                          str(tmp_path / "serial.json")])
         assert baseline == 0
         code = main(["reconcile", str(tmp_path / "ds"), "--workers", "2",
-                     "--stats", "--output", str(tmp_path / "parallel.json")])
+                     "--run-dir", str(tmp_path / "run"),
+                     "--output", str(tmp_path / "parallel.json")])
         assert code == 0
-        err = capsys.readouterr().err
-        assert "cache effectiveness" in err
-        assert "workers=2" in err
+        execution = load_manifest(tmp_path / "run")["execution"]
+        assert execution["parallel_workers"] == 2
+        assert set(execution["cache_hit_rates"]) == {
+            "values", "contacts", "feature", "pair_memo",
+        }
         assert (tmp_path / "serial.json").read_text() == (
             tmp_path / "parallel.json"
         ).read_text()
@@ -173,13 +177,17 @@ class TestCliIntegration:
     def test_evaluate_accepts_workers(self, tmp_path, capsys):
         from repro.cli import main
         from repro.datasets.io import save_dataset
+        from repro.obs import load_manifest
 
         dataset = generate_cora_dataset(
             CoraConfig(n_papers=12, n_citations=60, n_authors=25, n_venues=6)
         )
         save_dataset(dataset, tmp_path / "cora")
-        code = main(["evaluate", str(tmp_path / "cora"), "--workers", "2", "--stats"])
+        code = main(["evaluate", str(tmp_path / "cora"), "--workers", "2",
+                     "--run-dir", str(tmp_path / "run")])
         assert code == 0
         captured = capsys.readouterr()
         assert "pairwise" in captured.out
-        assert "pair-score memo" in captured.err
+        execution = load_manifest(tmp_path / "run")["execution"]
+        assert execution["parallel_workers"] == 2
+        assert execution["cache_hit_rates"]["pair_memo"] is not None
