@@ -11,6 +11,14 @@ every neighbour list on fusion, the graph keeps an alias table mapping
 dead keys to their successors, and :meth:`resolve` follows it (with
 path compression). Neighbour iteration therefore always sees the live,
 fused node.
+
+The graph also keeps the reverse of that table: for each live key, the
+dead keys whose alias chain ends there. It is written only where an
+alias is written (a re-key or a fusion), and when a live key is itself
+retired its dead keys move to the successor, smaller set into larger.
+:meth:`drop_self_references` uses it to strip the edges a fusion turned
+into self-loops without resolving every neighbour key. Checkpoints hold
+only the forward table; :meth:`from_snapshot` rebuilds the reverse one.
 """
 
 from __future__ import annotations
@@ -44,6 +52,8 @@ class DependencyGraph:
     def __init__(self) -> None:
         self._nodes: dict[PairKey, PairNode] = {}
         self._alias: dict[PairKey, PairKey] = {}
+        # Reverse of _alias: live key -> dead keys whose chain ends there.
+        self._aliases_of: dict[PairKey, set[PairKey]] = {}
         self._by_element: dict[str, set[PairKey]] = {}
         self._value_nodes: dict[tuple[str, str, str], ValueNode] = {}
         self.value_nodes_created = 0
@@ -204,7 +214,7 @@ class DependencyGraph:
                 del self._nodes[old_key]
                 node.left, node.right = new_key
                 self._nodes[new_key] = node
-                self._alias[old_key] = new_key
+                self._retire(old_key, new_key)
                 self._by_element.setdefault(other, set()).discard(old_key)
                 self._by_element.setdefault(other, set()).add(new_key)
                 survivor_index.add(new_key)
@@ -236,8 +246,27 @@ class DependencyGraph:
         if source.status is NodeStatus.NON_MERGE:
             target.status = NodeStatus.NON_MERGE
         del self._nodes[old_key]
-        self._alias[old_key] = target.key
+        self._retire(old_key, target.key)
         self._by_element.setdefault(other, set()).discard(old_key)
+
+    def _retire(self, old_key: PairKey, new_key: PairKey) -> None:
+        """Alias live *old_key* to live *new_key*; the dead keys that
+        ended at *old_key* now end at *new_key* (smaller set into
+        larger)."""
+        self._alias[old_key] = new_key
+        moved = self._aliases_of.pop(old_key, None)
+        if moved is None:
+            moved = {old_key}
+        else:
+            moved.add(old_key)
+        kept = self._aliases_of.get(new_key)
+        if kept is None:
+            self._aliases_of[new_key] = moved
+        elif len(kept) >= len(moved):
+            kept |= moved
+        else:
+            moved |= kept
+            self._aliases_of[new_key] = moved
 
     # -- checkpointing -------------------------------------------------------
     def snapshot(self) -> dict:
@@ -327,7 +356,15 @@ class DependencyGraph:
             graph._nodes[key] = node
             graph._by_element.setdefault(key[0], set()).add(key)
             graph._by_element.setdefault(key[1], set()).add(key)
-        graph._alias = {tuple(old): tuple(new) for old, new in data["alias"]}
+        alias = graph._alias = {tuple(old): tuple(new) for old, new in data["alias"]}
+        aliases_of = graph._aliases_of
+        for old in alias:
+            # Walk without compressing, so the restored forward table
+            # (and any snapshot taken from it) is exactly the saved one.
+            root = alias[old]
+            while root in alias:
+                root = alias[root]
+            aliases_of.setdefault(root, set()).add(old)
         graph.pair_nodes_created = data["pair_nodes_created"]
         graph.value_nodes_created = data["value_nodes_created"]
         graph.fusions = data["fusions"]
@@ -335,8 +372,15 @@ class DependencyGraph:
 
     def drop_self_references(self, node: PairNode) -> None:
         """Remove edges that now point from *node* to itself (possible
-        after fusion when two mutually-dependent nodes collapse)."""
+        after fusion when two mutually-dependent nodes collapse).
+
+        Those are the edges to the node's own key or to a dead key whose
+        alias chain ends there. A node whose key is itself dead has none.
+        """
         key = node.key
+        if key in self._alias:
+            return
+        dead = self._aliases_of.get(key)
         for edge_set in (
             node.real_in,
             node.strong_in,
@@ -345,5 +389,7 @@ class DependencyGraph:
             node.strong_out,
             node.weak_out,
         ):
-            stale = {k for k in edge_set if self.resolve(k) == key}
-            edge_set -= stale
+            edge_set.discard(key)
+            if dead:
+                # The intersection walks whichever set is smaller.
+                edge_set -= edge_set & dead

@@ -74,8 +74,9 @@ class PairNode:
 
     The node is keyed by the pair of *cluster roots*, so enrichment
     (§3.3) can re-key and fuse nodes as clusters grow. ``left`` and
-    ``right`` always hold the current roots; ``key`` is their canonical
-    unordered form.
+    ``right`` always hold the current roots in canonical order
+    (``left <= right``, as :func:`pair_key` gives them), so ``key`` is
+    simply the tuple of the two.
     """
 
     class_name: str
@@ -97,7 +98,7 @@ class PairNode:
 
     @property
     def key(self) -> PairKey:
-        return pair_key(self.left, self.right)
+        return (self.left, self.right)
 
     @property
     def is_merged(self) -> bool:

@@ -1,5 +1,11 @@
 """Tests for the dependency graph: uniqueness, edges, enrichment fusion."""
 
+import copy
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.graph import DependencyGraph
 from repro.core.nodes import EdgeType, NodeStatus, pair_key
 from repro.core.partition import UnionFind
@@ -126,3 +132,139 @@ class TestFusion:
         assert graph.get("b", "z") is survivor
         assert graph.get("c", "z") is survivor
         assert graph.fusions == 2
+
+
+def edge_sets(node):
+    return (
+        node.real_in,
+        node.strong_in,
+        node.weak_in,
+        node.real_out,
+        node.strong_out,
+        node.weak_out,
+    )
+
+
+def merge(graph, uf, left, right):
+    """Union two clusters the way the engine does and fuse the graph."""
+    left_root, right_root = uf.find(left), uf.find(right)
+    survivor = uf.union(left_root, right_root)
+    absorbed = right_root if survivor == left_root else left_root
+    return graph.merge_elements(survivor, absorbed, same_cluster=uf.connected)
+
+
+class TestSelfReferences:
+    def mutually_dependent(self):
+        graph = DependencyGraph()
+        node_ac = graph.add_pair_node("Person", "a", "c")
+        node_bc = graph.add_pair_node("Person", "b", "c")
+        for edge_type in EdgeType:
+            graph.add_edge(node_ac, node_bc, edge_type)
+            graph.add_edge(node_bc, node_ac, edge_type)
+        return graph, node_ac, node_bc
+
+    def test_fusing_mutually_dependent_nodes_drops_self_edges(self):
+        graph, node_ac, node_bc = self.mutually_dependent()
+        report = merge(graph, UnionFind(), "a", "b")
+        assert report.reactivate == [node_ac]
+        survivor = report.reactivate[0]
+        key = survivor.key
+
+        def self_edges():
+            return [k for s in edge_sets(survivor) for k in s if graph.resolve(k) == key]
+
+        # Fusion unioned both nodes' edges, so each set now points home.
+        assert len(self_edges()) == 12
+        graph.drop_self_references(survivor)
+        assert self_edges() == []
+        assert survivor not in list(graph.real_out_nodes(survivor))
+
+    def test_dead_key_is_a_no_op(self):
+        graph, _, node_bc = self.mutually_dependent()
+        merge(graph, UnionFind(), "a", "b")
+        assert graph.get_key(node_bc.key) is not node_bc
+        before = copy.deepcopy(edge_sets(node_bc))
+        graph.drop_self_references(node_bc)
+        assert edge_sets(node_bc) == before
+        assert all(before)
+
+
+class TestCanonicalKeys:
+    def test_left_le_right_after_rekey_fusion_and_restore(self):
+        graph = DependencyGraph()
+        lone = graph.add_pair_node("Person", "a", "c")
+        graph.add_pair_node("Person", "b", "e")
+        fused_into = graph.add_pair_node("Person", "d", "e")
+        uf = UnionFind()
+        # Survivor "d" sorts after "c": the re-keyed node must flip sides.
+        merge(graph, uf, "d", "a")
+        assert lone.key == ("c", "d") == (lone.left, lone.right)
+        report = merge(graph, uf, "d", "b")
+        assert report.removed == 1 and report.reactivate == [fused_into]
+        assert fused_into.key == ("d", "e")
+        restored = DependencyGraph.from_snapshot(graph.snapshot())
+        for current in (graph, restored):
+            keys = sorted(node.key for node in current.nodes())
+            assert keys == [("c", "d"), ("d", "e")]
+            assert all(node.left <= node.right for node in current.nodes())
+
+
+def old_drop_self_references(graph, node):
+    """The pre-index scan: resolve every key of every edge set."""
+    key = node.key
+    for edge_set in edge_sets(node):
+        edge_set -= {k for k in edge_set if graph.resolve(k) == key}
+
+
+ELEMENTS = "abcdef"
+
+
+@st.composite
+def fusion_scripts(draw):
+    elements = ELEMENTS[: draw(st.integers(2, len(ELEMENTS)))]
+    pairs = list(itertools.combinations(elements, 2))
+    node_pairs = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    index = st.integers(0, 20)
+    edge = st.tuples(st.just("edge"), index, index, st.sampled_from(list(EdgeType)))
+    union = st.tuples(st.just("union"), st.sampled_from(pairs))
+    # Edges twice as often as unions, so fused nodes carry edges to fold.
+    ops = draw(st.lists(st.one_of(edge, edge, union), max_size=30))
+    restore_at = draw(st.integers(0, len(ops)))
+    return node_pairs, ops, restore_at
+
+
+class TestDropSelfReferencesMatchesScan:
+    @given(fusion_scripts())
+    @settings(max_examples=150, deadline=None)
+    def test_index_matches_old_scan(self, script):
+        node_pairs, ops, restore_at = script
+        graph = DependencyGraph()
+        for left, right in node_pairs:
+            graph.add_pair_node("Person", left, right)
+        uf = UnionFind()
+        tracked = list(graph.nodes())
+        for step, op in enumerate(ops):
+            if step == restore_at:
+                graph = DependencyGraph.from_snapshot(graph.snapshot())
+                tracked = list(graph.nodes())
+            if op[0] == "edge":
+                live = sorted(graph.nodes(), key=lambda node: node.key)
+                graph.add_edge(live[op[1] % len(live)], live[op[2] % len(live)], op[3])
+                continue
+            left, right = op[1]
+            if uf.connected(left, right):
+                continue
+            report = merge(graph, uf, left, right)
+            for node in report.reactivate:
+                old_graph, old_node = copy.deepcopy((graph, node))
+                old_drop_self_references(old_graph, old_node)
+                graph.drop_self_references(node)
+                assert edge_sets(node) == edge_sets(old_node)
+            # Every node ever seen, live or fused away, agrees too.
+            new_graph, new_nodes = copy.deepcopy((graph, tracked))
+            old_graph, old_nodes = copy.deepcopy((graph, tracked))
+            for new_node, old_node in zip(new_nodes, old_nodes):
+                new_graph.drop_self_references(new_node)
+                old_drop_self_references(old_graph, old_node)
+                assert edge_sets(new_node) == edge_sets(old_node)
+            assert all(node.left <= node.right for node in graph.nodes())
