@@ -93,9 +93,6 @@ class DependencyGraph:
     def get_key(self, key: PairKey) -> PairNode | None:
         return self._nodes.get(self.resolve(key))
 
-    def pairs_of_element(self, element: str) -> set[PairKey]:
-        return set(self._by_element.get(element, ()))
-
     # -- construction -----------------------------------------------------
     def add_pair_node(self, class_name: str, left: str, right: str) -> PairNode:
         """Create (or return) the unique node for this element pair."""
@@ -169,9 +166,6 @@ class DependencyGraph:
 
     def strong_in_nodes(self, node: PairNode) -> Iterator[PairNode]:
         return self._resolve_neighbours(node.strong_in)
-
-    def real_in_nodes(self, node: PairNode) -> Iterator[PairNode]:
-        return self._resolve_neighbours(node.real_in)
 
     # -- enrichment (§3.3) ---------------------------------------------------
     def merge_elements(

@@ -118,8 +118,3 @@ class PairNode:
         if not nodes:
             return None
         return max(node.score for node in nodes)
-
-    def channels_present(self) -> frozenset[str]:
-        return frozenset(
-            channel for channel, nodes in self.value_evidence.items() if nodes
-        )

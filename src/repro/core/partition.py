@@ -44,14 +44,6 @@ class UnionFind:
         effective union, once bookkeeping is complete."""
         self._listeners.append(listener)
 
-    def remove_union_listener(self, listener) -> None:
-        """Unregister *listener*; a no-op when it was never added (or
-        already removed — teardown paths may run twice)."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
-
     def __contains__(self, item: Hashable) -> bool:
         return item in self._parent
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
-from .schema import AttributeKind, Schema, SchemaError
+from .schema import Schema, SchemaError
 
 __all__ = ["Reference", "ReferenceStore"]
 
@@ -188,9 +188,3 @@ class ReferenceStore:
                             f"{target_id!r} of class {target.class_name!r}, "
                             f"expected {attribute.target!r}"
                         )
-
-    def atomic_kind(self, class_name: str, attribute: str) -> bool:
-        return (
-            self.schema.cls(class_name).attribute(attribute).kind
-            is AttributeKind.ATOMIC
-        )

@@ -34,10 +34,6 @@ class PersonEntity:
     former_name: PersonName | None = None  # pre-marriage name, if changed
     is_mailing_list: bool = False
 
-    @property
-    def current_email(self) -> str:
-        return self.emails[-1]
-
 
 @dataclass(frozen=True)
 class VenueEntity:

@@ -8,7 +8,7 @@ references by where the extractor found them).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 __all__ = ["GoldStandard"]
@@ -74,6 +74,3 @@ class GoldStandard:
 
     def total_entity_count(self) -> int:
         return len(set(self.entity_of.values()))
-
-    def as_mapping(self) -> Mapping[str, str]:
-        return dict(self.entity_of)

@@ -3,20 +3,8 @@
 from .base import PAPER_BETA, PAPER_GAMMA, PAPER_MERGE_THRESHOLD, max_of_profiles
 from .cora import CORA_SCHEMA, CoraDomainModel
 from .pim import PIM_SCHEMA, PimDomainModel, depgraph_config
-from .tuning import (
-    TrainingSet,
-    TunedDomainModel,
-    collect_training_pairs,
-    fit_profile_weights,
-    tune_domain,
-)
 
 __all__ = [
-    "TrainingSet",
-    "TunedDomainModel",
-    "collect_training_pairs",
-    "fit_profile_weights",
-    "tune_domain",
     "PAPER_BETA",
     "PAPER_GAMMA",
     "PAPER_MERGE_THRESHOLD",

@@ -74,14 +74,10 @@ CORA_SCHEMA = Schema(
     ]
 )
 
-# Bounded string-keyed memos for callers outside the engine's
-# feature-based fast path (see domains.pim for the rationale).
+# The engine calls a channel's plain comparator only when it has no fast
+# path; Monge-Elkan over locations is the costly one of those, so it is
+# memoised and registered for clear_similarity_caches().
 _CACHE_SIZE = 20_000
-_cached_name_sim = register_cache(functools.lru_cache(maxsize=_CACHE_SIZE)(name_similarity))
-_cached_title_sim = register_cache(functools.lru_cache(maxsize=_CACHE_SIZE)(title_similarity))
-_cached_venue_sim = register_cache(
-    functools.lru_cache(maxsize=_CACHE_SIZE)(venue_name_similarity)
-)
 
 
 @register_cache
@@ -140,7 +136,7 @@ class CoraDomainModel(DomainModel):
                     class_name="Person",
                     left_attr="name",
                     right_attr="name",
-                    comparator=_cached_name_sim,
+                    comparator=name_similarity,
                     liberal_threshold=0.5,
                     features_left=name_features,
                     features_right=name_features,
@@ -153,7 +149,7 @@ class CoraDomainModel(DomainModel):
                     class_name="Article",
                     left_attr="title",
                     right_attr="title",
-                    comparator=_cached_title_sim,
+                    comparator=title_similarity,
                     liberal_threshold=0.5,
                     features_left=title_features,
                     features_right=title_features,
@@ -183,7 +179,7 @@ class CoraDomainModel(DomainModel):
                     class_name="Venue",
                     left_attr="name",
                     right_attr="name",
-                    comparator=_cached_venue_sim,
+                    comparator=venue_name_similarity,
                     liberal_threshold=0.25,
                     features_left=venue_features,
                     features_right=venue_features,

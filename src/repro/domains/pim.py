@@ -98,21 +98,14 @@ PIM_SCHEMA = Schema(
 )
 
 
-# Comparators are memoised: the same value pair is compared many times
-# across candidate pairs. The engine's hot path now runs the
-# feature-based fast comparators below plus its own value-pair memo, so
-# these string-keyed caches only back the constraint/eligibility checks
-# and external callers — bounded tightly and registered for
-# clear_similarity_caches().
+# The engine scores a channel through its fast comparator when it has
+# one, behind its own value-pair memo, so only the constraint checks and
+# the channels without a fast path reach these string-keyed caches —
+# bounded tightly and registered for clear_similarity_caches().
 _CACHE_SIZE = 20_000
-_cached_name_sim = register_cache(functools.lru_cache(maxsize=_CACHE_SIZE)(name_similarity))
 _cached_email_sim = register_cache(functools.lru_cache(maxsize=_CACHE_SIZE)(email_similarity))
 _cached_name_email_sim = register_cache(
     functools.lru_cache(maxsize=_CACHE_SIZE)(name_email_similarity)
-)
-_cached_title_sim = register_cache(functools.lru_cache(maxsize=_CACHE_SIZE)(title_similarity))
-_cached_venue_sim = register_cache(
-    functools.lru_cache(maxsize=_CACHE_SIZE)(venue_name_similarity)
 )
 _cached_name_compat = register_cache(
     functools.lru_cache(maxsize=_CACHE_SIZE)(name_compatibility)
@@ -195,7 +188,7 @@ class PimDomainModel(DomainModel):
                     class_name="Person",
                     left_attr="name",
                     right_attr="name",
-                    comparator=_cached_name_sim,
+                    comparator=name_similarity,
                     liberal_threshold=0.5,
                     features_left=name_features,
                     features_right=name_features,
@@ -232,7 +225,7 @@ class PimDomainModel(DomainModel):
                     class_name="Article",
                     left_attr="title",
                     right_attr="title",
-                    comparator=_cached_title_sim,
+                    comparator=title_similarity,
                     liberal_threshold=0.5,
                     features_left=title_features,
                     features_right=title_features,
@@ -262,7 +255,7 @@ class PimDomainModel(DomainModel):
                     class_name="Venue",
                     left_attr="name",
                     right_attr="name",
-                    comparator=_cached_venue_sim,
+                    comparator=venue_name_similarity,
                     liberal_threshold=0.25,
                     features_left=venue_features,
                     features_right=venue_features,

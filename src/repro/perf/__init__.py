@@ -8,17 +8,15 @@ byte-identical to serial ones. ``benchmarks/`` and
 ``scripts/record_bench.py`` keep the layer honest.
 """
 
-from .features import FeatureCache, PhoneticProfile, phonetic_profile
+from .features import FeatureCache
 from .parallel import domain_spec
 from .scoring import channel_value_pairs, memoised_score, pair_evidence, score_value_pair
 
 __all__ = [
     "FeatureCache",
-    "PhoneticProfile",
     "channel_value_pairs",
     "domain_spec",
     "memoised_score",
     "pair_evidence",
-    "phonetic_profile",
     "score_value_pair",
 ]

@@ -13,37 +13,15 @@ bounded edit-distance kernel.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from ..similarity.emails import email_features
 from ..similarity.names import parse_name
-from ..similarity.phonetic import metaphone, soundex
 from ..similarity.titles import title_features
-from ..similarity.tokens import tokenize
 from ..similarity.venues import venue_features
 
-__all__ = ["FeatureCache", "PhoneticProfile", "phonetic_profile", "STANDARD_EXTRACTORS"]
+__all__ = ["FeatureCache", "STANDARD_EXTRACTORS"]
 
 _MISSING = object()
-
-
-@dataclass(frozen=True)
-class PhoneticProfile:
-    """Soundex / metaphone codes of a value's tokens, for phonetic
-    blocking and phonetic evidence channels."""
-
-    tokens: tuple[str, ...]
-    soundex_codes: tuple[str, ...]
-    metaphone_codes: tuple[str, ...]
-
-
-def phonetic_profile(value: str) -> PhoneticProfile:
-    tokens = tuple(tokenize(value))
-    return PhoneticProfile(
-        tokens=tokens,
-        soundex_codes=tuple(soundex(token) for token in tokens),
-        metaphone_codes=tuple(metaphone(token) for token in tokens),
-    )
 
 
 #: The extractors the shipped domains wire into their channels. Keyed
@@ -53,7 +31,6 @@ STANDARD_EXTRACTORS: dict[str, Callable[[str], object]] = {
     "email": email_features,
     "title": title_features,
     "venue": venue_features,
-    "phonetic": phonetic_profile,
 }
 
 

@@ -2,12 +2,13 @@
 
 Everything the reconciliation engine knows about *strings* lives here:
 generic metrics (:mod:`repro.similarity.strings`), domain comparators
-for names, emails, venues, titles and pages, the cross-attribute
-name-vs-email evidence, corpus TF-IDF weighting, and weight learning.
+for names, emails, venues, titles and pages, and the cross-attribute
+name-vs-email evidence. Where a channel has a feature-based fast path
+(``*_similarity_features``) the engine calls that; the plain
+comparators are the reference those fast paths are tested against.
 """
 
 from .caches import clear_similarity_caches, register_cache, registered_caches
-from .corpus import TfIdfCorpus
 from .emails import (
     EmailFeatures,
     ParsedEmail,
@@ -16,34 +17,27 @@ from .emails import (
     email_similarity_features,
     email_upper_bound,
     parse_email,
-    same_server,
 )
 from .name_email import name_email_similarity
 from .names import (
     NameCompat,
     ParsedName,
-    full_name_pair,
     name_compatibility,
     name_similarity,
     parse_name,
 )
 from .nicknames import all_name_forms, canonical_given_names, share_canonical_given_name
-from .phonetic import metaphone, phonetic_similarity, soundex
 from .strings import (
     containment_similarity,
     damerau_levenshtein_distance,
     damerau_levenshtein_similarity,
     damerau_levenshtein_within,
-    dice_similarity,
     jaccard_similarity,
     jaro_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,
     levenshtein_similarity,
-    longest_common_substring_similarity,
     monge_elkan_similarity,
-    ngram_similarity,
-    prefix_similarity,
 )
 from .titles import (
     TitleFeatures,
@@ -54,7 +48,7 @@ from .titles import (
     title_upper_bound,
     year_similarity,
 )
-from .tokens import acronym_of, is_acronym_of, normalize, tokenize
+from .tokens import is_acronym_of, normalize, tokenize
 from .venues import (
     VenueFeatures,
     venue_features,
@@ -64,7 +58,6 @@ from .venues import (
 )
 
 __all__ = [
-    "TfIdfCorpus",
     "clear_similarity_caches",
     "register_cache",
     "registered_caches",
@@ -84,37 +77,27 @@ __all__ = [
     "ParsedEmail",
     "email_similarity",
     "parse_email",
-    "same_server",
     "name_email_similarity",
     "NameCompat",
     "ParsedName",
-    "full_name_pair",
     "name_compatibility",
     "name_similarity",
     "parse_name",
     "all_name_forms",
     "canonical_given_names",
     "share_canonical_given_name",
-    "metaphone",
-    "phonetic_similarity",
-    "soundex",
     "containment_similarity",
     "damerau_levenshtein_distance",
     "damerau_levenshtein_similarity",
-    "dice_similarity",
     "jaccard_similarity",
     "jaro_similarity",
     "jaro_winkler_similarity",
     "levenshtein_distance",
     "levenshtein_similarity",
-    "longest_common_substring_similarity",
     "monge_elkan_similarity",
-    "ngram_similarity",
-    "prefix_similarity",
     "pages_similarity",
     "title_similarity",
     "year_similarity",
-    "acronym_of",
     "is_acronym_of",
     "normalize",
     "tokenize",

@@ -23,7 +23,6 @@ __all__ = [
     "email_similarity",
     "email_similarity_features",
     "email_upper_bound",
-    "same_server",
 ]
 
 _EMAIL_RE = re.compile(r"^\s*([^@\s]+)@([^@\s]+)\s*$")
@@ -70,15 +69,6 @@ def parse_email(address: str) -> ParsedEmail | None:
         return None
     account, domain = match.groups()
     return ParsedEmail(account=account, domain=domain, raw=f"{account}@{domain}")
-
-
-def same_server(left: ParsedEmail | str, right: ParsedEmail | str) -> bool:
-    """True when the two addresses live on the same mail organisation."""
-    left = parse_email(left) if isinstance(left, str) else left
-    right = parse_email(right) if isinstance(right, str) else right
-    if left is None or right is None:
-        return False
-    return left.domain_core == right.domain_core
 
 
 @dataclass(frozen=True)

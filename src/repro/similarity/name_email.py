@@ -50,7 +50,7 @@ def _score_account_against_name(email: ParsedEmail, name: ParsedName) -> float:
     # Both directions of the nickname relation: a "mike@" account may
     # encode "Michael ...", and a "michael@" account may belong to the
     # reference displayed as "mike".
-    givens = all_name_forms(name.given) if name.given else frozenset()
+    givens = all_name_forms(name.given) if name.given else ()
 
     candidates: list[float] = [0.0]
 

@@ -174,13 +174,19 @@ def _givens_conflict(left: str, right: str) -> bool:
         return left[0] != right[0]
     if _given_names_agree(left, right):
         return False
-    for form_l in all_name_forms(left):
-        for form_r in all_name_forms(right):
-            if form_l[:3] == form_r[:3]:
-                return False
-            if damerau_levenshtein_similarity_at_least(form_l, form_r, 0.65) >= 0.65:
-                return False
-    return True
+    pairs = [
+        (form_l, form_r)
+        for form_l in all_name_forms(left)
+        for form_r in all_name_forms(right)
+    ]
+    # The prefix test is free; run the edit-distance kernel only when no
+    # pair of forms shares a prefix.
+    if any(form_l[:3] == form_r[:3] for form_l, form_r in pairs):
+        return False
+    return not any(
+        damerau_levenshtein_similarity_at_least(form_l, form_r, 0.65) >= 0.65
+        for form_l, form_r in pairs
+    )
 
 
 def name_compatibility(left: ParsedName | str, right: ParsedName | str) -> NameCompat:
@@ -328,15 +334,3 @@ def name_similarity(left: ParsedName | str, right: ParsedName | str) -> float:
         return 0.95
     return 0.75
 
-
-def full_name_pair(left: ParsedName | str, right: ParsedName | str) -> bool:
-    """True when both mentions carry a spelled-out given name + surname.
-
-    §4 uses this as the stricter condition for rewarding strong-boolean
-    evidence between person names.
-    """
-    if isinstance(left, str):
-        left = parse_name(left)
-    if isinstance(right, str):
-        right = parse_name(right)
-    return left.is_full and right.is_full

@@ -160,9 +160,12 @@ for _nickname, _formals in NICKNAMES.items():
 
 @register_cache
 @functools.lru_cache(maxsize=8192)
-def all_name_forms(name: str) -> frozenset[str]:
+def all_name_forms(name: str) -> tuple[str, ...]:
     """Every form *name* is known under: itself, its formal expansions,
-    and the nicknames of those formals.
+    and the nicknames of those formals, in sorted order.
+
+    Sorted rather than a set so callers that stop at the first agreeing
+    form do the same work under every string-hash seed.
 
     >>> "debbie" in all_name_forms("deborah")
     True
@@ -173,7 +176,7 @@ def all_name_forms(name: str) -> frozenset[str]:
     forms = {name} | NICKNAMES.get(name, frozenset())
     for formal in list(forms):
         forms |= _FORMAL_TO_NICKNAMES.get(formal, set())
-    return frozenset(forms)
+    return tuple(sorted(forms))
 
 
 #: All name tokens the table knows (nicknames and formal names alike).

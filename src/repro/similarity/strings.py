@@ -5,10 +5,10 @@ strings are identical (after the metric's own notion of normalisation)
 and ``0.0`` means entirely dissimilar. They are symmetric in their two
 arguments.
 
-The suite mirrors the measures surveyed by Cohen, Ravikumar & Fienberg
+The suite follows the measures surveyed by Cohen, Ravikumar & Fienberg
 (IIWeb 2003), which the paper cites as its source of attribute-level
-comparators: edit distance, Jaro, Jaro-Winkler, n-gram overlap, and the
-hybrid token-level Monge-Elkan and soft-TF-IDF schemes.
+comparators: edit distance, Jaro, Jaro-Winkler, token-set overlap and
+the hybrid token-level Monge-Elkan scheme.
 """
 
 from __future__ import annotations
@@ -26,13 +26,9 @@ __all__ = [
     "damerau_levenshtein_similarity_at_least",
     "jaro_similarity",
     "jaro_winkler_similarity",
-    "ngram_similarity",
     "jaccard_similarity",
-    "dice_similarity",
     "containment_similarity",
-    "longest_common_substring_similarity",
     "monge_elkan_similarity",
-    "prefix_similarity",
 ]
 
 
@@ -250,24 +246,6 @@ def jaro_winkler_similarity(
     return jaro + prefix * prefix_scale * (1.0 - jaro)
 
 
-def _ngrams(text: str, n: int) -> set[str]:
-    if len(text) < n:
-        return {text} if text else set()
-    return {text[i : i + n] for i in range(len(text) - n + 1)}
-
-
-def ngram_similarity(left: str, right: str, *, n: int = 2) -> float:
-    """Jaccard overlap of the character n-gram sets of the two strings."""
-    left_grams = _ngrams(left, n)
-    right_grams = _ngrams(right, n)
-    if not left_grams and not right_grams:
-        return 1.0
-    if not left_grams or not right_grams:
-        return 0.0
-    overlap = len(left_grams & right_grams)
-    return overlap / len(left_grams | right_grams)
-
-
 def jaccard_similarity(left: Sequence[str] | set[str], right: Sequence[str] | set[str]) -> float:
     """Jaccard overlap of two token collections."""
     left_set = set(left)
@@ -277,17 +255,6 @@ def jaccard_similarity(left: Sequence[str] | set[str], right: Sequence[str] | se
     if not left_set or not right_set:
         return 0.0
     return len(left_set & right_set) / len(left_set | right_set)
-
-
-def dice_similarity(left: Sequence[str] | set[str], right: Sequence[str] | set[str]) -> float:
-    """Sørensen-Dice coefficient of two token collections."""
-    left_set = set(left)
-    right_set = set(right)
-    if not left_set and not right_set:
-        return 1.0
-    if not left_set or not right_set:
-        return 0.0
-    return 2.0 * len(left_set & right_set) / (len(left_set) + len(right_set))
 
 
 def containment_similarity(
@@ -305,27 +272,6 @@ def containment_similarity(
     if not left_set or not right_set:
         return 0.0
     return len(left_set & right_set) / min(len(left_set), len(right_set))
-
-
-def longest_common_substring_similarity(left: str, right: str) -> float:
-    """Length of the longest common substring over the shorter length."""
-    if left == right:
-        return 1.0
-    if not left or not right:
-        return 0.0
-    if len(left) > len(right):
-        left, right = right, left
-    previous = [0] * (len(right) + 1)
-    best = 0
-    for left_ch in left:
-        current = [0]
-        for j, right_ch in enumerate(right, start=1):
-            length = previous[j - 1] + 1 if left_ch == right_ch else 0
-            current.append(length)
-            if length > best:
-                best = length
-        previous = current
-    return best / len(left)
 
 
 def monge_elkan_similarity(
@@ -353,15 +299,3 @@ def monge_elkan_similarity(
         return total / len(source)
 
     return (directed(left_tokens, right_tokens) + directed(right_tokens, left_tokens)) / 2.0
-
-
-def prefix_similarity(left: str, right: str) -> float:
-    """Shared-prefix length over the length of the longer string."""
-    if not left and not right:
-        return 1.0
-    prefix = 0
-    for left_ch, right_ch in zip(left, right):
-        if left_ch != right_ch:
-            break
-        prefix += 1
-    return prefix / max(len(left), len(right))

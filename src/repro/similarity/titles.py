@@ -6,7 +6,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import TfIdfCorpus
 from .strings import (
     damerau_levenshtein_similarity,
     damerau_levenshtein_within,
@@ -28,12 +27,10 @@ _PAGE_RE = re.compile(r"(\d+)\s*(?:--?|–|—)\s*(\d+)")
 _NUMBER_RE = re.compile(r"\d+")
 
 
-def title_similarity(left: str, right: str, *, corpus: TfIdfCorpus | None = None) -> float:
-    """Similarity of two article titles in [0, 1].
-
-    With a :class:`TfIdfCorpus` the comparison is soft-TF-IDF weighted;
-    without one it falls back to token Jaccard blended with edit
-    similarity (robust to both word drops and character typos).
+def title_similarity(left: str, right: str) -> float:
+    """Similarity of two article titles in [0, 1]: the larger of token
+    Jaccard and edit similarity (robust to both word drops and
+    character typos).
     """
     if not left or not right:
         return 0.0
@@ -41,8 +38,6 @@ def title_similarity(left: str, right: str, *, corpus: TfIdfCorpus | None = None
     right_norm = " ".join(tokenize(right))
     if left_norm and left_norm == right_norm:
         return 1.0
-    if corpus is not None and len(corpus) > 0:
-        return corpus.soft_cosine(left_norm, right_norm)
     token_score = jaccard_similarity(
         tokenize(left, drop_stopwords=True), tokenize(right, drop_stopwords=True)
     )
@@ -119,8 +114,8 @@ def title_similarity_features(
 ) -> float:
     """:func:`title_similarity` over precomputed features.
 
-    Returns the exact (no-corpus) ``title_similarity`` value whenever
-    that value is at least *floor*; when the true score is below
+    Returns the exact ``title_similarity`` value whenever that value is
+    at least *floor*; when the true score is below
     *floor* the result is merely guaranteed to also be below *floor*
     (the edit-distance kernel is cut off at the highest bar that still
     matters, which is where the speedup comes from).

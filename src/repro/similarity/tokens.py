@@ -9,15 +9,12 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 __all__ = [
     "normalize",
     "strip_accents",
     "tokenize",
-    "token_counts",
-    "acronym_of",
     "is_acronym_of",
     "expand_whitespace",
     "STOPWORDS",
@@ -82,27 +79,6 @@ def tokenize(text: str, *, drop_stopwords: bool = False) -> list[str]:
     if drop_stopwords:
         tokens = [token for token in tokens if token not in STOPWORDS]
     return tokens
-
-
-def token_counts(text: str, *, drop_stopwords: bool = False) -> Counter[str]:
-    """Return a multiset of the tokens of *text*."""
-    return Counter(tokenize(text, drop_stopwords=drop_stopwords))
-
-
-def acronym_of(tokens: Sequence[str] | str, *, skip_stopwords: bool = True) -> str:
-    """Build the acronym of a token sequence (or raw string).
-
-    >>> acronym_of("ACM Conference on Management of Data")
-    'acmd'
-
-    Note stopwords ("on", "of") are skipped by default, matching how
-    acronyms such as "SIGMOD" are conventionally formed.
-    """
-    if isinstance(tokens, str):
-        tokens = tokenize(tokens)
-    if skip_stopwords:
-        tokens = [token for token in tokens if token not in STOPWORDS]
-    return "".join(token[0] for token in tokens if token)
 
 
 def is_acronym_of(short: str, long_form: str | Iterable[str]) -> bool:

@@ -1,16 +1,10 @@
-"""Tests for merge explanations and weight tuning."""
+"""Tests for merge explanations."""
 
 import pytest
 
 from repro.core import EngineConfig, Reconciler, ReferenceStore
 from repro.core.explain import explain_merge
 from repro.domains import PimDomainModel
-from repro.domains.tuning import (
-    TunedDomainModel,
-    collect_training_pairs,
-    fit_profile_weights,
-    tune_domain,
-)
 
 from .conftest import example1_references
 
@@ -22,15 +16,6 @@ def example1_run():
     reconciler = Reconciler(store, domain, EngineConfig())
     result = reconciler.run()
     return reconciler, result
-
-
-EXAMPLE1_GOLD = {
-    "a1": "paper", "a2": "paper",
-    "p1": "epstein", "p4": "epstein",
-    "p2": "stonebraker", "p5": "stonebraker", "p8": "stonebraker", "p9": "stonebraker",
-    "p3": "wong", "p6": "wong", "p7": "wong",
-    "c1": "sigmod", "c2": "sigmod",
-}
 
 
 class TestExplain:
@@ -74,72 +59,3 @@ class TestExplain:
         channels = {ch for step in explanation.steps for ch in step.evidence}
         assert "title" in channels
 
-
-class TestTuning:
-    def test_collect_training_pairs(self):
-        domain = PimDomainModel()
-        store = ReferenceStore(domain.schema, example1_references())
-        training = collect_training_pairs(store, domain, "Person", EXAMPLE1_GOLD)
-        assert training.channels == ("name", "email", "name_email")
-        assert training.pairs
-        # On the tiny example every candidate pair happens to be a true
-        # match (blocking already filtered the rest).
-        assert training.n_matches > 0
-
-    def test_collect_labels_negatives(self):
-        """Marking p9 as somebody else yields negative examples."""
-        domain = PimDomainModel()
-        store = ReferenceStore(domain.schema, example1_references())
-        gold = dict(EXAMPLE1_GOLD, p9="somebody-else")
-        training = collect_training_pairs(store, domain, "Person", gold)
-        assert 0 < training.n_matches < len(training.pairs)
-
-    def test_fit_weights(self):
-        domain = PimDomainModel()
-        store = ReferenceStore(domain.schema, example1_references())
-        gold = dict(EXAMPLE1_GOLD, p9="somebody-else")
-        training = collect_training_pairs(store, domain, "Person", gold)
-        weights = fit_profile_weights(training)
-        assert set(weights) == {"name", "email", "name_email"}
-        assert all(weight >= 0 for weight in weights.values())
-
-    def test_tuned_model_monotone_wrapper(self):
-        domain = PimDomainModel()
-        tuned = TunedDomainModel(domain, {"Person": {"name": 0.5, "email": 0.5}})
-        evidence = {"name": 0.9, "email": 0.9}
-        assert tuned.rv_score("Person", evidence) >= domain.rv_score(
-            "Person", evidence
-        )
-        # Untuned classes delegate exactly.
-        article_evidence = {"title": 0.9, "pages": 1.0}
-        assert tuned.rv_score("Article", article_evidence) == domain.rv_score(
-            "Article", article_evidence
-        )
-
-    def test_tuned_model_reconciles_example1(self):
-        base = PimDomainModel()
-        store = ReferenceStore(base.schema, example1_references())
-        tuned = tune_domain(store, base, EXAMPLE1_GOLD, ["Person"])
-        store2 = ReferenceStore(base.schema, example1_references())
-        result = Reconciler(store2, tuned, EngineConfig()).run()
-        # Tuning on the gold labels must not lose the gold merges.
-        assert result.same_entity("p2", "p9")
-        assert result.same_entity("p3", "p7")
-        assert not result.same_entity("p1", "p2")
-
-    def test_tuning_improves_or_preserves_f(self, tiny_pim_a):
-        """Learned weights on gold labels never hurt much at test time
-        (trained and evaluated on the same references — a sanity check
-        of the machinery, not a generalisation claim)."""
-        from repro.evaluation.metrics import pairwise_scores
-
-        base = PimDomainModel()
-        gold = tiny_pim_a.gold.entity_of
-        tuned = tune_domain(tiny_pim_a.store, base, gold, ["Person"])
-        base_result = Reconciler(
-            tiny_pim_a.store, PimDomainModel(), EngineConfig()
-        ).run()
-        tuned_result = Reconciler(tiny_pim_a.store, tuned, EngineConfig()).run()
-        base_f = pairwise_scores(base_result.clusters("Person"), gold).f_measure
-        tuned_f = pairwise_scores(tuned_result.clusters("Person"), gold).f_measure
-        assert tuned_f >= base_f - 0.05

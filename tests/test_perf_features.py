@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core import Reconciler, ReferenceStore
 from repro.domains import CoraDomainModel, PimDomainModel
-from repro.perf import FeatureCache, phonetic_profile
+from repro.perf import FeatureCache
 from repro.perf.scoring import memoised_score, score_value_pair
 from repro.similarity import (
     clear_similarity_caches,
@@ -87,14 +87,6 @@ class TestFeatureCache:
         features = extract("Query Processing in Databases")
         assert features == title_features("Query Processing in Databases")
         assert extract("Query Processing in Databases") is features
-
-    def test_phonetic_profile(self):
-        profile = phonetic_profile("Michael Stonebraker")
-        assert profile.tokens == ("michael", "stonebraker")
-        assert len(profile.soundex_codes) == 2
-        assert len(profile.metaphone_codes) == 2
-        cache = FeatureCache()
-        assert cache.extractor("phonetic")("Michael Stonebraker") == profile
 
 
 def _osa_distance(left: str, right: str) -> int:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.similarity.emails import email_similarity, parse_email, same_server
+from repro.similarity.emails import email_similarity, parse_email
 
 MERGE = 0.85
 T_RV = 0.7
@@ -29,15 +29,6 @@ class TestParseEmail:
 
     def test_case_insensitive(self):
         assert parse_email("Bob@Example.COM").raw == "bob@example.com"
-
-
-class TestSameServer:
-    def test_same_organisation(self):
-        assert same_server("a@csail.mit.edu", "b@mit.edu")
-        assert not same_server("a@mit.edu", "a@berkeley.edu")
-
-    def test_invalid_inputs(self):
-        assert not same_server("garbage", "a@mit.edu")
 
 
 class TestEmailSimilarity:

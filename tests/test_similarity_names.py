@@ -1,12 +1,17 @@
 """Tests for person-name parsing, compatibility and similarity."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.similarity.names import (
     NameCompat,
-    full_name_pair,
     name_compatibility,
     name_similarity,
     parse_name,
@@ -165,8 +170,49 @@ class TestSimilarityCalibration:
         assert score == pytest.approx(name_similarity(right, left))
 
 
-class TestFullNamePair:
-    def test_full_pair(self):
-        assert full_name_pair("Michael Stonebraker", "Eugene Wong")
-        assert not full_name_pair("Stonebraker, M.", "Eugene Wong")
-        assert not full_name_pair("mike", "Eugene Wong")
+# Counts the edit-distance kernel calls name_compatibility makes over
+# every pair of a fixed sample of known given names. _givens_conflict
+# stops at the first agreeing name form, so the count is only stable
+# when the forms are visited in a fixed order.
+_KERNEL_COUNT_SCRIPT = """
+import itertools
+
+import repro.similarity.strings as strings
+from repro.similarity import clear_similarity_caches, name_compatibility
+from repro.similarity.nicknames import KNOWN_GIVEN_NAMES
+
+calls = 0
+kernel = strings._osa_within
+
+
+def counting(*args):
+    global calls
+    calls += 1
+    return kernel(*args)
+
+
+strings._osa_within = counting
+clear_similarity_caches()
+for left, right in itertools.combinations(sorted(KNOWN_GIVEN_NAMES)[::7], 2):
+    name_compatibility(left + " smith", right + " smith")
+print(calls)
+"""
+
+
+class TestHashSeedIndependence:
+    def test_kernel_calls_do_not_depend_on_the_hash_seed(self):
+        src = Path(repro.__file__).resolve().parent.parent
+        counts = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+            completed = subprocess.run(
+                [sys.executable, "-c", _KERNEL_COUNT_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            counts.add(int(completed.stdout))
+        assert len(counts) == 1, counts
+        assert counts.pop() > 0

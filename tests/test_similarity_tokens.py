@@ -4,12 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.similarity.tokens import (
-    acronym_of,
     expand_whitespace,
     is_acronym_of,
     normalize,
     strip_accents,
-    token_counts,
     tokenize,
 )
 
@@ -46,11 +44,6 @@ class TestTokenize:
             "programming",
         ]
 
-    def test_counts(self):
-        counts = token_counts("data data base")
-        assert counts["data"] == 2
-        assert counts["base"] == 1
-
     @given(st.text(max_size=30))
     def test_tokens_are_lowercase_alnum(self, text):
         for token in tokenize(text):
@@ -59,10 +52,6 @@ class TestTokenize:
 
 
 class TestAcronyms:
-    def test_acronym_of(self):
-        assert acronym_of("Very Large Data Bases") == "vldb"
-        assert acronym_of("ACM Conference on Management of Data") == "acmd"
-
     def test_is_acronym_full_cover(self):
         assert is_acronym_of("vldb", "Very Large Data Bases")
         assert is_acronym_of("sosp", "Symposium on Operating Systems Principles")
