@@ -31,7 +31,6 @@ from pathlib import Path
 
 from ..obs import FlightRecorder, HotspotSketch, Observer, Observers
 from ..perf.scoring import pair_evidence
-from ..runtime.errors import QueueEmpty
 from ..runtime.guards import DegradationEvent
 from .blocking import BlockingIndex
 from .graph import DependencyGraph
@@ -46,6 +45,9 @@ __all__ = ["Reconciler", "EngineStats"]
 
 # Guard against pathological weak-edge fan-out (popular contacts).
 _MAX_WEAK_FANOUT = 20_000
+#: Minimum score increase that reactivates neighbours (§3.2's "small
+#: constant" that guarantees termination).
+_EPSILON = 1e-6
 
 
 @dataclass
@@ -359,7 +361,7 @@ class Reconciler:
             self._wire_weak_edges(per_class_nodes)
         if self.config.constraints:
             with self.observers.phase(self, "constraints"):
-                self._install_distinct_pairs()
+                self._install_distinct_pairs(self.store)
         # Seed the queue: class order already respects "values before
         # the references that depend on them".
         for class_name in class_order:
@@ -679,10 +681,10 @@ class Reconciler:
                 )
             )
 
-    def _install_distinct_pairs(self) -> None:
+    def _install_distinct_pairs(self, references: Iterable[Reference]) -> None:
         """§3.4 modification 1: non-merge nodes and enemy constraints
-        for pairs known distinct a priori."""
-        for left, right in self.domain.distinct_pairs(self.store):
+        for pairs of *references* known distinct a priori."""
+        for left, right in self.domain.distinct_pairs(references):
             element_l = self._elem(left)
             element_r = self._elem(right)
             if element_l == element_r:
@@ -760,10 +762,7 @@ class Reconciler:
                     self._degrade(event)
                     break
             self.observers.step(self, step)
-            try:
-                key = self.queue.pop()
-            except QueueEmpty:  # lazy-discard race: only stale keys left
-                break
+            key = self.queue.pop()
             node = self.graph.get_key(key)
             if node is None or node.status is not NodeStatus.ACTIVE:
                 continue
@@ -834,7 +833,7 @@ class Reconciler:
             # Monotone by construction; the max() enforces the §3.2
             # termination requirement even for imperfect domain functions.
             node.score = max(old_score, new_score)
-            increased = node.score > old_score + self.config.epsilon
+            increased = node.score > old_score + _EPSILON
             if node.score >= self.domain.merge_threshold(node.class_name):
                 self._merge(node)
                 decision = (

@@ -35,7 +35,7 @@ The first add also builds the owner index over the whole store, once.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .engine import Reconciler
 from .model import DomainModel, EngineConfig, WeakDependency
@@ -110,7 +110,7 @@ class IncrementalReconciler:
         self._wire_new_nodes(new_nodes_by_class)
         engine._report_weak_fanout(engine.stats.skipped_weak_fanout - skipped)
         if engine.config.constraints:
-            self._install_new_constraints(new_references)
+            engine._install_distinct_pairs(new_references)
         for class_name in engine.domain.class_order():
             for node in new_nodes_by_class.get(class_name, ()):
                 if node.status is NodeStatus.ACTIVE:
@@ -159,26 +159,9 @@ class IncrementalReconciler:
     def _wire_new_nodes(
         self, new_nodes_by_class: dict[str, list[PairNode]]
     ) -> None:
-        engine = self._reconciler
-        strong_templates: dict[str, list] = {}
-        for dependency in engine.domain.strong_dependencies():
-            if engine.config.strong_enabled(
-                dependency.source_class, dependency.target_class
-            ):
-                strong_templates.setdefault(dependency.source_class, []).append(
-                    dependency
-                )
-        for class_name, nodes in new_nodes_by_class.items():
-            assoc_channels = [
-                channel
-                for channel in engine.domain.association_channels(class_name)
-                if engine.config.channel_enabled(channel.name)
-            ]
-            for node in nodes:
-                for channel in assoc_channels:
-                    engine._wire_assoc_channel(node, channel.attr)
-                for dependency in strong_templates.get(class_name, ()):
-                    engine._wire_strong(node, dependency)
+        """The build's association/strong wiring, then weak wiring,
+        for the new nodes only."""
+        self._reconciler._wire_association_edges(new_nodes_by_class)
         self._wire_new_weak_edges(new_nodes_by_class)
 
     def _index_weak_owners(self, new_references: Sequence[Reference]) -> None:
@@ -230,17 +213,3 @@ class IncrementalReconciler:
             for member in members
             for owner in owners.get(member, ())
         }
-
-    def _install_new_constraints(self, new_references: Iterable[Reference]) -> None:
-        engine = self._reconciler
-        for left, right in engine.domain.distinct_pairs(new_references):
-            element_l = engine._elem(left)
-            element_r = engine._elem(right)
-            if element_l == element_r or engine.uf.connected(element_l, element_r):
-                continue
-            engine.uf.add_enemy(element_l, element_r)
-            engine.stats.constraint_pairs += 1
-            node = engine.graph.get(element_l, element_r)
-            if node is not None:
-                node.status = NodeStatus.NON_MERGE
-                engine.queue.discard(node.key)

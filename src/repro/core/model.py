@@ -272,9 +272,6 @@ class EngineConfig:
     enrich: bool = True
     constraints: bool = True
     premerge_keys: bool = True
-    #: minimum score increase that reactivates neighbours (§3.2's
-    #: "small constant" that guarantees termination).
-    epsilon: float = 1e-6
     #: evidence filters (by channel name / dependency endpoints).
     disabled_channels: frozenset[str] = frozenset()
     disabled_strong: frozenset[tuple[str, str]] = frozenset()

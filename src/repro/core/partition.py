@@ -119,33 +119,6 @@ class UnionFind:
             listener(left_root, right_root)
         return left_root
 
-    def enemies_of(self, item: Hashable) -> frozenset[Hashable]:
-        """Current enemy roots of *item*'s cluster (roots may be stale
-        for enemies that were themselves merged; they are re-resolved
-        on demand by :meth:`are_enemies`)."""
-        root = self.find(item)
-        return frozenset(self.find(enemy) for enemy in self._enemies.get(root, ()))
-
-    def groups(self) -> list[list[Hashable]]:
-        """All clusters, each sorted, ordered deterministically."""
-        clusters: dict[Hashable, list[Hashable]] = {}
-        for item in self._parent:
-            clusters.setdefault(self.find(item), []).append(item)
-        result = [sorted(members, key=repr) for members in clusters.values()]
-        result.sort(key=lambda members: repr(members[0]))
-        return result
-
-    def group_count(self) -> int:
-        roots = {self.find(item) for item in self._parent}
-        return len(roots)
-
-    def members(self, item: Hashable) -> list[Hashable]:
-        root = self.find(item)
-        return sorted(
-            (candidate for candidate in self._parent if self.find(candidate) == root),
-            key=repr,
-        )
-
     # -- checkpointing ---------------------------------------------------
     def state_dict(self) -> dict:
         """JSON-ready snapshot of the partition and its constraints.

@@ -124,9 +124,6 @@ class ActiveQueue:
         self._deque = deque(live)
         self.compactions += 1
 
-    def is_live(self, key: PairKey) -> bool:
-        return key in self._members
-
     # -- checkpointing ---------------------------------------------------
     def snapshot(self) -> dict:
         """JSON-ready snapshot: live keys in pop order, plus counters."""

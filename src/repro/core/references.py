@@ -154,9 +154,6 @@ class ReferenceStore:
     def of_class(self, class_name: str) -> list[Reference]:
         return list(self._by_class[class_name])
 
-    def class_counts(self) -> dict[str, int]:
-        return {name: len(refs) for name, refs in self._by_class.items()}
-
     def validate(self, references: Iterable[Reference] | None = None) -> None:
         """Check that every association value points at a stored reference
         of the right class; raises :class:`SchemaError` otherwise.

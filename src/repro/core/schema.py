@@ -92,10 +92,6 @@ class SchemaClass:
         return any(attribute.name == name for attribute in self.attributes)
 
     @property
-    def atomic_attributes(self) -> tuple[Attribute, ...]:
-        return tuple(a for a in self.attributes if a.is_atomic)
-
-    @property
     def association_attributes(self) -> tuple[Attribute, ...]:
         return tuple(a for a in self.attributes if a.is_association)
 

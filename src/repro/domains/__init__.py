@@ -2,7 +2,7 @@
 
 from .base import PAPER_BETA, PAPER_GAMMA, PAPER_MERGE_THRESHOLD, max_of_profiles
 from .cora import CORA_SCHEMA, CoraDomainModel
-from .pim import PIM_SCHEMA, PimDomainModel, depgraph_config
+from .pim import PIM_SCHEMA, PimDomainModel
 
 __all__ = [
     "PAPER_BETA",
@@ -13,5 +13,4 @@ __all__ = [
     "CoraDomainModel",
     "PIM_SCHEMA",
     "PimDomainModel",
-    "depgraph_config",
 ]

@@ -1,12 +1,26 @@
-"""The Cora citation domain (Figure 5, §5.4).
+"""The Cora citation domain (Figure 5, §5.4) — the shared model.
 
-Schema: Person (name, coAuthor*), Article (title, pages, authoredBy*,
-publishedIn*), Venue (name, year, location). Compared to PIM, person
-references carry *only a name* — no email, hence no key attribute and
-no cross-attribute channel — and the weak-boolean evidence comes from
-co-authors alone. Everything else (parameters, thresholds, the venue
-machinery) matches the PIM model, because the paper runs the same
-similarity functions and thresholds on all datasets.
+Schema: Person (name, coAuthor*), Article (title, pages, year,
+authoredBy*, publishedIn*), Venue (name, year, location). Person
+references carry *only a name*, and the weak-boolean evidence comes
+from co-authors alone.
+
+The evidence wiring follows §2.2/§4/§5.2:
+
+* Person pairs: name vs name; strong-boolean evidence from reconciled
+  articles (aligned authors); weak-boolean evidence from common
+  contacts.
+* Article pairs: title/pages/year plus real-valued evidence from the
+  aligned author pair nodes and the venue pair node (Figure 2(a)).
+* Venue pairs: name (acronym-aware) and year; strong-boolean evidence
+  from reconciled articles — "a single article cannot be published in
+  two different conferences".
+
+Parameters are the paper's (§5.2): merge-threshold 0.85, attribute
+merge-threshold 1.0, β = 0.1 (0.2 for Venue), γ = 0.05, t_rv = 0.7
+(0.1 for Venue). The paper runs the same similarity functions and
+thresholds on all datasets, so the PIM model
+(:mod:`repro.domains.pim`) is this model plus email.
 """
 
 from __future__ import annotations
@@ -86,12 +100,14 @@ def _location_similarity(left: str, right: str) -> float:
     return monge_elkan_similarity(left, right)
 
 
+# Fast-path comparators over precomputed features. Each is exact
+# whenever the true score reaches the floor the engine compares against
+# (property-tested in tests/test_perf_features.py).
 def _fast_name_similarity(left, right, floor: float) -> float:
     return name_similarity(left, right)  # accepts ParsedName directly
 
 
-_PERSON_PROFILES = ((("name", 1.0),),)
-
+# S_rv decision trees, realised as max-over-profiles (see domains.base).
 _ARTICLE_PROFILES = (
     (("title", 0.80),),
     (("title", 0.70), ("pages", 0.30)),
@@ -110,19 +126,24 @@ _VENUE_PROFILES = (
     (("name", 0.82), ("location", 0.10)),
 )
 
-_PROFILES = {
-    "Person": _PERSON_PROFILES,
-    "Article": _ARTICLE_PROFILES,
-    "Venue": _VENUE_PROFILES,
-}
-
 
 class CoraDomainModel(DomainModel):
     """Domain wiring for the citation-portal information space."""
 
     schema = CORA_SCHEMA
+    #: S_rv profiles per class.
+    profiles = {
+        "Person": ((("name", 1.0),),),
+        "Article": _ARTICLE_PROFILES,
+        "Venue": _VENUE_PROFILES,
+    }
+    #: Person attributes whose shared targets count as common contacts.
+    contact_attrs = ("coAuthor",)
 
     def __init__(self) -> None:
+        # One feature cache per domain instance: every channel fast
+        # path, blocking-key derivation and constraint check shares the
+        # precomputed per-value features.
         self.feature_cache = FeatureCache()
         name_features = self.feature_cache.extractor("name")
         title_features = self.feature_cache.extractor("title")
@@ -225,6 +246,7 @@ class CoraDomainModel(DomainModel):
             "Venue": (),
         }
 
+    # -- wiring -----------------------------------------------------------
     def atomic_channels(self, class_name: str):
         return self._atomic[class_name]
 
@@ -240,10 +262,11 @@ class CoraDomainModel(DomainModel):
         )
 
     def weak_dependencies(self):
-        return (WeakDependency("Person", ("coAuthor",)),)
+        return (WeakDependency("Person", self.contact_attrs),)
 
+    # -- scoring ------------------------------------------------------------
     def rv_score(self, class_name: str, evidence: Mapping[str, float]) -> float:
-        return max_of_profiles(evidence, _PROFILES[class_name])
+        return max_of_profiles(evidence, self.profiles[class_name])
 
     def merge_threshold(self, class_name: str) -> float:
         return PAPER_MERGE_THRESHOLD
@@ -257,15 +280,17 @@ class CoraDomainModel(DomainModel):
     def t_rv(self, class_name: str) -> float:
         return 0.1 if class_name == "Venue" else 0.7
 
+    # -- candidates & keys ----------------------------------------------------
     def blocking_keys(self, reference: Reference) -> Iterable[str]:
         if reference.class_name == "Person":
-            return _person_blocking_keys(reference, self._name_features)
+            return sorted(_name_blocking_keys(reference, self._name_features))
         if reference.class_name == "Article":
             return _article_blocking_keys(reference)
         return _venue_blocking_keys(reference, self._venue_features)
 
     def key_values(self, reference: Reference) -> Iterable[str]:
         if reference.class_name == "Venue":
+            # Identical normalised venue strings denote one venue.
             return [
                 "vn:" + features.norm
                 for value in reference.get("name")
@@ -274,7 +299,7 @@ class CoraDomainModel(DomainModel):
         return ()
 
     def distinct_pairs(self, references: Iterable[Reference]):
-        """Constraint 1: co-authors of one citation are distinct."""
+        """§5.3 constraint 1: authors of a paper are distinct persons."""
         for reference in references:
             if reference.class_name != "Article":
                 continue
@@ -284,10 +309,12 @@ class CoraDomainModel(DomainModel):
                     yield left, right
 
     def class_order(self):
+        # Venue and Person pairs feed Article pairs as real-valued
+        # neighbours, so they are computed first (§3.2 heuristic).
         return ("Venue", "Person", "Article")
 
 
-def _person_blocking_keys(reference: Reference, name_features) -> Iterable[str]:
+def _name_blocking_keys(reference: Reference, name_features) -> set[str]:
     keys: set[str] = set()
     for value in reference.get("name"):
         parsed = name_features(value)
@@ -297,13 +324,15 @@ def _person_blocking_keys(reference: Reference, name_features) -> Iterable[str]:
         if parsed.given and len(parsed.given) >= 3:
             for canonical in canonical_given_names(parsed.given):
                 keys.add("t:" + canonical)
-    return sorted(keys)
+    return keys
 
 
 def _article_blocking_keys(reference: Reference) -> Iterable[str]:
     keys: set[str] = set()
     for value in reference.get("title"):
         tokens = tokenize(value, drop_stopwords=True)
+        # The longest tokens are the most selective ones; three keys
+        # give typo'd titles three chances to co-block.
         for token in sorted(tokens, key=lambda t: (-len(t), t))[:3]:
             keys.add("w:" + token)
     for value in reference.get("pages"):

@@ -42,7 +42,8 @@ another code generation is refused with a typed :class:`CheckpointError`
 instead of failing inside ``EngineStats``. Version 4 dropped
 ``max_recomputations`` from the configuration fingerprint, because the
 recomputation budget moved from ``EngineConfig`` to the
-:class:`~repro.runtime.guards.RunGuard`; versions 1-3 are refused.
+:class:`~repro.runtime.guards.RunGuard`; version 5 dropped ``epsilon``,
+now a constant of the engine. Versions 1-4 are refused.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ __all__ = [
     "save_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def config_fingerprint(config) -> dict:
@@ -80,7 +81,6 @@ def config_fingerprint(config) -> dict:
         "enrich": config.enrich,
         "constraints": config.constraints,
         "premerge_keys": config.premerge_keys,
-        "epsilon": config.epsilon,
         "disabled_channels": sorted(config.disabled_channels),
         "disabled_strong": sorted(list(pair) for pair in config.disabled_strong),
         "disabled_weak": sorted(config.disabled_weak),

@@ -281,12 +281,12 @@ class TestRuntimeFlags:
         ])
         path = run / "checkpoint.json"
         document = json.loads(path.read_text())
-        document["version"] = 3
+        document["version"] = 4
         path.write_text(json.dumps(document))
         self._one_line_exit_2(
             ["reconcile", str(dataset_dir), "--run-dir", str(run), "--resume"],
             capsys,
-            "has version 3, expected 4",
+            "has version 4, expected 5",
         )
 
     def test_malformed_strict_load_is_one_line(self, tmp_path, capsys):

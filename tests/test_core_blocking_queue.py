@@ -1,5 +1,6 @@
 """Tests for the blocking index and the active-node queue."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +9,7 @@ from repro.core.nodes import pair_key
 from repro.core.queue import ActiveQueue
 from repro.core.references import Reference
 from repro.domains import PIM_SCHEMA
+from repro.runtime.errors import QueueEmpty
 
 
 class TestBlockingIndex:
@@ -121,8 +123,7 @@ class TestActiveQueue:
         queue.discard(("a", "b"))
         assert ("a", "b") not in queue
         # A stale entry remains in the deque but membership is gone;
-        # re-adding works and the stale pop is distinguishable via
-        # is_live / node status in the engine.
+        # re-adding works.
         assert queue.push_back(("a", "b"))
 
     def test_counters(self):
@@ -131,6 +132,53 @@ class TestActiveQueue:
         queue.push_front(("c", "d"))
         assert queue.pushed_back == 1
         assert queue.pushed_front == 1
+
+    @given(
+        st.integers(0, 80),
+        st.integers(0, 80),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["back", "front", "discard", "pop"]),
+                st.integers(0, 80),
+            ),
+            max_size=300,
+        ),
+    )
+    @settings(max_examples=80)
+    def test_truthy_queue_always_pops_a_live_key(self, prefill, cut, ops):
+        """Every key in the member set also sits in the deque (push adds
+        to both; discard and compaction never drop a member's entry), so
+        the engine's ``while queue: queue.pop()`` never meets an empty
+        deque. Discarding the first *cut* of *prefill* keys first makes
+        compactions reachable."""
+        queue = ActiveQueue((f"k{i}", f"m{i}") for i in range(prefill))
+        live = {(f"k{i}", f"m{i}") for i in range(prefill)}
+        for i in range(min(cut, prefill)):
+            queue.discard((f"k{i}", f"m{i}"))
+            live.discard((f"k{i}", f"m{i}"))
+        for op, i in ops:
+            key = (f"k{i}", f"m{i}")
+            if op == "back":
+                queue.push_back(key)
+                live.add(key)
+            elif op == "front":
+                queue.push_front(key)
+                live.add(key)
+            elif op == "discard":
+                queue.discard(key)
+                live.discard(key)
+            elif queue:
+                popped = queue.pop()
+                assert popped in live
+                live.discard(popped)
+            else:
+                with pytest.raises(QueueEmpty):
+                    queue.pop()
+            assert len(queue) == len(live)
+            assert bool(queue) == bool(live)
+        while queue:
+            live.discard(queue.pop())
+        assert not live
 
 
 class TestQueueCompaction:

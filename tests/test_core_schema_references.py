@@ -49,7 +49,7 @@ class TestSchema:
 
     def test_pim_schema_matches_figure_1a(self):
         person = PIM_SCHEMA.cls("Person")
-        assert {a.name for a in person.atomic_attributes} == {"name", "email"}
+        assert {a.name for a in person.attributes if a.is_atomic} == {"name", "email"}
         assert {a.name for a in person.association_attributes} == {
             "coAuthor",
             "emailContact",
@@ -79,7 +79,7 @@ class TestReferenceStore:
         assert len(store) == 1
         assert "r1" in store
         assert store.get("r1").first("name") == "A"
-        assert store.class_counts()["Person"] == 1
+        assert len(store.of_class("Person")) == 1
 
     def test_unknown_class_rejected(self):
         store = ReferenceStore(PIM_SCHEMA)

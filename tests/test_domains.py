@@ -1,5 +1,7 @@
 """Tests for the PIM and Cora domain models."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,13 +33,18 @@ class TestWiring:
     def test_cora_person_has_name_only(self, cora):
         assert {c.name for c in cora.atomic_channels("Person")} == {"name"}
 
-    def test_strong_dependencies(self, pim):
-        deps = {(d.source_class, d.target_class) for d in pim.strong_dependencies()}
-        assert deps == {("Article", "Person"), ("Article", "Venue")}
-        venue_dep = next(
-            d for d in pim.strong_dependencies() if d.target_class == "Venue"
-        )
-        assert venue_dep.ensure_target_nodes
+    # The parameter, dependency and order tests check both domains: the
+    # paper runs one configuration on all datasets (§5.2).
+    def test_strong_dependencies(self, pim, cora):
+        for domain in (pim, cora):
+            deps = {
+                (d.source_class, d.target_class) for d in domain.strong_dependencies()
+            }
+            assert deps == {("Article", "Person"), ("Article", "Venue")}
+            venue_dep = next(
+                d for d in domain.strong_dependencies() if d.target_class == "Venue"
+            )
+            assert venue_dep.ensure_target_nodes
 
     def test_weak_dependencies(self, pim, cora):
         (pim_weak,) = pim.weak_dependencies()
@@ -45,19 +52,84 @@ class TestWiring:
         (cora_weak,) = cora.weak_dependencies()
         assert set(cora_weak.attrs) == {"coAuthor"}
 
-    def test_paper_parameters(self, pim):
-        for class_name in ("Person", "Article", "Venue"):
-            assert pim.merge_threshold(class_name) == 0.85
-            assert pim.gamma(class_name) == 0.05
-        assert pim.beta("Venue") == 0.2
-        assert pim.beta("Person") == 0.1
-        assert pim.t_rv("Venue") == 0.1
-        assert pim.t_rv("Person") == 0.7
+    def test_paper_parameters(self, pim, cora):
+        for domain in (pim, cora):
+            for class_name in ("Person", "Article", "Venue"):
+                assert domain.merge_threshold(class_name) == 0.85
+                assert domain.gamma(class_name) == 0.05
+            assert domain.beta("Venue") == 0.2
+            assert domain.beta("Person") == 0.1
+            assert domain.t_rv("Venue") == 0.1
+            assert domain.t_rv("Person") == 0.7
 
-    def test_class_order_values_before_dependents(self, pim):
-        order = pim.class_order()
-        assert order.index("Venue") < order.index("Article")
-        assert order.index("Person") < order.index("Article")
+    def test_class_order_values_before_dependents(self, pim, cora):
+        for domain in (pim, cora):
+            order = domain.class_order()
+            assert order.index("Venue") < order.index("Article")
+            assert order.index("Person") < order.index("Article")
+
+
+def _channel_view(channel):
+    """An atomic channel minus its per-instance feature extractors."""
+    return (
+        channel.name,
+        channel.class_name,
+        channel.left_attr,
+        channel.right_attr,
+        channel.liberal_threshold,
+        channel.is_key,
+        channel.comparator,
+        channel.fast_comparator,
+        channel.score_upper_bound,
+    )
+
+
+class TestSharedConfiguration:
+    def test_only_email_tells_the_domains_apart(self, pim, cora, tiny_pim_a, tiny_cora):
+        """Article and Venue are wired, scored, blocked and keyed alike in
+        both domains; Person differs only by the email channels."""
+        rng = random.Random(7)
+        for class_name in ("Article", "Venue"):
+            assert pim.schema.cls(class_name) == cora.schema.cls(class_name)
+            assert [_channel_view(c) for c in pim.atomic_channels(class_name)] == [
+                _channel_view(c) for c in cora.atomic_channels(class_name)
+            ]
+            assert pim.association_channels(class_name) == cora.association_channels(
+                class_name
+            )
+            channels = [c.name for c in pim.atomic_channels(class_name)] + [
+                c.name for c in pim.association_channels(class_name)
+            ]
+            for _ in range(200):
+                evidence = {
+                    name: rng.random() for name in channels if rng.random() < 0.6
+                }
+                assert pim.rv_score(class_name, evidence) == cora.rv_score(
+                    class_name, evidence
+                )
+        for store in (tiny_pim_a.store, tiny_cora.store):
+            for class_name in ("Article", "Venue"):
+                for reference in store.of_class(class_name):
+                    assert list(pim.blocking_keys(reference)) == list(
+                        cora.blocking_keys(reference)
+                    )
+                    assert list(pim.key_values(reference)) == list(
+                        cora.key_values(reference)
+                    )
+        # Without an email, a person blocks and keys the same way too.
+        for reference in tiny_cora.store.of_class("Person"):
+            assert list(pim.blocking_keys(reference)) == list(
+                cora.blocking_keys(reference)
+            )
+            assert list(pim.key_values(reference)) == list(cora.key_values(reference))
+        pim_person = [_channel_view(c) for c in pim.atomic_channels("Person")]
+        cora_person = [_channel_view(c) for c in cora.atomic_channels("Person")]
+        assert pim_person[: len(cora_person)] == cora_person
+        assert [view[0] for view in pim_person[len(cora_person) :]] == [
+            "email",
+            "name_email",
+        ]
+        assert pim.association_channels("Person") == cora.association_channels("Person")
 
 
 class TestRvScores:

@@ -226,12 +226,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"version {version}"):
             Reconciler.resume(path, store=store, domain=domain)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_retired_checkpoint_version_is_refused(self, tmp_path, version):
         # Each retired version's payload has a shape this code no longer
         # reads (v1/v2: removed EngineStats counters; v3: the
-        # max_recomputations config key), so the version check must
-        # refuse it with a typed error before it is restored.
+        # max_recomputations config key; v4: the epsilon config key), so
+        # the version check must refuse it with a typed error before it
+        # is restored.
         self._refuse_version(tmp_path, version)
 
     def test_config_mismatch_is_refused(self, tmp_path):
