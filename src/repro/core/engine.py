@@ -148,7 +148,6 @@ class Reconciler:
         # Blocking indexes are retained per class so new references can
         # be folded in later (incremental reconciliation).
         self._block_indexes: dict[str, BlockingIndex] = {}
-        self._per_class_nodes: dict[str, list[PairNode]] = {}
         self._built = False
         #: why the last run stopped: "converged" or a degradation kind.
         self.stop_reason = "converged"
@@ -354,7 +353,6 @@ class Reconciler:
         finally:
             if scorer is not None:
                 scorer.shutdown()
-        self._per_class_nodes = per_class_nodes
         with self.observers.phase(self, "wire_association"):
             self._wire_association_edges(per_class_nodes)
         with self.observers.phase(self, "wire_weak"):
@@ -581,7 +579,7 @@ class Reconciler:
                 for channel in assoc_channels:
                     self._wire_assoc_channel(node, channel.attr)
                 for dependency in strongs:
-                    self._wire_strong(node, dependency)
+                    self._wire_strong(node, dependency, per_class_nodes)
 
     def _linked_element_pairs(self, node: PairNode, attribute: str):
         """Element pairs linked from the two sides of *node* through
@@ -606,7 +604,11 @@ class Reconciler:
             if linked is not None:
                 self.graph.add_edge(linked, node, EdgeType.REAL)
 
-    def _wire_strong(self, node: PairNode, dependency) -> None:
+    def _wire_strong(self, node: PairNode, dependency, per_class_nodes) -> None:
+        """Strong edges from *node* to its linked target pairs. A forced
+        target node made during the build joins its class's list in
+        *per_class_nodes*, so it is wired and seeded like the rest; one
+        made by an incremental add is queued directly."""
         for key, linked in self._linked_element_pairs(node, dependency.attr):
             if linked is None and dependency.ensure_target_nodes:
                 linked = self._make_pair_node(
@@ -617,16 +619,15 @@ class Reconciler:
                     force=True,
                 )
                 if linked is not None:
-                    self._per_class_nodes.setdefault(
-                        dependency.target_class, []
-                    ).append(linked)
                     # The forced node also feeds the source's real-valued
                     # association channel, mirroring build-time wiring.
                     self.graph.add_edge(linked, node, EdgeType.REAL)
                     if self._built:
-                        # Created after the initial seeding (incremental
-                        # add): enqueue directly.
                         self.queue.push_back(linked.key)
+                    else:
+                        per_class_nodes.setdefault(
+                            dependency.target_class, []
+                        ).append(linked)
             if linked is not None:
                 self.graph.add_edge(node, linked, EdgeType.STRONG)
 

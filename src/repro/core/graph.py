@@ -19,13 +19,28 @@ retired its dead keys move to the successor, smaller set into larger.
 :meth:`drop_self_references` uses it to strip the edges a fusion turned
 into self-loops without resolving every neighbour key. Checkpoints hold
 only the forward table; :meth:`from_snapshot` rebuilds the reverse one.
+
+The graph holds live nodes only: a fused-away node leaves every table
+here, and nothing else keeps it. A node's edge sets start as the
+shared empty :data:`~repro.core.nodes.NO_EDGES`; :meth:`add_edge` and
+fusion give a node its own set the first time an edge kind gains a key,
+so no two nodes ever share a mutable edge set.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .nodes import EdgeType, NodeStatus, PairKey, PairNode, ValueNode, pair_key
+from .nodes import (
+    NO_EDGES,
+    EdgeSet,
+    EdgeType,
+    NodeStatus,
+    PairKey,
+    PairNode,
+    ValueNode,
+    pair_key,
+)
 
 __all__ = ["DependencyGraph", "FusionReport"]
 
@@ -101,6 +116,7 @@ class DependencyGraph:
         if existing is not None:
             return existing
         node = PairNode(class_name=class_name, left=key[0], right=key[1])
+        key = node.key
         self._nodes[key] = node
         self._by_element.setdefault(key[0], set()).add(key)
         self._by_element.setdefault(key[1], set()).add(key)
@@ -128,16 +144,39 @@ class DependencyGraph:
         return node
 
     def add_edge(self, source: PairNode, target: PairNode, edge_type: EdgeType) -> None:
-        """Directed dependency: *target*'s score depends on *source*."""
+        """Directed dependency: *target*'s score depends on *source*.
+
+        A node's first edge of a kind gives it its own set in place of
+        the empty shared :data:`~repro.core.nodes.NO_EDGES`."""
+        source_key = source.key
+        target_key = target.key
         if edge_type is EdgeType.REAL:
-            source.real_out.add(target.key)
-            target.real_in.add(source.key)
+            if source.real_out:
+                source.real_out.add(target_key)
+            else:
+                source.real_out = {target_key}
+            if target.real_in:
+                target.real_in.add(source_key)
+            else:
+                target.real_in = {source_key}
         elif edge_type is EdgeType.STRONG:
-            source.strong_out.add(target.key)
-            target.strong_in.add(source.key)
+            if source.strong_out:
+                source.strong_out.add(target_key)
+            else:
+                source.strong_out = {target_key}
+            if target.strong_in:
+                target.strong_in.add(source_key)
+            else:
+                target.strong_in = {source_key}
         else:
-            source.weak_out.add(target.key)
-            target.weak_in.add(source.key)
+            if source.weak_out:
+                source.weak_out.add(target_key)
+            else:
+                source.weak_out = {target_key}
+            if target.weak_in:
+                target.weak_in.add(source_key)
+            else:
+                target.weak_in = {source_key}
 
     # -- neighbour iteration ------------------------------------------------
     def _resolve_neighbours(self, keys: set[PairKey]) -> Iterator[PairNode]:
@@ -207,6 +246,7 @@ class DependencyGraph:
                 # Lone node: re-key in place.
                 del self._nodes[old_key]
                 node.left, node.right = new_key
+                node.key = new_key
                 self._nodes[new_key] = node
                 self._retire(old_key, new_key)
                 self._by_element.setdefault(other, set()).discard(old_key)
@@ -227,12 +267,12 @@ class DependencyGraph:
             for value_node in value_nodes:
                 if id(value_node) not in known:
                     existing.append(value_node)
-        target.real_in |= source.real_in
-        target.strong_in |= source.strong_in
-        target.weak_in |= source.weak_in
-        target.real_out |= source.real_out
-        target.strong_out |= source.strong_out
-        target.weak_out |= source.weak_out
+        target.real_in = _union(target.real_in, source.real_in)
+        target.strong_in = _union(target.strong_in, source.strong_in)
+        target.weak_in = _union(target.weak_in, source.weak_in)
+        target.real_out = _union(target.real_out, source.real_out)
+        target.strong_out = _union(target.strong_out, source.strong_out)
+        target.weak_out = _union(target.weak_out, source.weak_out)
         target.recompute_count += source.recompute_count
         target.score = max(target.score, source.score)
         # Negative evidence sticks: if either side was non-merge, the
@@ -340,12 +380,12 @@ class DependencyGraph:
             )
             for channel, indices in entry["evidence"].items():
                 node.value_evidence[channel] = [values[i] for i in indices]
-            node.real_in = {tuple(k) for k in entry["real_in"]}
-            node.strong_in = {tuple(k) for k in entry["strong_in"]}
-            node.weak_in = {tuple(k) for k in entry["weak_in"]}
-            node.real_out = {tuple(k) for k in entry["real_out"]}
-            node.strong_out = {tuple(k) for k in entry["strong_out"]}
-            node.weak_out = {tuple(k) for k in entry["weak_out"]}
+            node.real_in = _restored(entry["real_in"])
+            node.strong_in = _restored(entry["strong_in"])
+            node.weak_in = _restored(entry["weak_in"])
+            node.real_out = _restored(entry["real_out"])
+            node.strong_out = _restored(entry["strong_out"])
+            node.weak_out = _restored(entry["weak_out"])
             key = node.key
             graph._nodes[key] = node
             graph._by_element.setdefault(key[0], set()).add(key)
@@ -370,6 +410,7 @@ class DependencyGraph:
 
         Those are the edges to the node's own key or to a dead key whose
         alias chain ends there. A node whose key is itself dead has none.
+        Empty sets (the shared placeholder among them) are skipped.
         """
         key = node.key
         if key in self._alias:
@@ -383,7 +424,26 @@ class DependencyGraph:
             node.strong_out,
             node.weak_out,
         ):
+            if not edge_set:
+                continue
             edge_set.discard(key)
             if dead:
                 # The intersection walks whichever set is smaller.
                 edge_set -= edge_set & dead
+
+
+def _union(edges: EdgeSet, extra: EdgeSet) -> EdgeSet:
+    """*edges* grown by *extra*: the same set when *edges* holds keys,
+    a new one when it is empty (the shared placeholder among them).
+    Never *extra* itself, so a fused-away node's set is not handed on."""
+    if not extra:
+        return edges
+    if not edges:
+        return set(extra)
+    edges |= extra
+    return edges
+
+
+def _restored(keys: list) -> EdgeSet:
+    """A snapshot's edge list as a node's edge set, or the placeholder."""
+    return {tuple(key) for key in keys} if keys else NO_EDGES

@@ -15,6 +15,14 @@ Edges are directed and typed (§3.1's refinement): REAL (the target's
 score depends on the source's *value*), STRONG (reconciling the source
 implies reconciling the target), WEAK (reconciling the source merely
 boosts the target).
+
+Most pair nodes are fused away by enrichment and most edge kinds of a
+node stay empty, so both node classes are slotted, and a pair node's
+six edge attributes all start as the one shared immutable
+:data:`NO_EDGES`. :meth:`~repro.core.graph.DependencyGraph.add_edge`
+gives a node its own set with the first edge of a kind; code that adds
+edges goes through the graph, never through the placeholder. ``key`` is
+stored, so every edge to a node shares the node's one key tuple.
 """
 
 from __future__ import annotations
@@ -22,7 +30,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-__all__ = ["NodeStatus", "EdgeType", "PairKey", "pair_key", "ValueNode", "PairNode"]
+__all__ = [
+    "NodeStatus",
+    "EdgeType",
+    "PairKey",
+    "EdgeSet",
+    "pair_key",
+    "NO_EDGES",
+    "ValueNode",
+    "PairNode",
+]
 
 
 class NodeStatus(enum.Enum):
@@ -39,6 +56,8 @@ class EdgeType(enum.Enum):
 
 
 PairKey = tuple[str, str]
+#: A node's keys of one edge kind: its own set, or the shared NO_EDGES.
+EdgeSet = set[PairKey] | frozenset[PairKey]
 
 
 def pair_key(left: str, right: str) -> PairKey:
@@ -46,7 +65,12 @@ def pair_key(left: str, right: str) -> PairKey:
     return (left, right) if left <= right else (right, left)
 
 
-@dataclass
+#: The edge set of every kind a node has no edge of yet. Immutable, so
+#: a write that bypasses the graph fails instead of growing every node.
+NO_EDGES: frozenset[PairKey] = frozenset()
+
+
+@dataclass(slots=True)
 class ValueNode:
     """Similarity of a pair of atomic attribute values.
 
@@ -68,15 +92,15 @@ class ValueNode:
         return NodeStatus.MERGED if self.score >= 1.0 else NodeStatus.INACTIVE
 
 
-@dataclass
+@dataclass(slots=True)
 class PairNode:
     """Similarity of a pair of references of one class.
 
     The node is keyed by the pair of *cluster roots*, so enrichment
     (§3.3) can re-key and fuse nodes as clusters grow. ``left`` and
     ``right`` always hold the current roots in canonical order
-    (``left <= right``, as :func:`pair_key` gives them), so ``key`` is
-    simply the tuple of the two.
+    (``left <= right``, as :func:`pair_key` gives them), and ``key``
+    is the tuple of the two, set at construction and by every re-key.
     """
 
     class_name: str
@@ -87,18 +111,19 @@ class PairNode:
     # Incoming dependencies by type. Value-node evidence is grouped per
     # channel; reference-pair dependencies reference PairKeys resolved
     # through the graph registry (so fusion updates them in one place).
+    # Each edge set is NO_EDGES until the node's first edge of its kind.
     value_evidence: dict[str, list[ValueNode]] = field(default_factory=dict)
-    real_in: set[PairKey] = field(default_factory=set)
-    strong_in: set[PairKey] = field(default_factory=set)
-    weak_in: set[PairKey] = field(default_factory=set)
-    real_out: set[PairKey] = field(default_factory=set)
-    strong_out: set[PairKey] = field(default_factory=set)
-    weak_out: set[PairKey] = field(default_factory=set)
+    real_in: EdgeSet = NO_EDGES
+    strong_in: EdgeSet = NO_EDGES
+    weak_in: EdgeSet = NO_EDGES
+    real_out: EdgeSet = NO_EDGES
+    strong_out: EdgeSet = NO_EDGES
+    weak_out: EdgeSet = NO_EDGES
     recompute_count: int = 0
+    key: PairKey = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> PairKey:
-        return (self.left, self.right)
+    def __post_init__(self) -> None:
+        self.key = (self.left, self.right)
 
     @property
     def is_merged(self) -> bool:

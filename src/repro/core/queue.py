@@ -14,6 +14,11 @@ The queue is a deque of pair-node keys with membership tracking:
 Keys can be re-pointed by enrichment fusion; the queue therefore stores
 keys, and the engine resolves them to live nodes (dropping keys whose
 node was fused away).
+
+A key sits in the deque at most once. :meth:`ActiveQueue.discard` is
+lazy: it leaves the key's entry in place and remembers it as stale, so
+a key pushed again after a discard first loses that stale entry and
+then pops where the push put it.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ class ActiveQueue:
     def __init__(self, initial: Iterable[PairKey] = ()) -> None:
         self._deque: deque[PairKey] = deque()
         self._members: set[PairKey] = set()
+        # Discarded keys whose entry is still in the deque.
+        self._stale: set[PairKey] = set()
         self.pushed_front = 0
         self.pushed_back = 0
         #: deque rebuilds triggered by stale-entry accumulation.
@@ -61,6 +68,7 @@ class ActiveQueue:
         """Enqueue at the back; no-op (False) when already queued."""
         if key in self._members:
             return False
+        self._drop_stale(key)
         self._members.add(key)
         self._deque.append(key)
         self.pushed_back += 1
@@ -75,6 +83,7 @@ class ActiveQueue:
         """
         if key in self._members:
             return False
+        self._drop_stale(key)
         self._members.add(key)
         self._deque.appendleft(key)
         self.pushed_front += 1
@@ -95,6 +104,7 @@ class ActiveQueue:
             if key in members:
                 members.discard(key)
                 return key
+            self._stale.discard(key)
         raise QueueEmpty("active queue has no live keys")
 
     def discard(self, key: PairKey) -> None:
@@ -106,7 +116,16 @@ class ActiveQueue:
         whole lifetime."""
         if key in self._members:
             self._members.discard(key)
+            self._stale.add(key)
             self._maybe_compact()
+
+    def _drop_stale(self, key: PairKey) -> None:
+        """Remove *key*'s stale entry, if a discard left one. Runs do
+        not re-push discarded keys, so the linear scan stays off the
+        hot path."""
+        if key in self._stale:
+            self._stale.discard(key)
+            self._deque.remove(key)
 
     def _maybe_compact(self) -> None:
         entries = len(self._deque)
@@ -115,26 +134,16 @@ class ActiveQueue:
         if (entries - len(self._members)) * 2 <= entries:
             return
         members = self._members
-        seen: set[PairKey] = set()
-        live: list[PairKey] = []
-        for key in self._deque:
-            if key in members and key not in seen:
-                seen.add(key)
-                live.append(key)
-        self._deque = deque(live)
+        self._deque = deque(key for key in self._deque if key in members)
+        self._stale.clear()
         self.compactions += 1
 
     # -- checkpointing ---------------------------------------------------
     def snapshot(self) -> dict:
         """JSON-ready snapshot: live keys in pop order, plus counters."""
-        seen: set[PairKey] = set()
-        entries: list[list[str]] = []
-        for key in self._deque:
-            if key in self._members and key not in seen:
-                seen.add(key)
-                entries.append(list(key))
+        members = self._members
         return {
-            "entries": entries,
+            "entries": [list(key) for key in self._deque if key in members],
             "pushed_front": self.pushed_front,
             "pushed_back": self.pushed_back,
             "compactions": self.compactions,

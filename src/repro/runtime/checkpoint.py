@@ -139,9 +139,6 @@ def restore_engine(engine: Reconciler, state: dict) -> None:
     engine._pair_score_memo = {}
     engine.stop_reason = state["stop_reason"]
     engine._built = state["built"]
-    engine._per_class_nodes = {}
-    for node in engine.graph.nodes():
-        engine._per_class_nodes.setdefault(node.class_name, []).append(node)
     _rebuild_block_indexes(engine)
 
 

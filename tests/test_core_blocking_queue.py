@@ -126,6 +126,22 @@ class TestActiveQueue:
         # re-adding works.
         assert queue.push_back(("a", "b"))
 
+    def test_repushed_key_pops_where_it_was_pushed(self):
+        a, b, c = ("a", "a"), ("b", "b"), ("c", "c")
+        queue = ActiveQueue([a, b])
+        queue.discard(a)
+        queue.push_back(a)
+        assert queue.snapshot()["entries"] == [list(b), list(a)]
+        assert [queue.pop(), queue.pop()] == [b, a]
+        queue = ActiveQueue([a, b, c])
+        queue.discard(c)
+        queue.push_front(c)
+        queue.discard(a)
+        queue.push_back(a)
+        assert queue.snapshot()["entries"] == [list(c), list(b), list(a)]
+        assert [queue.pop() for _ in range(3)] == [c, b, a]
+        assert not queue and len(queue._deque) == 0
+
     def test_counters(self):
         queue = ActiveQueue()
         queue.push_back(("a", "b"))
@@ -146,39 +162,43 @@ class TestActiveQueue:
     )
     @settings(max_examples=80)
     def test_truthy_queue_always_pops_a_live_key(self, prefill, cut, ops):
-        """Every key in the member set also sits in the deque (push adds
-        to both; discard and compaction never drop a member's entry), so
-        the engine's ``while queue: queue.pop()`` never meets an empty
-        deque. Discarding the first *cut* of *prefill* keys first makes
-        compactions reachable."""
+        """The queue pops exactly what a plain list of live keys would:
+        a push appends (or prepends) a key not already live, a discard
+        removes it, a pop takes the head. So the engine's ``while queue:
+        queue.pop()`` never meets an empty deque, and a key discarded
+        and pushed again pops where the push put it. Discarding the
+        first *cut* of *prefill* keys first makes compactions reachable."""
         queue = ActiveQueue((f"k{i}", f"m{i}") for i in range(prefill))
-        live = {(f"k{i}", f"m{i}") for i in range(prefill)}
+        model = [(f"k{i}", f"m{i}") for i in range(prefill)]
         for i in range(min(cut, prefill)):
             queue.discard((f"k{i}", f"m{i}"))
-            live.discard((f"k{i}", f"m{i}"))
+            model.remove((f"k{i}", f"m{i}"))
         for op, i in ops:
             key = (f"k{i}", f"m{i}")
             if op == "back":
                 queue.push_back(key)
-                live.add(key)
+                if key not in model:
+                    model.append(key)
             elif op == "front":
                 queue.push_front(key)
-                live.add(key)
+                if key not in model:
+                    model.insert(0, key)
             elif op == "discard":
                 queue.discard(key)
-                live.discard(key)
+                if key in model:
+                    model.remove(key)
             elif queue:
-                popped = queue.pop()
-                assert popped in live
-                live.discard(popped)
+                assert queue.pop() == model.pop(0)
             else:
                 with pytest.raises(QueueEmpty):
                     queue.pop()
-            assert len(queue) == len(live)
-            assert bool(queue) == bool(live)
+            assert len(queue) == len(model)
+            assert bool(queue) == bool(model)
+        assert queue.snapshot()["entries"] == [list(key) for key in model]
+        popped = []
         while queue:
-            live.discard(queue.pop())
-        assert not live
+            popped.append(queue.pop())
+        assert popped == model
 
 
 class TestQueueCompaction:

@@ -3,11 +3,13 @@
 import copy
 import itertools
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import DependencyGraph
-from repro.core.nodes import EdgeType, NodeStatus, pair_key
+from repro.core.nodes import NO_EDGES, EdgeType, NodeStatus, PairNode, ValueNode, pair_key
 from repro.core.partition import UnionFind
 
 
@@ -53,6 +55,49 @@ class TestEdges:
         assert node_ac.key in node_ab.weak_in
         assert list(graph.real_out_nodes(node_ab)) == [node_ac]
         assert list(graph.strong_in_nodes(node_ac)) == [node_ab]
+
+
+class TestNodeLayout:
+    def test_nodes_are_slotted(self):
+        graph = DependencyGraph()
+        node = graph.add_pair_node("Person", "a", "b")
+        value = graph.value_node("name", "x", "y", 0.8)
+        assert not hasattr(node, "__dict__")
+        assert not hasattr(value, "__dict__")
+        assert "__dict__" not in dir(PairNode) and "__dict__" not in dir(ValueNode)
+
+    def test_fresh_node_allocates_no_edge_set(self):
+        _, node_ab, node_ac, _ = make_graph()
+        for node in (node_ab, node_ac):
+            assert all(edges is NO_EDGES for edges in edge_sets(node))
+
+    @pytest.mark.parametrize("edge_type", list(EdgeType))
+    def test_edge_allocates_exactly_its_two_sets(self, edge_type):
+        graph, node_ab, node_ac, _ = make_graph()
+        graph.add_edge(node_ab, node_ac, edge_type)
+        names = {
+            EdgeType.REAL: ("real_out", "real_in"),
+            EdgeType.STRONG: ("strong_out", "strong_in"),
+            EdgeType.WEAK: ("weak_out", "weak_in"),
+        }[edge_type]
+        allocated = [
+            (node, name)
+            for node in (node_ab, node_ac)
+            for name in EDGE_NAMES
+            if getattr(node, name) is not NO_EDGES
+        ]
+        assert allocated == [(node_ab, names[0]), (node_ac, names[1])]
+        # Both ends hold the other node's own key tuple, not a copy.
+        assert next(iter(getattr(node_ab, names[0]))) is node_ac.key
+        assert next(iter(getattr(node_ac, names[1]))) is node_ab.key
+        assert not NO_EDGES
+
+    def test_rekey_updates_stored_key(self):
+        graph = DependencyGraph()
+        node = graph.add_pair_node("Person", "b", "c")
+        merge(graph, UnionFind(), "a", "b")
+        assert node.key == (node.left, node.right) == ("a", "c")
+        assert graph.get("a", "c") is node
 
 
 class TestFusion:
@@ -134,15 +179,25 @@ class TestFusion:
         assert graph.fusions == 2
 
 
+EDGE_NAMES = ("real_in", "strong_in", "weak_in", "real_out", "strong_out", "weak_out")
+
+
 def edge_sets(node):
-    return (
-        node.real_in,
-        node.strong_in,
-        node.weak_in,
-        node.real_out,
-        node.strong_out,
-        node.weak_out,
-    )
+    return tuple(getattr(node, name) for name in EDGE_NAMES)
+
+
+def assert_edge_sets_unshared(nodes):
+    """No two of *nodes* (nor two edge kinds of one node) hold the same
+    mutable edge set, and the shared placeholder is still empty."""
+    distinct = {id(node): node for node in nodes}.values()
+    owned = [
+        id(edges)
+        for node in distinct
+        for edges in edge_sets(node)
+        if edges is not NO_EDGES
+    ]
+    assert len(owned) == len(set(owned))
+    assert not NO_EDGES
 
 
 def merge(graph, uf, left, right):
@@ -255,6 +310,8 @@ class TestDropSelfReferencesMatchesScan:
             if uf.connected(left, right):
                 continue
             report = merge(graph, uf, left, right)
+            # Fused-away nodes included: fusion copies, never hands on.
+            assert_edge_sets_unshared([*tracked, *graph.nodes()])
             for node in report.reactivate:
                 old_graph, old_node = copy.deepcopy((graph, node))
                 old_drop_self_references(old_graph, old_node)

@@ -7,6 +7,7 @@ independent, enemies never share a cluster, and adding evidence can
 only merge more (monotonicity at the system level).
 """
 
+import gc
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import EngineConfig, Reconciler, Reference, ReferenceStore
-from repro.core.nodes import NodeStatus
+from repro.core.nodes import NodeStatus, PairNode
 from repro.datasets import generate_cora_dataset, generate_pim_dataset
 from repro.datasets.cora import CoraConfig
 from repro.datasets.generator.names import NamePool, format_name
@@ -176,3 +177,27 @@ class TestEngineInvariants:
         dataset, domain = _invariant_world(name)
         result = Reconciler(dataset.store, domain, EngineConfig()).run()
         self._check(dataset.store, domain, result.partitions)
+
+
+def _live_pair_nodes() -> int:
+    gc.collect()
+    return sum(isinstance(obj, PairNode) for obj in gc.get_objects())
+
+
+class TestNoDeadNodes:
+    """Enrichment fuses most pair nodes away; after a run the only pair
+    nodes left in memory are the graph's live ones."""
+
+    @pytest.mark.parametrize("observed", [True, False], ids=["observers", "bare"])
+    @pytest.mark.parametrize("name", ["cora", "B"])
+    def test_no_fused_away_node_survives_a_run(self, name, observed):
+        if name == "cora":
+            dataset, domain = _invariant_world("cora")
+        else:
+            dataset, domain = generate_pim_dataset("B", scale=0.2), PimDomainModel()
+        before = _live_pair_nodes()
+        kwargs = {} if observed else {"observers": ()}
+        engine = Reconciler(dataset.store, domain, EngineConfig(), **kwargs)
+        engine.run()
+        assert engine.stats.pair_nodes > len(engine.graph)  # fusion happened
+        assert _live_pair_nodes() - before == len(engine.graph)
