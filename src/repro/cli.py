@@ -15,9 +15,10 @@ Commands:
   localize regressions: flipped merge decisions with channel/threshold
   attribution and root-cause chains, quality deltas, phase slowdowns.
   Exits nonzero on regression so CI can gate on it.
-* ``report`` — run the full experiment suite and write the markdown
-  report to a ``.md`` path. A recorded run is read with ``doctor``,
-  ``hotspots`` and ``explain --run`` instead.
+* ``report`` — run the full experiment suite, check every paper claim
+  and write the markdown report to a ``.md`` path. Exits 1 when a
+  claim fails. A recorded run is read with ``doctor``, ``hotspots``
+  and ``explain --run`` instead.
 * ``doctor`` — post-mortem diagnosis of a recorded run: reads the
   crash bundle (when the run crashed or degraded) and the manifest,
   prints what failed, what degraded, the flight-recorder tail and
@@ -236,7 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     report = commands.add_parser(
-        "report", help="run every experiment and write the markdown report"
+        "report",
+        help="run every experiment, check the paper's claims and write the "
+        "markdown report (exit 1 when a claim fails)",
     )
     report.add_argument(
         "target", help="output .md path (not a run directory)"
@@ -548,7 +551,7 @@ def _cmd_tables(args) -> int:
         "5": lambda: render_table5(table5_ablation_grid(scale)),
         "6": lambda: render_table6(table6_constraints(scale)),
         "7": lambda: render_table7(table7_cora()),
-        "fig6": lambda: render_figure6(figure6_series(scale)),
+        "fig6": lambda: render_figure6(figure6_series(table5_ablation_grid(scale))),
     }
     print(dispatch[args.which]())
     return 0
@@ -628,11 +631,17 @@ def _cmd_report(args) -> int:
             file=sys.stderr,
         )
         return 2
-    from .evaluation.report import write_report
+    from .evaluation.report import build_report
 
-    path = write_report(args.target, scale=args.scale)
-    print(f"wrote report to {path}")
-    return 0
+    markdown, verdicts = build_report(args.scale)
+    target.write_text(markdown)
+    for text, ok in verdicts:
+        print(f"[{'x' if ok else ' '}] {text}")
+    print(f"wrote report to {target}")
+    failed = sum(1 for _, ok in verdicts if not ok)
+    if failed:
+        print(f"{failed} of {len(verdicts)} paper claims fail", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_doctor(args) -> int:

@@ -1,32 +1,18 @@
-"""Cluster-level metrics beyond the paper's pairwise measure.
+"""B-cubed precision/recall, beside the paper's pairwise measure.
 
-The paper evaluates with pairwise precision/recall; downstream users of
-an entity-resolution library usually also want:
-
-* **B-cubed** precision/recall (Bagga & Baldwin 1998) — per-reference
-  averages, less dominated by huge clusters than pairwise;
-* **cluster metrics** — exact-cluster precision/recall/F (how many
-  predicted partitions are exactly right);
-* **variation of information** — an information-theoretic distance
-  between two partitions (0 = identical).
-
-All computations are count-based and linear in the references.
+The paper evaluates with pairwise precision/recall. B-cubed (Bagga &
+Baldwin 1998) averages per reference, so it is less dominated by huge
+clusters; ``repro evaluate`` and run manifests report both. The
+computation is count-based and linear in the references.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-__all__ = [
-    "BCubedScores",
-    "bcubed_scores",
-    "ClusterScores",
-    "cluster_scores",
-    "variation_of_information",
-]
+__all__ = ["BCubedScores", "bcubed_scores"]
 
 
 @dataclass(frozen=True)
@@ -78,72 +64,3 @@ def bcubed_scores(
             precision_sum += count * (count / size)
             recall_sum += count * (count / gold_sizes[entity])
     return BCubedScores(precision_sum / total, recall_sum / total)
-
-
-@dataclass(frozen=True)
-class ClusterScores:
-    """Exact-cluster agreement: a predicted partition scores only for
-    clusters that match a gold cluster member-for-member."""
-
-    precision: float
-    recall: float
-    exact_clusters: int
-    predicted_clusters: int
-    gold_clusters: int
-
-    @property
-    def f_measure(self) -> float:
-        if self.precision + self.recall == 0.0:
-            return 0.0
-        return 2.0 * self.precision * self.recall / (self.precision + self.recall)
-
-
-def cluster_scores(
-    predicted: Iterable[Iterable[str]], gold: Mapping[str, str]
-) -> ClusterScores:
-    clusters = _cluster_lists(predicted, gold)
-    grouped: dict[str, set[str]] = {}
-    for ref_id, entity in gold.items():
-        grouped.setdefault(entity, set()).add(ref_id)
-    gold_sets = {frozenset(members) for members in grouped.values()}
-    predicted_sets = [frozenset(cluster) for cluster in clusters]
-    exact = sum(1 for cluster in predicted_sets if cluster in gold_sets)
-    precision = exact / len(predicted_sets) if predicted_sets else 1.0
-    recall = exact / len(gold_sets) if gold_sets else 1.0
-    return ClusterScores(
-        precision=precision,
-        recall=recall,
-        exact_clusters=exact,
-        predicted_clusters=len(predicted_sets),
-        gold_clusters=len(gold_sets),
-    )
-
-
-def variation_of_information(
-    predicted: Iterable[Iterable[str]], gold: Mapping[str, str]
-) -> float:
-    """Meila's Variation of Information between prediction and gold.
-
-    VI = H(P) + H(G) - 2 I(P; G), in nats; 0 iff the partitions agree.
-    Only references present in *gold* participate.
-    """
-    clusters = _cluster_lists(predicted, gold)
-    total = sum(len(cluster) for cluster in clusters)
-    if total == 0:
-        return 0.0
-    gold_sizes = Counter(gold[ref] for cluster in clusters for ref in cluster)
-
-    h_predicted = 0.0
-    h_gold = 0.0
-    mutual = 0.0
-    for cluster in clusters:
-        p_cluster = len(cluster) / total
-        h_predicted -= p_cluster * math.log(p_cluster)
-        for entity, count in Counter(gold[ref] for ref in cluster).items():
-            p_joint = count / total
-            p_gold = gold_sizes[entity] / total
-            mutual += p_joint * math.log(p_joint / (p_cluster * p_gold))
-    for entity, size in gold_sizes.items():
-        p_gold = size / total
-        h_gold -= p_gold * math.log(p_gold)
-    return max(0.0, h_predicted + h_gold - 2.0 * mutual)

@@ -1,8 +1,8 @@
 """Experiment drivers: one function per table/figure of the paper.
 
-Every driver returns plain data structures (lists of row dicts) so the
-benchmark harness can both print the paper-style table and assert on
-the expected qualitative shape. Generated datasets are cached per
+Every driver returns plain data structures (lists of row dicts) so
+``repro tables`` can print the paper-style table and ``repro report``
+can check the paper's claims on it. Generated datasets are cached per
 (name, scale) within the process — the ablation grid alone reconciles
 dataset A sixteen times and must not regenerate it each run.
 """
@@ -24,7 +24,6 @@ from .metrics import (
     PairwiseScores,
     entities_with_false_positives,
     pairwise_scores,
-    partition_count,
     partition_reduction,
 )
 
@@ -71,14 +70,10 @@ def reconcile(
     dataset: Dataset,
     config: EngineConfig,
     *,
-    domain=None,
+    domain,
     classes: tuple[str, ...] | None = None,
 ) -> RunOutcome:
     """Run one configuration over *dataset* and score every class."""
-    if domain is None:
-        domain = (
-            CoraDomainModel() if dataset.name == "Cora" else PimDomainModel()
-        )
     reconciler = Reconciler(dataset.store, domain, config)
     result = reconciler.run()
     gold = dataset.gold.entity_of
@@ -312,10 +307,9 @@ def table5_ablation_grid(scale: float = 1.0, dataset_name: str = "A") -> dict:
     }
 
 
-def figure6_series(scale: float = 1.0, dataset_name: str = "A") -> list[dict]:
-    """Figure 6 is the Table-5 grid plotted as partitions per evidence
+def figure6_series(grid: dict) -> list[dict]:
+    """Figure 6 is the Table-5 *grid* plotted as partitions per evidence
     level, one series per mode; this returns exactly those series."""
-    grid = table5_ablation_grid(scale, dataset_name)
     series = []
     for mode in MODES:
         series.append(

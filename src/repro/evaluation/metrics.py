@@ -21,7 +21,6 @@ __all__ = [
     "PairwiseScores",
     "pairwise_scores",
     "combine_scores",
-    "partition_count",
     "entities_with_false_positives",
     "partition_reduction",
 ]
@@ -42,11 +41,6 @@ class PairwiseScores:
         if self.precision + self.recall == 0.0:
             return 0.0
         return 2.0 * self.precision * self.recall / (self.precision + self.recall)
-
-    def row(self) -> str:
-        return (
-            f"{self.precision:.3f}/{self.recall:.3f}  F={self.f_measure:.3f}"
-        )
 
 
 def _pairs(count: int) -> int:
@@ -124,24 +118,6 @@ def combine_scores(scores: Iterable[PairwiseScores]) -> PairwiseScores:
         predicted_pairs=predicted_pairs,
         gold_pairs=gold_pairs,
     )
-
-
-def partition_count(
-    predicted: Iterable[Iterable[str]],
-    *,
-    restrict_to: Iterable[str] | None = None,
-) -> int:
-    """Number of non-empty predicted partitions (Table 4/5's #(Par))."""
-    allowed = None if restrict_to is None else set(restrict_to)
-    count = 0
-    for cluster in predicted:
-        if allowed is None:
-            members = list(cluster)
-        else:
-            members = [ref_id for ref_id in cluster if ref_id in allowed]
-        if members:
-            count += 1
-    return count
 
 
 def entities_with_false_positives(

@@ -65,7 +65,6 @@ PAPER_NUMBERS = {
         ("Full", "Article"): 1990,
         ("Full", "Contact"): 1873,
     },
-    "table5_entities": 1750,
     "table6": {
         "DepGraph": (0.999, 0.9994, 13, 692030),
         "Non-Constraint": (0.947, 0.9996, 61, 590438),

@@ -4,7 +4,7 @@ and deterministic parallel candidate-pair scoring.
 Everything here is an *optimisation*, never a semantics change: the
 fast comparators are exact above the engine's decision floor, the
 prefilters are sound upper bounds, and parallel builds are
-byte-identical to serial ones. ``benchmarks/`` and
+byte-identical to serial ones. ``perfbench/`` (per-layer timings) and
 ``scripts/record_bench.py`` keep the layer honest.
 """
 

@@ -1,16 +1,10 @@
-"""Tests for B-cubed, exact-cluster metrics and variation of information."""
-
-import math
+"""Tests for the B-cubed cluster metric."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.evaluation.clustering import (
-    bcubed_scores,
-    cluster_scores,
-    variation_of_information,
-)
+from repro.evaluation.clustering import bcubed_scores
 
 GOLD = {"a1": "A", "a2": "A", "a3": "A", "b1": "B", "b2": "B", "c1": "C"}
 PERFECT = [["a1", "a2", "a3"], ["b1", "b2"], ["c1"]]
@@ -56,41 +50,3 @@ class TestBCubed:
         scores = bcubed_scores(clusters.values(), gold)
         assert scores.precision == pytest.approx(1.0)
         assert scores.recall == pytest.approx(1.0)
-
-
-class TestClusterScores:
-    def test_perfect(self):
-        scores = cluster_scores(PERFECT, GOLD)
-        assert scores.precision == 1.0 and scores.recall == 1.0
-        assert scores.exact_clusters == 3
-
-    def test_partial(self):
-        scores = cluster_scores([["a1", "a2", "a3"], ["b1"], ["b2"], ["c1"]], GOLD)
-        assert scores.exact_clusters == 2  # the A cluster and {c1}
-        assert scores.precision == pytest.approx(2 / 4)
-        assert scores.recall == pytest.approx(2 / 3)
-
-
-class TestVariationOfInformation:
-    def test_identical_partitions(self):
-        assert variation_of_information(PERFECT, GOLD) == pytest.approx(0.0, abs=1e-9)
-
-    def test_positive_for_disagreement(self):
-        assert variation_of_information([list(GOLD)], GOLD) > 0.0
-
-    def test_bounded_by_log_n(self):
-        vi = variation_of_information([[r] for r in GOLD], GOLD)
-        assert vi <= math.log(len(GOLD)) + 1e-9
-
-    @given(st.lists(st.integers(0, 3), min_size=2, max_size=12), st.integers(0, 999))
-    @settings(max_examples=40)
-    def test_non_negative(self, assignment, seed):
-        import random
-
-        gold = {f"r{i}": f"e{e}" for i, e in enumerate(assignment)}
-        refs = list(gold)
-        random.Random(seed).shuffle(refs)
-        mid = max(1, len(refs) // 2)
-        predicted = [refs[:mid], refs[mid:]]
-        predicted = [cluster for cluster in predicted if cluster]
-        assert variation_of_information(predicted, gold) >= 0.0

@@ -1,8 +1,9 @@
 """Smoke and shape tests for the experiment drivers (tiny scale).
 
-The full-shape assertions live in the benchmarks; here we verify that
-every driver runs, returns well-formed rows, and that the renderers
-produce the paper-style tables.
+The paper's shapes are claims in ``repro.evaluation.report``, checked
+by ``repro report``; here we verify that every driver runs, returns
+well-formed rows, and that the renderers produce the paper-style
+tables.
 """
 
 import pytest
@@ -70,7 +71,7 @@ class TestDrivers:
         assert "Traditional" in rendered and "Contact" in rendered
 
     def test_figure6_series_match_grid(self, grid):
-        series = figure6_series(SCALE)
+        series = figure6_series(grid)
         assert len(series) == 4
         for entry in series:
             for evidence_name, count in entry["points"]:

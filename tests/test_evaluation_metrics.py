@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.evaluation.metrics import (
     entities_with_false_positives,
     pairwise_scores,
-    partition_count,
     partition_reduction,
 )
 
@@ -102,14 +101,6 @@ class TestPairwiseScores:
         assert 0.0 <= scores.precision <= 1.0
         assert 0.0 <= scores.recall <= 1.0
         assert 0.0 <= scores.f_measure <= 1.0
-
-
-class TestPartitionCount:
-    def test_counts_nonempty(self):
-        assert partition_count([["a"], ["b", "c"], []]) == 2
-
-    def test_restriction(self):
-        assert partition_count([["a"], ["b", "c"]], restrict_to=["b"]) == 1
 
 
 class TestEntitiesWithFalsePositives:

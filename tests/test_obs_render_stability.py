@@ -97,8 +97,11 @@ class TestCrossRunStability:
                     dataset=dataset, reconciler=engine, result=engine.run()
                 )
             )
+        # This checks rendering, not timing: a phase floor no host stall
+        # reaches keeps a scheduler pause from turning the verdict.
         texts = {
-            render_diff(diff_runs(manifests[0], manifests[1])) for _ in range(2)
+            render_diff(diff_runs(manifests[0], manifests[1], phase_floor=3600.0))
+            for _ in range(2)
         }
         assert len(texts) == 1
         assert texts.pop().endswith("verdict: clean")

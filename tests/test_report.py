@@ -1,59 +1,145 @@
-"""Tests for the one-shot reproduction report."""
+"""Tests for the paper's claims table and the one-shot report."""
+
+import dataclasses
 
 import pytest
 
-from repro.evaluation.report import build_report, shape_checklist, write_report
+import repro.evaluation.report as report_module
+from repro.baselines import EVIDENCE_LEVELS, MODES
+from repro.cli import main
+from repro.evaluation.report import CLAIMS, Measured, build_report, check_claims
+
+
+def _algo_row(key, value, **overrides):
+    row = {key: value}
+    for algo, (precision, recall) in (("InDepDec", (0.95, 0.5)), ("DepGraph", (0.96, 0.9))):
+        row[f"{algo}_precision"] = precision
+        row[f"{algo}_recall"] = recall
+        row[f"{algo}_f"] = 2 * precision * recall / (precision + recall)
+    row.update(overrides)
+    return row
+
+
+def holding_tables() -> Measured:
+    """Hand-made tables on which every claim holds."""
+    cells = {}
+    for row, mode in enumerate(MODES):
+        for column, evidence in enumerate(EVIDENCE_LEVELS):
+            cells[(mode.name, evidence.name)] = 100 - 10 * column - row
+    cells[("Traditional", "Article")] = cells[("Traditional", "Name&Email")]
+    grid = {
+        "cells": cells,
+        "entities": 50,
+        "references": 400,
+        "mode_reductions": {mode.name: 40.0 for mode in MODES},
+        "evidence_reductions": {evidence.name: 5.0 for evidence in EVIDENCE_LEVELS},
+        "overall": 60.0,
+    }
+    return Measured(
+        table1={
+            name: {"dataset": name, "references": 200, "entities": 10, "ratio": 20.0}
+            for name in ("PIM A", "PIM B", "PIM C", "PIM D", "Cora")
+        },
+        table2={c: _algo_row("class", c) for c in ("Person", "Article", "Venue")},
+        table3={
+            "Full": _algo_row("dataset", "Full"),
+            "PArticle": _algo_row("dataset", "PArticle"),
+            "PEmail": _algo_row("dataset", "PEmail", InDepDec_recall=0.8),
+        },
+        table4={
+            d: _algo_row(
+                "dataset", d, entities=10, references=80,
+                InDepDec_partitions=30, DepGraph_partitions=20,
+            )
+            for d in "ABCD"
+        },
+        table5=grid,
+        table6={
+            "DepGraph": {
+                "method": "DepGraph", "precision": 0.99, "recall": 0.9,
+                "entities_with_false_positives": 1, "graph_nodes": 900,
+            },
+            "Non-Constraint": {
+                "method": "Non-Constraint", "precision": 0.9, "recall": 0.95,
+                "entities_with_false_positives": 5, "graph_nodes": 900,
+            },
+        },
+        table7={
+            c: _algo_row("class", c, DepGraph_precision=0.9 if c == "Venue" else 0.99)
+            for c in ("Person", "Article", "Venue")
+        },
+    )
 
 
 class TestReport:
-    @pytest.mark.slow
-    def test_build_report_structure(self):
-        report = build_report(scale=0.2)
-        assert "# Reproduction report" in report
-        assert "Shape checklist" in report
-        for table in ("Table 1", "Table 5", "Table 7", "Figure 6"):
-            assert f"## {table}" in report
-
-    @pytest.mark.slow
-    def test_write_report(self, tmp_path):
-        path = write_report(tmp_path / "report.md", scale=0.2)
-        assert path.exists()
-        assert "Table 4" in path.read_text()
+    def test_every_claim_holds_on_holding_tables(self):
+        verdicts = check_claims(holding_tables())
+        assert len(verdicts) == len(CLAIMS) == 26
+        assert [text for text, ok in verdicts if not ok] == []
 
     def test_checklist_is_boolean(self):
-        report_checks = shape_checklist(
-            table2_rows=[
-                {"class": c, "InDepDec_f": 0.5, "DepGraph_f": 0.9,
-                 "InDepDec_recall": 0.5, "DepGraph_recall": 0.9,
-                 "InDepDec_precision": 0.9, "DepGraph_precision": 0.9}
-                for c in ("Person", "Article", "Venue")
-            ],
-            table3_rows=[
-                {"dataset": d, "InDepDec_recall": 0.5, "DepGraph_recall": 0.9}
-                for d in ("Full", "PArticle", "PEmail")
-            ],
-            table4_rows=[
-                {"dataset": d, "InDepDec_partitions": 10, "DepGraph_partitions": 8,
-                 "DepGraph_recall": 0.9}
-                for d in "ABCD"
-            ],
-            grid={"cells": {(m, e): 10 for m in
-                            ("Traditional", "Propagation", "Merge", "Full")
-                            for e in ("Attr-wise", "Name&Email", "Article", "Contact")}},
-            table6_rows=[
-                {"method": "DepGraph", "precision": 0.99,
-                 "entities_with_false_positives": 1},
-                {"method": "Non-Constraint", "precision": 0.9,
-                 "entities_with_false_positives": 5},
-            ],
-            table7_rows=[
-                {"class": c, "InDepDec_f": 0.5, "DepGraph_f": 0.9,
-                 "InDepDec_recall": 0.3, "DepGraph_recall": 0.9,
-                 "InDepDec_precision": 0.99, "DepGraph_precision": 0.8}
-                for c in ("Person", "Article", "Venue")
-            ],
-        )
-        assert len(report_checks) == 10
-        for claim, ok in report_checks:
-            assert isinstance(claim, str)
+        for text, ok in check_claims(holding_tables()):
+            assert isinstance(text, str) and text.startswith("Table ")
+            assert "{" not in text  # the tolerance is filled in
             assert isinstance(ok, bool)
+
+    def test_each_claim_is_stated_once(self):
+        texts = [text for text, _ in check_claims(holding_tables())]
+        assert len(set(texts)) == len(texts)
+
+    def test_one_broken_number_fails_only_its_claims(self):
+        tables = holding_tables()
+        venue = dict(tables.table7["Venue"], DepGraph_precision=0.99)
+        broken = dataclasses.replace(tables, table7={**tables.table7, "Venue": venue})
+        failed = [text for text, ok in check_claims(broken) if not ok]
+        assert failed == [
+            "Table 7: Cora venue propagation: recall up by more than 0.2, "
+            "precision down"
+        ]
+
+
+class TestReportCommand:
+    def test_failing_claim_is_unchecked_and_exits_1(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        tables = holding_tables()
+        row = dict(tables.table4["A"], DepGraph_partitions=31)
+        broken = dataclasses.replace(tables, table4={**tables.table4, "A": row})
+        monkeypatch.setattr(report_module, "measure", lambda scale: broken)
+        target = tmp_path / "report.md"
+        assert main(["report", str(target), "--scale", "0.5"]) == 1
+        claim = (
+            "Table 4: DepGraph produces no more partitions than InDepDec "
+            "on every dataset"
+        )
+        markdown = target.read_text()
+        assert f"- [ ] {claim}" in markdown
+        assert "## Paper claims — 25/26 hold" in markdown
+        assert "Scale 0.5" in markdown
+        captured = capsys.readouterr()
+        assert f"[ ] {claim}" in captured.out
+        assert captured.out.count("[x] ") == 25
+        assert "1 of 26 paper claims fail" in captured.err
+
+    def test_holding_claims_exit_0(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(report_module, "measure", lambda scale: holding_tables())
+        target = tmp_path / "report.md"
+        assert main(["report", str(target)]) == 0
+        assert "26/26 hold" in target.read_text()
+        assert capsys.readouterr().err == ""
+
+    def test_report_text_is_stable(self, monkeypatch):
+        """No wall time or other run-to-run noise, so the committed
+        report.md can be checked with a plain diff."""
+        monkeypatch.setattr(report_module, "measure", lambda scale: holding_tables())
+        assert build_report(1.0) == build_report(1.0)
+        assert "took" not in build_report(1.0)[0]
+
+    @pytest.mark.slow
+    def test_build_report_structure(self):
+        markdown, verdicts = build_report(scale=0.2)
+        assert "# Reproduction report" in markdown
+        assert "## Paper claims" in markdown
+        assert len(verdicts) == len(CLAIMS)
+        for table in ("Table 1", "Table 5", "Table 7", "Figure 6"):
+            assert f"## {table}" in markdown
