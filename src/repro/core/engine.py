@@ -98,6 +98,53 @@ class EngineStats:
     degradations: list[DegradationEvent] = field(default_factory=list)
 
 
+_first_member = itemgetter(0)
+
+
+class _ResultClusters:
+    """The result cache: each cluster's sorted member ids under its
+    ``(class, root)`` key, and each class's clusters in first-member
+    order, one list object in both views. Merges and admitted
+    references move clusters with :mod:`bisect`, so a result copies
+    the member lists out in order and never sorts."""
+
+    __slots__ = ("by_root", "ordered")
+
+    def __init__(self, class_names: Iterable[str]) -> None:
+        self.by_root: dict[tuple[str, str], list[str]] = {}
+        self.ordered: dict[str, list[list[str]]] = {name: [] for name in class_names}
+
+    def _take(self, class_name: str, root: str) -> list[str] | None:
+        members = self.by_root.pop((class_name, root), None)
+        if members is not None:
+            ordered = self.ordered[class_name]
+            del ordered[bisect.bisect_left(ordered, members[0], key=_first_member)]
+        return members
+
+    def _put(self, class_name: str, root: str, members: list[str]) -> None:
+        self.by_root[(class_name, root)] = members
+        ordered = self.ordered[class_name]
+        ordered.insert(
+            bisect.bisect_left(ordered, members[0], key=_first_member), members
+        )
+
+    def add(self, class_name: str, ref_id: str) -> None:
+        """Give a reference new to the partition a cluster of its own."""
+        self._put(class_name, ref_id, [ref_id])
+
+    def merge(self, class_name: str, survivor: str, absorbed: str) -> None:
+        """Fold *absorbed*'s cluster of *class_name*, if any, into *survivor*'s."""
+        moved = self._take(class_name, absorbed)
+        if moved is None:
+            return
+        kept = self._take(class_name, survivor)
+        if kept is not None:
+            kept.extend(moved)
+            kept.sort()  # two sorted runs: a linear merge
+            moved = kept
+        self._put(class_name, survivor, moved)
+
+
 class Reconciler:
     """Run the dependency-graph reconciliation over a reference store.
 
@@ -133,11 +180,12 @@ class Reconciler:
         # sets mention it; the union-find notifies us of every merge.
         self._contacts_cache: dict[str, frozenset[str]] = {}
         self._contacts_rdeps: dict[str, set[str]] = {}
-        # Result cache: (class, root) -> sorted member ids, or None until
-        # the first _result() fills it from a store scan; kept current by
-        # a union-find listener and by _admit() for references added
-        # later, so each later result costs O(clusters), not O(store).
-        self._result_clusters: dict[tuple[str, str], list[str]] | None = None
+        # Result cache (see _ResultClusters), or None until the first
+        # _result() fills it from a store scan; kept current and in
+        # first-member order by a union-find listener and by _admit()
+        # for references added later, so each later result is one list
+        # copy per cluster: no store scan and no sort.
+        self._result_clusters: _ResultClusters | None = None
         self._use_union_find(UnionFind())
         # Value-pair score memo shared by every candidate pair of a
         # build (see perf.scoring.memoised_score for the semantics).
@@ -307,11 +355,10 @@ class Reconciler:
         clusters = self._result_clusters
         for reference in references:
             ref_id = reference.ref_id
-            root = self.uf.find(ref_id)
+            self.uf.find(ref_id)
             self._members.setdefault(ref_id, [ref_id])
             if clusters is not None:
-                members = clusters.setdefault((reference.class_name, root), [])
-                bisect.insort(members, ref_id)
+                clusters.add(reference.class_name, ref_id)
 
     def _invalidate_contacts(self, survivor: str, absorbed: str) -> None:
         """Union-find merge hook: evict exactly the contact-root cache
@@ -1032,8 +1079,22 @@ class Reconciler:
         """§3.3: pool cluster state and fuse graph nodes locally."""
         members = self._members.setdefault(survivor, [survivor])
         members.extend(self._members.pop(absorbed, [absorbed]))
-        self._values_cache.pop(survivor, None)
-        self._values_cache.pop(absorbed, None)
+        kept = self._values_cache.pop(survivor, None)
+        moved = self._values_cache.pop(absorbed, None)
+        if kept is not None and moved is not None:
+            # The survivor's members come first, so a rescan of them
+            # would find its pooled values first, then the absorbed
+            # cluster's values it does not have yet, in their order.
+            pooled = dict(kept)
+            for attribute, values in moved.items():
+                present = pooled.get(attribute)
+                if present is None:
+                    pooled[attribute] = values
+                else:
+                    extra = tuple(value for value in values if value not in present)
+                    if extra:
+                        pooled[attribute] = present + extra
+            self._values_cache[survivor] = pooled
         report = self.graph.merge_elements(
             survivor, absorbed, same_cluster=self.uf.connected
         )
@@ -1056,33 +1117,31 @@ class Reconciler:
         if clusters is None:
             return
         for class_name in self.store.schema.class_names:
-            moved = clusters.pop((class_name, absorbed), None)
-            if moved is None:
-                continue
-            kept = clusters.setdefault((class_name, survivor), [])
-            kept.extend(moved)
-            kept.sort()  # two sorted runs: a linear merge
+            clusters.merge(class_name, survivor, absorbed)
 
     def _result(self) -> ReconciliationResult:
         clusters = self._result_clusters
         if clusters is None:
-            clusters = {}
+            scanned: dict[tuple[str, str], list[str]] = {}
             for reference in self.store:
                 root = self.uf.find(reference.ref_id)
-                clusters.setdefault((reference.class_name, root), []).append(
+                scanned.setdefault((reference.class_name, root), []).append(
                     reference.ref_id
                 )
-            for members in clusters.values():
+            for members in scanned.values():
                 members.sort()
+            clusters = _ResultClusters(self.store.schema.class_names)
+            for key, members in sorted(
+                scanned.items(), key=lambda item: item[1][0]
+            ):
+                clusters.by_root[key] = members
+                clusters.ordered[key[0]].append(members)
             self._result_clusters = clusters
-        partitions: dict[str, list[list[str]]] = {
-            class_name: [] for class_name in self.store.schema.class_names
+        # Fresh copies: callers may mutate what they are given.
+        partitions = {
+            class_name: [list(members) for members in ordered]
+            for class_name, ordered in clusters.ordered.items()
         }
-        for (class_name, _root), members in clusters.items():
-            # Fresh copies: callers may mutate what they are given.
-            partitions[class_name].append(list(members))
-        for groups in partitions.values():
-            groups.sort(key=itemgetter(0))
         return ReconciliationResult(
             partitions=partitions,
             uf=self.uf,

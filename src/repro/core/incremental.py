@@ -26,9 +26,13 @@ references:
 * O(touched clusters): blocking the batch into its buckets, scoring the
   new pairs, wiring them (weak-edge owners are read through the members
   of the two clusters a new node joins), and the iterate run, which
-  only reaches what the new nodes' evidence propagates to;
-* O(clusters): assembling the returned partition from the result
-  cache, one list copy per cluster plus a sort per class.
+  only reaches what the new nodes' evidence propagates to. Each merge
+  it makes folds the two clusters' state together at the union: the
+  pooled values are the survivor's followed by the absorbed cluster's
+  new ones, with no rescan of the members, and the result cache moves
+  the merged cluster to its first-member place with a binary search;
+* O(clusters): copying the returned partition out of the result cache,
+  one list copy per cluster, already in order, so nothing is sorted.
 
 The first add also builds the owner index over the whole store, once.
 """
@@ -85,8 +89,9 @@ class IncrementalReconciler:
         ids, dangling or mistyped links): a rejected batch leaves the
         store and the partition as they were. The work done is O(batch)
         plus O(clusters the batch touches), except for copying out the
-        returned partition, which is O(clusters); see the module
-        docstring for the breakdown.
+        returned partition, which is one list copy per cluster with no
+        sort; merges fold cluster state together instead of rebuilding
+        it. See the module docstring for the breakdown.
         """
         if not self._initialized:
             raise RuntimeError("call initial() before add()")

@@ -27,8 +27,9 @@ from ..similarity import (
     email_similarity,
     email_similarity_features,
     email_upper_bound,
-    name_compatibility,
     name_email_similarity,
+    parse_name,
+    parsed_name_compatibility,
     register_cache,
 )
 from .cora import (
@@ -67,9 +68,6 @@ PIM_SCHEMA = Schema(
 _cached_email_sim = register_cache(functools.lru_cache(maxsize=_CACHE_SIZE)(email_similarity))
 _cached_name_email_sim = register_cache(
     functools.lru_cache(maxsize=_CACHE_SIZE)(name_email_similarity)
-)
-_cached_name_compat = register_cache(
-    functools.lru_cache(maxsize=_CACHE_SIZE)(name_compatibility)
 )
 
 
@@ -168,7 +166,9 @@ class PimDomainModel(CoraDomainModel):
     ) -> bool:
         if class_name != "Person":
             return False
-        return _person_conflict(left, right, self._email_features)
+        return _person_conflict(
+            left, right, self._email_features, self._name_features
+        )
 
 
 def _email_blocking_keys(reference: Reference, email_features) -> set[str]:
@@ -210,7 +210,10 @@ def _has_structured_name(values: Mapping, name_features) -> bool:
 
 
 def _person_conflict(
-    left: Mapping, right: Mapping, email_features=_plain_email_features
+    left: Mapping,
+    right: Mapping,
+    email_features=_plain_email_features,
+    name_features=parse_name,
 ) -> bool:
     """Constraints 2 and 3 of §5.3 over pooled cluster values."""
     left_emails = [
@@ -242,8 +245,10 @@ def _person_conflict(
                 return True
     # Constraint 2: same first name + completely different last name (or
     # vice versa), detected by the name-compatibility classifier.
-    for name_l in left.get("name", ()):
-        for name_r in right.get("name", ()):
-            if _cached_name_compat(name_l, name_r) is NameCompat.CONFLICT:
+    right_names = [name_features(value) for value in right.get("name", ())]
+    for value in left.get("name", ()):
+        parsed_l = name_features(value)
+        for parsed_r in right_names:
+            if parsed_name_compatibility(parsed_l, parsed_r) is NameCompat.CONFLICT:
                 return True
     return False

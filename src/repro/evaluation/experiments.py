@@ -4,7 +4,9 @@ Every driver returns plain data structures (lists of row dicts) so
 ``repro tables`` can print the paper-style table and ``repro report``
 can check the paper's claims on it. Generated datasets are cached per
 (name, scale) within the process — the ablation grid alone reconciles
-dataset A sixteen times and must not regenerate it each run.
+dataset A sixteen times and must not regenerate it each run — and so
+are scored PIM runs per (name, scale, config): Tables 2, 3 (Full row),
+4, 5 and 6 reconcile many of the same pairs, and each runs once.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ import functools
 from dataclasses import dataclass
 
 from ..baselines import EVIDENCE_LEVELS, MODES, ablation_config, indepdec_config
-from ..core.engine import Reconciler
+from ..core.engine import EngineStats, Reconciler
 from ..core.model import EngineConfig
 from ..core.references import Reference, ReferenceStore
-from ..core.result import ReconciliationResult
 from ..datasets import Dataset, generate_cora_dataset, generate_pim_dataset
 from ..datasets.pim import PIM_DATASET_NAMES
 from ..domains import CoraDomainModel, PimDomainModel
@@ -31,6 +32,7 @@ __all__ = [
     "RunOutcome",
     "reconcile",
     "pim_dataset",
+    "pim_outcome",
     "cora_dataset",
     "person_subset",
     "table1_dataset_properties",
@@ -46,14 +48,16 @@ __all__ = [
 
 @dataclass
 class RunOutcome:
-    """One reconciliation run scored against gold."""
+    """One reconciliation run scored against gold: its partition and
+    engine counters, not the engine, so a shared outcome stays small."""
 
     dataset: Dataset
-    result: ReconciliationResult
+    clusters: dict[str, list[list[str]]]
+    stats: EngineStats
     scores: dict[str, PairwiseScores]
 
     def partitions(self, class_name: str) -> int:
-        return self.result.partition_count(class_name)
+        return len(self.clusters[class_name])
 
 
 @functools.lru_cache(maxsize=16)
@@ -82,7 +86,16 @@ def reconcile(
         class_name: pairwise_scores(result.clusters(class_name), gold)
         for class_name in class_names
     }
-    return RunOutcome(dataset=dataset, result=result, scores=scores)
+    return RunOutcome(
+        dataset=dataset, clusters=result.partitions, stats=result.stats, scores=scores
+    )
+
+
+@functools.lru_cache(maxsize=32)
+def pim_outcome(name: str, scale: float, config: EngineConfig) -> RunOutcome:
+    """The scored run of *config* over PIM dataset *name* at *scale*,
+    every class scored; shared by every table that makes this run."""
+    return reconcile(pim_dataset(name, scale), config, domain=PimDomainModel())
 
 
 def person_subset(dataset: Dataset, source: str) -> Dataset:
@@ -157,12 +170,11 @@ def table2_class_averages(scale: float = 1.0) -> list[dict]:
     domain = PimDomainModel()
     sums: dict[tuple[str, str], list[float]] = {}
     for name in PIM_DATASET_NAMES:
-        dataset = pim_dataset(name, scale)
         for algo, config in (
             ("InDepDec", indepdec_config(domain)),
             ("DepGraph", EngineConfig()),
         ):
-            outcome = reconcile(dataset, config, domain=PimDomainModel())
+            outcome = pim_outcome(name, scale, config)
             for class_name, score in outcome.scores.items():
                 bucket = sums.setdefault((algo, class_name), [0.0, 0.0, 0.0])
                 bucket[0] += score.precision
@@ -191,18 +203,19 @@ def table3_person_subsets(scale: float = 1.0) -> list[dict]:
     for subset in ("Full", "PArticle", "PEmail"):
         sums = {"InDepDec": [0.0, 0.0], "DepGraph": [0.0, 0.0]}
         for name in PIM_DATASET_NAMES:
-            dataset = pim_dataset(name, scale)
-            if subset == "PArticle":
-                dataset = person_subset(dataset, "bibtex")
-            elif subset == "PEmail":
-                dataset = person_subset(dataset, "email")
+            if subset != "Full":
+                source = "bibtex" if subset == "PArticle" else "email"
+                dataset = person_subset(pim_dataset(name, scale), source)
             for algo, config in (
                 ("InDepDec", indepdec_config(domain)),
                 ("DepGraph", EngineConfig()),
             ):
-                outcome = reconcile(
-                    dataset, config, domain=PimDomainModel(), classes=("Person",)
-                )
+                if subset == "Full":
+                    outcome = pim_outcome(name, scale, config)
+                else:
+                    outcome = reconcile(
+                        dataset, config, domain=PimDomainModel(), classes=("Person",)
+                    )
                 sums[algo][0] += outcome.scores["Person"].precision
                 sums[algo][1] += outcome.scores["Person"].recall
         count = len(PIM_DATASET_NAMES)
@@ -240,9 +253,7 @@ def table4_per_dataset(scale: float = 1.0) -> list[dict]:
             ("InDepDec", indepdec_config(domain)),
             ("DepGraph", EngineConfig()),
         ):
-            outcome = reconcile(
-                dataset, config, domain=PimDomainModel(), classes=("Person",)
-            )
+            outcome = pim_outcome(name, scale, config)
             score = outcome.scores["Person"]
             row[f"{algo}_precision"] = score.precision
             row[f"{algo}_recall"] = score.recall
@@ -267,10 +278,7 @@ def table5_ablation_grid(scale: float = 1.0, dataset_name: str = "A") -> dict:
     cells: dict[tuple[str, str], int] = {}
     for mode in MODES:
         for evidence in EVIDENCE_LEVELS:
-            config = ablation_config(evidence, mode)
-            outcome = reconcile(
-                dataset, config, domain=PimDomainModel(), classes=("Person",)
-            )
+            outcome = pim_outcome(dataset_name, scale, ablation_config(evidence, mode))
             cells[(mode.name, evidence.name)] = outcome.partitions("Person")
     first_evidence = EVIDENCE_LEVELS[0].name
     last_evidence = EVIDENCE_LEVELS[-1].name
@@ -336,9 +344,7 @@ def table6_constraints(scale: float = 1.0, dataset_name: str = "A") -> list[dict
         ("DepGraph", EngineConfig()),
         ("Non-Constraint", EngineConfig(constraints=False)),
     ):
-        outcome = reconcile(
-            dataset, config, domain=PimDomainModel(), classes=("Person",)
-        )
+        outcome = pim_outcome(dataset_name, scale, config)
         score = outcome.scores["Person"]
         rows.append(
             {
@@ -346,9 +352,9 @@ def table6_constraints(scale: float = 1.0, dataset_name: str = "A") -> list[dict
                 "precision": score.precision,
                 "recall": score.recall,
                 "entities_with_false_positives": entities_with_false_positives(
-                    outcome.result.clusters("Person"), dataset.gold.entity_of
+                    outcome.clusters["Person"], dataset.gold.entity_of
                 ),
-                "graph_nodes": outcome.result.stats.graph_nodes,
+                "graph_nodes": outcome.stats.graph_nodes,
             }
         )
     return rows

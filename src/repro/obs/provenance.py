@@ -22,7 +22,7 @@ provenance cannot perturb resume determinism.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..core.nodes import PairKey, pair_key
@@ -79,11 +79,25 @@ class DecisionRecord:
     recompute_index: int = 0
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["pair"] = list(self.pair)
-        if self.trigger_pair is not None:
-            data["trigger_pair"] = list(self.trigger_pair)
-        return data
+        # Field by field, in field order: ``dataclasses.asdict`` deep-
+        # copies every value and cost most of a record's JSON export.
+        trigger_pair = self.trigger_pair
+        return {
+            "seq": self.seq,
+            "pair": list(self.pair),
+            "class_name": self.class_name,
+            "decision": self.decision,
+            "score": self.score,
+            "threshold": self.threshold,
+            "s_rv": self.s_rv,
+            "t_rv": self.t_rv,
+            "strong_support": self.strong_support,
+            "weak_support": self.weak_support,
+            "channels": dict(self.channels),
+            "trigger": self.trigger,
+            "trigger_pair": None if trigger_pair is None else list(trigger_pair),
+            "recompute_index": self.recompute_index,
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionRecord":

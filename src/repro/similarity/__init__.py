@@ -25,6 +25,7 @@ from .names import (
     name_compatibility,
     name_similarity,
     parse_name,
+    parsed_name_compatibility,
 )
 from .nicknames import all_name_forms, canonical_given_names, share_canonical_given_name
 from .strings import (
@@ -82,6 +83,7 @@ __all__ = [
     "ParsedName",
     "name_compatibility",
     "name_similarity",
+    "parsed_name_compatibility",
     "parse_name",
     "all_name_forms",
     "canonical_given_names",

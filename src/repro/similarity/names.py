@@ -21,11 +21,19 @@ import enum
 import re
 from dataclasses import dataclass, field
 
+from .caches import PairMemo, register_cache
 from .nicknames import KNOWN_GIVEN_NAMES, all_name_forms, share_canonical_given_name
 from .strings import damerau_levenshtein_similarity_at_least
 from .tokens import normalize
 
-__all__ = ["ParsedName", "NameCompat", "parse_name", "name_compatibility", "name_similarity"]
+__all__ = [
+    "ParsedName",
+    "NameCompat",
+    "parse_name",
+    "name_compatibility",
+    "parsed_name_compatibility",
+    "name_similarity",
+]
 
 _SUFFIXES = frozenset({"jr", "sr", "ii", "iii", "iv", "phd", "md"})
 _NAME_TOKEN_RE = re.compile(r"[a-z]+\.?|[a-z]\.")
@@ -275,6 +283,12 @@ def name_compatibility(left: ParsedName | str, right: ParsedName | str) -> NameC
     return NameCompat.UNRELATED
 
 
+#: :func:`name_compatibility` of two parsed names, memoised: the one
+#: cache :func:`name_similarity` (the name channel's scoring) and the
+#: PIM constraint-2 check share.
+parsed_name_compatibility = register_cache(PairMemo(name_compatibility, maxsize=65536))
+
+
 def _middles_agree(left: tuple[str, ...], right: tuple[str, ...]) -> bool:
     if not left or not right:
         return True
@@ -296,7 +310,7 @@ def name_similarity(left: ParsedName | str, right: ParsedName | str) -> float:
         left = parse_name(left)
     if isinstance(right, str):
         right = parse_name(right)
-    compat = name_compatibility(left, right)
+    compat = parsed_name_compatibility(left, right)
     if compat is NameCompat.CONFLICT or compat is NameCompat.UNRELATED:
         return 0.0
     # Any pair missing a surname on either side is capped below

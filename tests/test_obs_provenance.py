@@ -8,6 +8,7 @@ live decisions exactly.
 """
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -129,6 +130,28 @@ class TestDecisionRecords:
             validate_decision({**data, "decision": "coin_flip"})
         with pytest.raises(SchemaError):
             validate_decision({**data, "trigger": "astrology"})
+
+    @pytest.mark.parametrize("trigger_pair", [None, ("c", "d")], ids=["seed", "propagated"])
+    def test_to_dict_is_the_asdict_form(self, trigger_pair):
+        """The field-by-field export equals ``asdict`` with the pairs as
+        lists, key order included, so the JSONL bytes do not change."""
+        record = DecisionRecord(
+            seq=3, pair=("a", "b"), class_name="Person", decision="defer",
+            score=0.5, threshold=0.85, s_rv=0.5, t_rv=0.7,
+            strong_support=1, weak_support=2, channels={"name": 0.5, "email": 0.25},
+            trigger="seed" if trigger_pair is None else "strong",
+            trigger_pair=trigger_pair, recompute_index=2,
+        )
+        expected = asdict(record)
+        expected["pair"] = list(record.pair)
+        if trigger_pair is not None:
+            expected["trigger_pair"] = list(trigger_pair)
+        data = record.to_dict()
+        assert list(data) == list(expected)
+        assert json.dumps(data) == json.dumps(expected)
+        # A copy: changing the export leaves the record alone.
+        data["channels"]["name"] = 1.0
+        assert record.channels["name"] == 0.5
 
 
 class TestExplainReplay:

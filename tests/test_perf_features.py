@@ -16,6 +16,8 @@ from repro.similarity import (
     email_similarity,
     email_similarity_features,
     email_upper_bound,
+    name_similarity,
+    parsed_name_compatibility,
     registered_caches,
     title_features,
     title_similarity,
@@ -26,6 +28,7 @@ from repro.similarity import (
     venue_similarity_features,
     venue_upper_bound,
 )
+from repro.similarity.caches import PairMemo
 from repro.similarity.strings import (
     damerau_levenshtein_distance,
     damerau_levenshtein_similarity,
@@ -393,6 +396,38 @@ class TestRegisteredCaches:
         assert count > 0
         for cached in registered_caches():
             assert cached.cache_info().currsize == 0
+
+    def test_pair_memo_is_bounded_and_exact(self):
+        calls = []
+
+        def product(left, right):
+            calls.append((left, right))
+            return None if left == right else left * right
+
+        memo = PairMemo(product, maxsize=3)
+        assert [memo(2, 3), memo(2, 3), memo(3, 2), memo(4, 4), memo(4, 4)] == [
+            6, 6, 6, None, None
+        ]
+        assert calls == [(2, 3), (3, 2), (4, 4)]  # None is a value, not a miss
+        assert memo.cache_info() == (2, 3, 3, 3)
+        memo(5, 6)  # full: emptied first, then holds the new pair
+        assert memo.cache_info().currsize == 1
+        memo.cache_clear()
+        assert memo.cache_info() == (0, 0, 3, 0)
+
+    def test_conflict_check_shares_the_name_channel_cache(self):
+        """The name channel's scoring fills the parsed-name compatibility
+        memo; the PIM constraint-2 check on the same names then hits it."""
+        domain = PimDomainModel()
+        clear_similarity_caches()
+        parse = domain.feature_cache.extractor("name")
+        left, right = "Michael Stonebraker", "Michael Carey"
+        name_similarity(parse(left), parse(right))
+        before = parsed_name_compatibility.cache_info()
+        assert before.currsize == 1
+        assert domain.conflict("Person", {"name": (left,)}, {"name": (right,)})
+        after = parsed_name_compatibility.cache_info()
+        assert (after.hits, after.currsize) == (before.hits + 1, 1)
 
 
 class TestContactCacheInvalidation:

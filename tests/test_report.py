@@ -7,6 +7,8 @@ import pytest
 import repro.evaluation.report as report_module
 from repro.baselines import EVIDENCE_LEVELS, MODES
 from repro.cli import main
+from repro.core.engine import Reconciler
+from repro.evaluation.experiments import pim_outcome
 from repro.evaluation.report import CLAIMS, Measured, build_report, check_claims
 
 
@@ -134,6 +136,29 @@ class TestReportCommand:
         monkeypatch.setattr(report_module, "measure", lambda scale: holding_tables())
         assert build_report(1.0) == build_report(1.0)
         assert "took" not in build_report(1.0)[0]
+
+    def test_each_run_is_reconciled_once(self, monkeypatch):
+        """Tables 2, 3 (Full row), 4, 5 and 6 share one scored run per
+        (dataset, config): measuring them reconciles 40 distinct pairs
+        and none twice. Table 7's two Cora runs, distinct by
+        construction, are stubbed out to keep the test fast."""
+        runs = []
+        real_run = Reconciler.run
+
+        def counting_run(self, **kwargs):
+            runs.append((self.store, self.config))  # kept alive: ids stay unique
+            return real_run(self, **kwargs)
+
+        monkeypatch.setattr(Reconciler, "run", counting_run)
+        monkeypatch.setattr(
+            report_module,
+            "table7_cora",
+            lambda: [{"class": c} for c in ("Person", "Article", "Venue")],
+        )
+        pim_outcome.cache_clear()
+        report_module.measure(0.05)
+        distinct = {(id(store), config) for store, config in runs}
+        assert len(runs) == len(distinct) == 40
 
     @pytest.mark.slow
     def test_build_report_structure(self):
