@@ -79,6 +79,8 @@ class EngineStats:
     feature_cache_misses: int = 0
     pair_memo_hits: int = 0
     pair_memo_misses: int = 0
+    #: always 0: value pairs are no longer prefiltered. Kept because
+    #: benchmark scripts read the field by name.
     prefilter_skips: int = 0
     #: worker processes the build actually used (1 = serial).
     parallel_workers: int = 1

@@ -65,12 +65,12 @@ class AtomicChannel:
 
     The optional fast-path fields are pure optimisations wired by the
     domain (see :mod:`repro.perf`): ``features_left`` / ``features_right``
-    map a raw value to precomputed features, ``fast_comparator(lf, rf,
-    floor)`` must return the exact ``comparator`` score whenever that
-    score is at least ``floor`` (anything below ``floor`` otherwise),
-    and ``score_upper_bound(lf, rf)`` must never be below the true
-    score. When ``fast_comparator`` is ``None`` the engine calls
-    ``comparator`` directly.
+    map a raw value to precomputed features, and ``fast_comparator(lf,
+    rf, floor)`` must return the exact ``comparator`` score whenever
+    that score is at least ``floor`` (anything below ``floor``
+    otherwise). When ``fast_comparator`` is ``None`` the engine calls
+    ``comparator`` directly. Either way the engine's pair memo caches
+    the score, so a comparator needs no cache of its own.
     """
 
     name: str
@@ -83,7 +83,6 @@ class AtomicChannel:
     features_left: Callable[[str], object] | None = None
     features_right: Callable[[str], object] | None = None
     fast_comparator: Callable[[object, object, float], float] | None = None
-    score_upper_bound: Callable[[object, object], float] | None = None
 
     @property
     def is_cross(self) -> bool:

@@ -25,7 +25,6 @@ thresholds on all datasets, so the PIM model
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable, Mapping
 
 from ..core.model import (
@@ -42,13 +41,10 @@ from ..similarity import (
     monge_elkan_similarity,
     name_similarity,
     pages_similarity,
-    register_cache,
     title_similarity,
     title_similarity_features,
-    title_upper_bound,
     venue_name_similarity,
     venue_similarity_features,
-    venue_upper_bound,
     year_similarity,
 )
 from ..similarity.nicknames import canonical_given_names
@@ -87,18 +83,6 @@ CORA_SCHEMA = Schema(
         ),
     ]
 )
-
-# The engine calls a channel's plain comparator only when it has no fast
-# path; Monge-Elkan over locations is the costly one of those, so it is
-# memoised and registered for clear_similarity_caches().
-_CACHE_SIZE = 20_000
-
-
-@register_cache
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _location_similarity(left: str, right: str) -> float:
-    return monge_elkan_similarity(left, right)
-
 
 # Fast-path comparators over precomputed features. Each is exact
 # whenever the true score reaches the floor the engine compares against
@@ -175,7 +159,6 @@ class CoraDomainModel(DomainModel):
                     features_left=title_features,
                     features_right=title_features,
                     fast_comparator=title_similarity_features,
-                    score_upper_bound=title_upper_bound,
                 ),
                 AtomicChannel(
                     name="pages",
@@ -205,7 +188,6 @@ class CoraDomainModel(DomainModel):
                     features_left=venue_features,
                     features_right=venue_features,
                     fast_comparator=venue_similarity_features,
-                    score_upper_bound=venue_upper_bound,
                 ),
                 AtomicChannel(
                     name="year",
@@ -220,7 +202,7 @@ class CoraDomainModel(DomainModel):
                     class_name="Venue",
                     left_attr="location",
                     right_attr="location",
-                    comparator=_location_similarity,
+                    comparator=monge_elkan_similarity,
                     liberal_threshold=0.6,
                 ),
             ),

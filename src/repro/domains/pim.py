@@ -15,7 +15,6 @@ Article, Venue and the parameters are inherited unchanged.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable, Mapping
 
 from ..core.model import AtomicChannel
@@ -23,17 +22,14 @@ from ..core.references import Reference
 from ..core.schema import Attribute, Schema, SchemaClass
 from ..similarity import (
     NameCompat,
-    email_features as _plain_email_features,
     email_similarity,
     email_similarity_features,
-    email_upper_bound,
     name_email_similarity,
+    parse_email,
     parse_name,
     parsed_name_compatibility,
-    register_cache,
 )
 from .cora import (
-    _CACHE_SIZE,
     CORA_SCHEMA,
     CoraDomainModel,
     _article_blocking_keys,
@@ -61,20 +57,10 @@ PIM_SCHEMA = Schema(
 )
 
 
-# The engine scores a channel through its fast comparator when it has
-# one, behind its own value-pair memo, so only the constraint checks and
-# the channels without a fast path reach these string-keyed caches —
-# bounded tightly and registered for clear_similarity_caches().
-_cached_email_sim = register_cache(functools.lru_cache(maxsize=_CACHE_SIZE)(email_similarity))
-_cached_name_email_sim = register_cache(
-    functools.lru_cache(maxsize=_CACHE_SIZE)(name_email_similarity)
-)
-
-
-def _fast_name_email_similarity(name_features, email_feats, floor: float) -> float:
-    if email_feats.parsed is None:
+def _fast_name_email_similarity(name_features, parsed_email, floor: float) -> float:
+    if parsed_email is None:
         return 0.0
-    return name_email_similarity(name_features, email_feats.parsed)
+    return name_email_similarity(name_features, parsed_email)
 
 
 class PimDomainModel(CoraDomainModel):
@@ -102,20 +88,19 @@ class PimDomainModel(CoraDomainModel):
                 class_name="Person",
                 left_attr="email",
                 right_attr="email",
-                comparator=_cached_email_sim,
+                comparator=email_similarity,
                 liberal_threshold=0.5,
                 is_key=True,
                 features_left=email_features,
                 features_right=email_features,
                 fast_comparator=email_similarity_features,
-                score_upper_bound=email_upper_bound,
             ),
             AtomicChannel(
                 name="name_email",
                 class_name="Person",
                 left_attr="name",
                 right_attr="email",
-                comparator=_cached_name_email_sim,
+                comparator=name_email_similarity,
                 liberal_threshold=0.6,
                 features_left=self._name_features,
                 features_right=email_features,
@@ -140,7 +125,7 @@ class PimDomainModel(CoraDomainModel):
             return [
                 "em:" + parsed.raw
                 for value in reference.get("email")
-                if (parsed := self._email_features(value).parsed) is not None
+                if (parsed := self._email_features(value)) is not None
             ]
         return super().key_values(reference)
 
@@ -158,7 +143,10 @@ class PimDomainModel(CoraDomainModel):
             right, self._name_features
         ):
             return True
-        return _cross_name_evidence(left, right) >= 0.9
+        return (
+            _cross_name_evidence(left, right, self._name_features, self._email_features)
+            >= 0.9
+        )
 
     # -- negative evidence -------------------------------------------------
     def conflict(
@@ -174,7 +162,7 @@ class PimDomainModel(CoraDomainModel):
 def _email_blocking_keys(reference: Reference, email_features) -> set[str]:
     keys: set[str] = set()
     for value in reference.get("email"):
-        parsed_email = email_features(value).parsed
+        parsed_email = email_features(value)
         if parsed_email is None:
             continue
         keys.add("e:" + parsed_email.raw)
@@ -191,15 +179,19 @@ _PUBLIC_MAIL_HOSTS = frozenset(
 )
 
 
-def _cross_name_evidence(left: Mapping, right: Mapping) -> float:
+def _cross_name_evidence(
+    left: Mapping, right: Mapping, name_features, email_features
+) -> float:
     """Best name-vs-email score across the two clusters' values."""
     best = 0.0
-    for name in left.get("name", ()):
-        for email in right.get("email", ()):
-            best = max(best, _cached_name_email_sim(name, email))
-    for name in right.get("name", ()):
-        for email in left.get("email", ()):
-            best = max(best, _cached_name_email_sim(name, email))
+    for names, emails in ((left, right), (right, left)):
+        for name in names.get("name", ()):
+            parsed_name = name_features(name)
+            for email in emails.get("email", ()):
+                best = max(
+                    best,
+                    _fast_name_email_similarity(parsed_name, email_features(email), 0.0),
+                )
     return best
 
 
@@ -212,19 +204,19 @@ def _has_structured_name(values: Mapping, name_features) -> bool:
 def _person_conflict(
     left: Mapping,
     right: Mapping,
-    email_features=_plain_email_features,
+    email_features=parse_email,
     name_features=parse_name,
 ) -> bool:
     """Constraints 2 and 3 of §5.3 over pooled cluster values."""
     left_emails = [
         parsed
         for value in left.get("email", ())
-        if (parsed := email_features(value).parsed) is not None
+        if (parsed := email_features(value)) is not None
     ]
     right_emails = [
         parsed
         for value in right.get("email", ())
-        if (parsed := email_features(value).parsed) is not None
+        if (parsed := email_features(value)) is not None
     ]
     # Constraint 2's escape hatch: a shared address trumps everything.
     left_raw = {parsed.raw for parsed in left_emails}
@@ -240,7 +232,7 @@ def _person_conflict(
                 parsed_l.domain_core == parsed_r.domain_core
                 and parsed_l.domain_core not in _PUBLIC_MAIL_HOSTS
                 and parsed_l.account != parsed_r.account
-                and _cached_email_sim(parsed_l.raw, parsed_r.raw) < 0.85
+                and email_similarity(parsed_l, parsed_r) < 0.85
             ):
                 return True
     # Constraint 2: same first name + completely different last name (or

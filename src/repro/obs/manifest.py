@@ -202,7 +202,6 @@ def build_manifest(
             "total_seconds": round(stats.build_seconds + stats.iterate_seconds, 6),
             "phase_seconds": phase_seconds,
             "cache_hit_rates": _cache_rates(stats),
-            "prefilter_skips": stats.prefilter_skips,
             "parallel_workers": stats.parallel_workers,
             "queue_compactions": getattr(stats, "queue_compactions", 0),
             # Cross-process telemetry: what the relay harvested from

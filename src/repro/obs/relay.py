@@ -71,7 +71,7 @@ class WorkerTelemetry:
 
     def pair_stats(self) -> SimpleNamespace:
         """A fresh memo-counter sink for ``pair_evidence(stats=...)``."""
-        return SimpleNamespace(pair_memo_hits=0, pair_memo_misses=0, prefilter_skips=0)
+        return SimpleNamespace(pair_memo_hits=0, pair_memo_misses=0)
 
     def add_span(
         self, name: str, start: float, duration: float, category: str = "worker", **args
@@ -89,7 +89,6 @@ class WorkerTelemetry:
     def absorb_pair_stats(self, stats: SimpleNamespace) -> None:
         self.count("repro_worker_pair_memo_hits_total", stats.pair_memo_hits)
         self.count("repro_worker_pair_memo_misses_total", stats.pair_memo_misses)
-        self.count("repro_worker_prefilter_skips_total", stats.prefilter_skips)
 
     def drain(self):
         """The buffered telemetry as one picklable payload, or ``None``.

@@ -2,8 +2,8 @@
 and deterministic parallel candidate-pair scoring.
 
 Everything here is an *optimisation*, never a semantics change: the
-fast comparators are exact above the engine's decision floor, the
-prefilters are sound upper bounds, and parallel builds are
+fast comparators are exact above the engine's decision floor, the pair
+memo is the one cache of channel scores, and parallel builds are
 byte-identical to serial ones. ``perfbench/`` (per-layer timings) and
 ``scripts/record_bench.py`` keep the layer honest.
 """

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from ..similarity.emails import email_features
+from ..similarity.emails import parse_email
 from ..similarity.names import parse_name
 from ..similarity.titles import title_features
 from ..similarity.venues import venue_features
@@ -28,7 +28,7 @@ _MISSING = object()
 #: by feature kind; each maps a raw attribute value to its features.
 STANDARD_EXTRACTORS: dict[str, Callable[[str], object]] = {
     "name": parse_name,
-    "email": email_features,
+    "email": parse_email,
     "title": title_features,
     "venue": venue_features,
 }

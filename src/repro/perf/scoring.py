@@ -3,20 +3,18 @@
 The engine's first-pass node construction and the worker processes of
 :mod:`repro.perf.parallel` both funnel through :func:`pair_evidence`,
 so a parallel build cannot diverge from the serial one: identical
-channel order, identical value-pair enumeration, identical prefilter
-and memo semantics.
+channel order, identical value-pair enumeration, identical memo
+semantics.
 
-Scores flow through three layers, every one of them exact above the
-floor the engine compares against:
+Scores flow through two layers, both exact above the floor the engine
+compares against:
 
-1. an optional *upper-bound prefilter* (``channel.score_upper_bound``)
-   skips the comparator entirely when the score cannot reach the
-   channel's liberal threshold;
-2. a *fast comparator* (``channel.fast_comparator``) consumes
+1. a *fast comparator* (``channel.fast_comparator``) consumes
    precomputed per-value features instead of raw strings;
-3. a per-process *memo* caches the result per distinct value pair, so
+2. a per-process *memo* caches the result per distinct value pair, so
    the same "j. smith" vs "smith, j" comparison runs once per build,
-   not once per candidate pair that mentions it.
+   not once per candidate pair that mentions it. It is the one cache
+   of channel scores: the comparators behind it are uncached.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ __all__ = ["channel_value_pairs", "score_value_pair", "memoised_score", "pair_ev
 #: cache-effectiveness counters.
 HIT = "hit"
 MISS = "miss"
-PREFILTERED = "prefiltered"
 
 
 def channel_value_pairs(
@@ -54,36 +51,29 @@ def channel_value_pairs(
                 yield value_r, value_l
 
 
-def score_value_pair(channel, value_l: str, value_r: str, floor: float) -> float | None:
-    """Score one value pair against *floor*; ``None`` means prefiltered.
+def score_value_pair(channel, value_l: str, value_r: str, floor: float) -> float:
+    """Score one value pair against *floor*.
 
     The contract with the engine: the engine only ever tests
     ``score >= floor``, so the fast path must return the exact
     slow-path score whenever the true score reaches *floor* and may
-    return anything strictly below *floor* (or ``None``) otherwise.
-    The upper-bound skip uses a strict ``<`` so a bound that *equals*
-    the floor still runs the comparator.
+    return anything strictly below *floor* otherwise.
     """
     fast = channel.fast_comparator
     if fast is None:
         return channel.comparator(value_l, value_r)
-    left_features = channel.features_left(value_l)
-    right_features = channel.features_right(value_r)
-    upper_bound = channel.score_upper_bound
-    if upper_bound is not None and upper_bound(left_features, right_features) < floor:
-        return None
-    return fast(left_features, right_features, floor)
+    return fast(channel.features_left(value_l), channel.features_right(value_r), floor)
 
 
 def memoised_score(
     channel, value_l: str, value_r: str, floor: float, memo: dict
-) -> tuple[float | None, str]:
+) -> tuple[float, str]:
     """:func:`score_value_pair` through a per-process memo.
 
     Entries store ``(floor, score)`` and are reusable at any floor at
     least as high as the stored one: a stored score at or above its
-    floor is the exact true score, and a stored score (or ``None``)
-    below its floor certifies the true score is below that floor too —
+    floor is the exact true score, and a stored score below its floor
+    certifies the true score is below that floor too —
     both verdicts survive raising the floor. A lookup at a *lower*
     floor recomputes and the entry is replaced with the lower floor,
     making it strictly more reusable.
@@ -96,7 +86,7 @@ def memoised_score(
         return entry[1], HIT
     score = score_value_pair(channel, value_l, value_r, floor)
     memo[key] = (floor, score)
-    return score, (PREFILTERED if score is None else MISS)
+    return score, MISS
 
 
 def pair_evidence(
@@ -113,8 +103,8 @@ def pair_evidence(
     exact order the serial engine would create the value nodes. *floor*
     is the force-path floor (strong dependencies keep even weak
     evidence); ``None`` means each channel's liberal threshold applies.
-    *stats*, when given, receives the memo/prefilter counter updates
-    (``pair_memo_hits`` / ``pair_memo_misses`` / ``prefilter_skips``).
+    *stats*, when given, receives the memo counter updates
+    (``pair_memo_hits`` / ``pair_memo_misses``).
     """
     evidence: list[tuple[str, str, str, float]] = []
     for channel in channels:
@@ -130,8 +120,6 @@ def pair_evidence(
                     stats.pair_memo_hits += 1
                 else:
                     stats.pair_memo_misses += 1
-                    if outcome is PREFILTERED:
-                        stats.prefilter_skips += 1
-            if score is not None and score >= threshold:
+            if score >= threshold:
                 evidence.append((channel.name, value_l, value_r, score))
     return evidence

@@ -9,15 +9,7 @@ comparators are the reference those fast paths are tested against.
 """
 
 from .caches import clear_similarity_caches, register_cache, registered_caches
-from .emails import (
-    EmailFeatures,
-    ParsedEmail,
-    email_features,
-    email_similarity,
-    email_similarity_features,
-    email_upper_bound,
-    parse_email,
-)
+from .emails import ParsedEmail, email_similarity, email_similarity_features, parse_email
 from .name_email import name_email_similarity
 from .names import (
     NameCompat,
@@ -46,7 +38,6 @@ from .titles import (
     title_features,
     title_similarity,
     title_similarity_features,
-    title_upper_bound,
     year_similarity,
 )
 from .tokens import is_acronym_of, normalize, tokenize
@@ -55,25 +46,19 @@ from .venues import (
     venue_features,
     venue_name_similarity,
     venue_similarity_features,
-    venue_upper_bound,
 )
 
 __all__ = [
     "clear_similarity_caches",
     "register_cache",
     "registered_caches",
-    "EmailFeatures",
-    "email_features",
     "email_similarity_features",
-    "email_upper_bound",
     "TitleFeatures",
     "title_features",
     "title_similarity_features",
-    "title_upper_bound",
     "VenueFeatures",
     "venue_features",
     "venue_similarity_features",
-    "venue_upper_bound",
     "damerau_levenshtein_within",
     "ParsedEmail",
     "email_similarity",

@@ -1,10 +1,13 @@
 """Registry of the similarity layer's memoisation caches.
 
-Comparator modules (and the domain models built on them) wrap hot pure
-functions in ``functools.lru_cache``. A long-lived process — resumed
-runs, benchmark loops, services reconciling many datasets — would
-otherwise accumulate entries for values it will never see again, so
-every such cache registers itself here and
+The engine's pair memo already caches every channel score, so a cache
+here must answer a question below the channel: one name-word edit test
+(``_account_matches_word``), one venue-token Jaro-Winkler score
+(``_token_jw``), or the name-compatibility verdict the name channel
+and constraint 2 both ask (``parsed_name_compatibility``). Those three
+register here. A long-lived process — resumed runs, benchmark loops,
+services reconciling many datasets — would otherwise accumulate
+entries for values it will never see again, so
 :func:`clear_similarity_caches` empties them all at once.
 """
 

@@ -17,12 +17,9 @@ from .tokens import normalize
 
 __all__ = [
     "ParsedEmail",
-    "EmailFeatures",
-    "email_features",
     "parse_email",
     "email_similarity",
     "email_similarity_features",
-    "email_upper_bound",
 ]
 
 _EMAIL_RE = re.compile(r"^\s*([^@\s]+)@([^@\s]+)\s*$")
@@ -71,67 +68,17 @@ def parse_email(address: str) -> ParsedEmail | None:
     return ParsedEmail(account=account, domain=domain, raw=f"{account}@{domain}")
 
 
-@dataclass(frozen=True)
-class EmailFeatures:
-    """Parsed address plus the derived pieces :func:`email_similarity`
-    needs, computed once per distinct value instead of once per pair.
-
-    ``parsed`` is ``None`` for strings that are not addresses at all,
-    mirroring :func:`parse_email`."""
-
-    parsed: ParsedEmail | None
-    #: the account's separator-split tokens, as a set.
-    tokens: frozenset[str]
-    account_length: int
-
-
-def email_features(value: str) -> EmailFeatures:
-    parsed = parse_email(value)
-    if parsed is None:
-        return EmailFeatures(parsed=None, tokens=frozenset(), account_length=0)
-    return EmailFeatures(
-        parsed=parsed,
-        tokens=frozenset(parsed.account_tokens),
-        account_length=len(parsed.account),
-    )
-
-
-def email_upper_bound(left: EmailFeatures, right: EmailFeatures) -> float:
-    """Cheap upper bound on ``email_similarity`` of the two addresses.
-
-    Sound because every branch of the comparator that can exceed the
-    returned bound is ruled out by a precomputed feature: account edit
-    similarity is at most the account-length ratio, and the token
-    branches require the exact set relations tested here.
-    """
-    if left.parsed is None or right.parsed is None:
-        return 0.0
-    if left.parsed.raw == right.parsed.raw:
-        return 1.0
-    length_bound = 1.0 - abs(left.account_length - right.account_length) / max(
-        left.account_length, right.account_length
-    )
-    if length_bound >= 0.85:
-        # The typo-range branch (and everything below it) stays <= 0.90.
-        return 0.90
-    if left.tokens and left.tokens == right.tokens:
-        return 0.88
-    shared = left.tokens & right.tokens
-    if shared and max(len(token) for token in shared) >= 4:
-        return 0.65
-    return length_bound * 0.5
-
-
 def email_similarity_features(
-    left: EmailFeatures, right: EmailFeatures, floor: float = 0.0
+    left: ParsedEmail | None, right: ParsedEmail | None, floor: float = 0.0
 ) -> float:
-    """:func:`email_similarity` over precomputed features (exact)."""
-    if left.parsed is None or right.parsed is None:
-        return 0.0
-    return email_similarity(left.parsed, right.parsed)
+    """:func:`email_similarity` over already-parsed addresses (exact);
+    ``None`` is a value :func:`parse_email` rejected."""
+    return email_similarity(left, right)
 
 
-def email_similarity(left: ParsedEmail | str, right: ParsedEmail | str) -> float:
+def email_similarity(
+    left: ParsedEmail | str | None, right: ParsedEmail | str | None
+) -> float:
     """Similarity of two email addresses in [0, 1].
 
     Exact equality is key-like evidence (1.0). Same account at a

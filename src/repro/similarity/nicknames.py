@@ -5,13 +5,13 @@ Stonebraker"; resolving such hypocorisms requires a (small, curated)
 nickname table. The table below covers the common English given names
 plus the transliteration habits the PIM generator uses for Chinese and
 Indian names.
+
+The table is constant, so every form and canonical set it implies is
+computed once, at import, into plain dicts; a name the table does not
+know is only ever itself.
 """
 
 from __future__ import annotations
-
-import functools
-
-from .caches import register_cache
 
 __all__ = [
     "canonical_given_names",
@@ -157,9 +157,23 @@ for _nickname, _formals in NICKNAMES.items():
     for _formal in _formals:
         _FORMAL_TO_NICKNAMES.setdefault(_formal, set()).add(_nickname)
 
+#: All name tokens the table knows (nicknames and formal names alike).
+KNOWN_GIVEN_NAMES: frozenset[str] = frozenset(NICKNAMES) | frozenset(_FORMAL_TO_NICKNAMES)
 
-@register_cache
-@functools.lru_cache(maxsize=8192)
+
+def _forms_of(name: str) -> tuple[str, ...]:
+    forms = {name} | NICKNAMES.get(name, frozenset())
+    for formal in list(forms):
+        forms |= _FORMAL_TO_NICKNAMES.get(formal, set())
+    return tuple(sorted(forms))
+
+
+_FORMS: dict[str, tuple[str, ...]] = {name: _forms_of(name) for name in KNOWN_GIVEN_NAMES}
+_CANONICAL: dict[str, frozenset[str]] = {
+    name: NICKNAMES.get(name, frozenset()) | {name} for name in KNOWN_GIVEN_NAMES
+}
+
+
 def all_name_forms(name: str) -> tuple[str, ...]:
     """Every form *name* is known under: itself, its formal expansions,
     and the nicknames of those formals, in sorted order.
@@ -173,20 +187,9 @@ def all_name_forms(name: str) -> tuple[str, ...]:
     True
     """
     name = name.lower()
-    forms = {name} | NICKNAMES.get(name, frozenset())
-    for formal in list(forms):
-        forms |= _FORMAL_TO_NICKNAMES.get(formal, set())
-    return tuple(sorted(forms))
+    return _FORMS.get(name) or (name,)
 
 
-#: All name tokens the table knows (nicknames and formal names alike).
-KNOWN_GIVEN_NAMES: frozenset[str] = frozenset(NICKNAMES) | frozenset(
-    formal for formals in NICKNAMES.values() for formal in formals
-)
-
-
-@register_cache
-@functools.lru_cache(maxsize=8192)
 def canonical_given_names(name: str) -> frozenset[str]:
     """Return the set of formal given names *name* may stand for.
 
@@ -195,12 +198,9 @@ def canonical_given_names(name: str) -> frozenset[str]:
     people use the short form as their legal name).
     """
     name = name.lower()
-    formals = NICKNAMES.get(name, frozenset())
-    return formals | {name}
+    return _CANONICAL.get(name) or frozenset((name,))
 
 
-@register_cache
-@functools.lru_cache(maxsize=8192)
 def share_canonical_given_name(left: str, right: str) -> bool:
     """True when the two given names may denote the same formal name.
 
@@ -209,4 +209,4 @@ def share_canonical_given_name(left: str, right: str) -> bool:
     >>> share_canonical_given_name("Mike", "Matt")
     False
     """
-    return bool(canonical_given_names(left) & canonical_given_names(right))
+    return not canonical_given_names(left).isdisjoint(canonical_given_names(right))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 from .strings import (
@@ -18,7 +17,6 @@ __all__ = [
     "title_features",
     "title_similarity",
     "title_similarity_features",
-    "title_upper_bound",
     "pages_similarity",
     "year_similarity",
 ]
@@ -53,9 +51,6 @@ class TitleFeatures:
     empty: bool
     norm: str
     tokens: frozenset[str]
-    #: character multiset of ``norm`` — feeds the edit-distance lower
-    #: bound of :func:`title_upper_bound`.
-    counts: Counter
 
 
 def title_features(value: str) -> TitleFeatures:
@@ -64,49 +59,7 @@ def title_features(value: str) -> TitleFeatures:
         empty=not value,
         norm=norm,
         tokens=frozenset(tokenize(value, drop_stopwords=True)),
-        counts=Counter(norm),
     )
-
-
-def _count_gap(left: Counter, right: Counter) -> int:
-    """Sum of per-character count differences between two strings."""
-    gap = 0
-    for ch, n in left.items():
-        gap += abs(n - right.get(ch, 0))
-    for ch, n in right.items():
-        if ch not in left:
-            gap += n
-    return gap
-
-
-def title_upper_bound(left: TitleFeatures, right: TitleFeatures) -> float:
-    """Cheap upper bound on ``title_similarity`` of the two values.
-
-    Sound by construction: the Jaccard term is bounded by the token-set
-    size ratio, and the edit-similarity term by the length difference
-    and the character-count gap (every edit operation changes at most
-    one length unit and two character counts).
-    """
-    if left.empty or right.empty:
-        return 0.0
-    if left.tokens or right.tokens:
-        if left.tokens and right.tokens:
-            token_bound = min(len(left.tokens), len(right.tokens)) / max(
-                len(left.tokens), len(right.tokens)
-            )
-        else:
-            token_bound = 0.0
-    else:
-        token_bound = 1.0
-    longest = max(len(left.norm), len(right.norm))
-    if longest == 0:
-        return 1.0
-    distance_floor = max(
-        abs(len(left.norm) - len(right.norm)),
-        _count_gap(left.counts, right.counts) / 2.0,
-    )
-    char_bound = 1.0 - distance_floor / longest
-    return token_bound if token_bound > char_bound else char_bound
 
 
 def title_similarity_features(

@@ -29,7 +29,6 @@ __all__ = [
     "venue_features",
     "venue_name_similarity",
     "venue_similarity_features",
-    "venue_upper_bound",
     "KNOWN_ACRONYMS",
     "expand_venue_tokens",
 ]
@@ -173,20 +172,6 @@ def venue_features(value: str) -> VenueFeatures:
         acronym_candidates=frozenset(t for t in content_tokens if len(t) >= 3),
         initial_suffixes=suffixes,
     )
-
-
-def venue_upper_bound(left: VenueFeatures, right: VenueFeatures) -> float:
-    """Cheap upper bound on ``venue_name_similarity`` of the values.
-
-    Two mentions carrying *different* known acronyms short-circuit to
-    at most 0.2 in the full comparator (strong negative evidence), and
-    that is the one case decidable from precomputed sets alone.
-    """
-    if left.empty or right.empty:
-        return 0.0
-    if left.acronyms and right.acronyms and not (left.acronyms & right.acronyms):
-        return 0.2
-    return 1.0
 
 
 # Venue vocabularies are tiny ("proceedings", "sigmod", ...) and the

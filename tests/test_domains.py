@@ -6,9 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.similarity.emails as emails_module
+import repro.similarity.name_email as name_email_module
+import repro.similarity.names as names_module
 from repro.domains import CoraDomainModel, PimDomainModel
 from repro.domains.base import max_of_profiles
-from repro.domains.pim import _person_conflict
+from repro.domains.pim import _PUBLIC_MAIL_HOSTS, _person_conflict
+from repro.similarity import (
+    NameCompat,
+    clear_similarity_caches,
+    email_similarity,
+    name_compatibility,
+    name_email_similarity,
+    parse_email,
+    parse_name,
+)
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +92,6 @@ def _channel_view(channel):
         channel.is_key,
         channel.comparator,
         channel.fast_comparator,
-        channel.score_upper_bound,
     )
 
 
@@ -248,3 +259,122 @@ class TestKeysAndGates:
         with_email = {"name": ("mike",), "email": ("stonebraker@csail.mit.edu",)}
         other = {"name": ("Stonebraker, M.",)}
         assert pim.boolean_evidence_allowed("Person", with_email, other)
+
+
+# Independent reference for the two Person checks, written over the
+# plain string functions: it parses every value it touches.
+def _reference_conflict(left, right) -> bool:
+    left_emails = [v for v in left.get("email", ()) if parse_email(v) is not None]
+    right_emails = [v for v in right.get("email", ()) if parse_email(v) is not None]
+    if {parse_email(v).raw for v in left_emails} & {
+        parse_email(v).raw for v in right_emails
+    }:
+        return False
+    for value_l in left_emails:
+        for value_r in right_emails:
+            parsed_l, parsed_r = parse_email(value_l), parse_email(value_r)
+            if (
+                parsed_l.domain_core == parsed_r.domain_core
+                and parsed_l.domain_core not in _PUBLIC_MAIL_HOSTS
+                and parsed_l.account != parsed_r.account
+                and email_similarity(value_l, value_r) < 0.85
+            ):
+                return True
+    return any(
+        name_compatibility(name_l, name_r) is NameCompat.CONFLICT
+        for name_l in left.get("name", ())
+        for name_r in right.get("name", ())
+    )
+
+
+def _reference_boolean_allowed(left, right) -> bool:
+    def structured(values):
+        return any(parse_name(name).surname for name in values.get("name", ()))
+
+    if structured(left) and structured(right):
+        return True
+    scores = [
+        name_email_similarity(name, email)
+        for names, emails in ((left, right), (right, left))
+        for name in names.get("name", ())
+        for email in emails.get("email", ())
+    ]
+    return max(scores, default=0.0) >= 0.9
+
+
+_CHECK_NAMES = (
+    "ping", "Ping Wang", "Wang, P.", "mike", "Michael Stonebraker",
+    "Stonebraker, M.", "Michael Carey", "deb", "Deborah Smith", "",
+)
+_CHECK_EMAILS = (
+    "ping.wang@cs.stanford.edu", "pwang@stanford.edu", "wangp@stanford.edu",
+    "stonebraker@csail.mit.edu", "mike@mit.edu", "stonebroker@mit.edu",
+    "mcarey@mit.edu", "deb.smith@gmail.com", "dsmith@gmail.com", "not an email",
+)
+
+
+class TestPersonChecksReadCachedFeatures:
+    def _value_sets(self):
+        rng = random.Random(11)
+        sets = [
+            # Constraint 3 fires: same institution, different accounts.
+            (
+                {"name": ("ping",), "email": ("ping.wang@cs.stanford.edu",)},
+                {"name": ("Ping Wang",), "email": ("pwang@stanford.edu",)},
+            ),
+        ]
+        for _ in range(300):
+            sets.append(
+                tuple(
+                    {
+                        "name": tuple(rng.sample(_CHECK_NAMES, rng.randint(0, 2))),
+                        "email": tuple(rng.sample(_CHECK_EMAILS, rng.randint(0, 2))),
+                    }
+                    for _ in range(2)
+                )
+            )
+        return sets
+
+    def test_checks_match_reference_and_reparse_nothing(self, monkeypatch):
+        domain = PimDomainModel()
+        value_sets = self._value_sets()
+        for left, right in value_sets:
+            for values in (left, right):
+                for name in values["name"]:
+                    domain._name_features(name)
+                for email in values["email"]:
+                    domain._email_features(email)
+        clear_similarity_caches()
+        misses = domain.feature_cache.misses
+
+        parses = []
+        for module, name in (
+            (emails_module, "parse_email"),
+            (name_email_module, "parse_email"),
+            (name_email_module, "parse_name"),
+            (names_module, "parse_name"),
+        ):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module,
+                name,
+                lambda value, original=original: parses.append(value) or original(value),
+            )
+        verdicts = [
+            (
+                domain.conflict("Person", left, right),
+                domain.boolean_evidence_allowed("Person", left, right),
+            )
+            for left, right in value_sets
+        ]
+        assert parses == []
+        assert domain.feature_cache.misses == misses
+        monkeypatch.undo()
+
+        assert verdicts == [
+            (_reference_conflict(left, right), _reference_boolean_allowed(left, right))
+            for left, right in value_sets
+        ]
+        assert verdicts[0][0]  # constraint 3 was reached and fired
+        assert {conflict for conflict, _ in verdicts} == {True, False}
+        assert {allowed for _, allowed in verdicts} == {True, False}

@@ -2,7 +2,9 @@
 
 These assert the *qualitative shape* of the paper's results at test
 scale: DepGraph dominates InDepDec, context evidence drives the gains,
-constraints protect precision, and the experiment drivers run.
+constraints protect precision, and the experiment drivers run. Where a
+shape is one of the report's claims, its tolerance is read from that
+claim, so the paper's shapes are stated once, in ``CLAIMS``.
 """
 
 import pytest
@@ -15,6 +17,18 @@ from repro.evaluation.metrics import (
     entities_with_false_positives,
     pairwise_scores,
 )
+from repro.evaluation.report import CLAIMS
+
+
+def _tolerance(table: str, statement: str) -> float:
+    """The tolerance of the one claim of *table* whose statement starts
+    with *statement*."""
+    (claim,) = [
+        claim
+        for claim in CLAIMS
+        if claim.table == table and claim.statement.startswith(statement)
+    ]
+    return claim.tolerance
 
 
 @pytest.fixture(scope="module")
@@ -34,10 +48,11 @@ def pim_runs(tiny_pim_a):
 class TestPimShape:
     def test_depgraph_dominates_indepdec(self, tiny_pim_a, pim_runs):
         gold = tiny_pim_a.gold.entity_of
+        slack = _tolerance("Table 2", "DepGraph F >= InDepDec F")
         for class_name in ("Person", "Article", "Venue"):
             dep = pairwise_scores(pim_runs["depgraph"][1].clusters(class_name), gold)
             ind = pairwise_scores(pim_runs["indepdec"][1].clusters(class_name), gold)
-            assert dep.f_measure >= ind.f_measure - 0.02, class_name
+            assert dep.f_measure >= ind.f_measure - slack, class_name
 
     def test_person_recall_gain(self, tiny_pim_a, pim_runs):
         gold = tiny_pim_a.gold.entity_of
@@ -50,7 +65,9 @@ class TestPimShape:
         gold = tiny_pim_a.gold.entity_of
         dep = pairwise_scores(pim_runs["depgraph"][1].clusters("Venue"), gold)
         ind = pairwise_scores(pim_runs["indepdec"][1].clusters("Venue"), gold)
-        assert dep.recall > ind.recall + 0.05
+        assert dep.recall > ind.recall + _tolerance(
+            "Table 2", "DepGraph gains more than {tol:g} Venue recall"
+        )
 
     def test_constraints_protect_precision(self, tiny_pim_a, pim_runs):
         gold = tiny_pim_a.gold.entity_of
@@ -96,7 +113,9 @@ class TestSubsets:
         dep = Reconciler(subset.store, PimDomainModel(), EngineConfig()).run()
         ind_scores = pairwise_scores(ind.clusters("Person"), gold)
         dep_scores = pairwise_scores(dep.clusters("Person"), gold)
-        assert dep_scores.recall > ind_scores.recall + 0.1
+        assert dep_scores.recall > ind_scores.recall + _tolerance(
+            "Table 3", "PArticle's Person recall gain is more than"
+        )
         assert dep_scores.precision > 0.9
 
 
@@ -108,14 +127,17 @@ class TestCoraShape:
             tiny_cora.store, CoraDomainModel(), indepdec_config(domain)
         ).run()
         dep = Reconciler(tiny_cora.store, CoraDomainModel(), EngineConfig()).run()
+        slack = _tolerance("Table 7", "DepGraph F >= InDepDec F")
         for class_name in ("Person", "Article", "Venue"):
             ind_scores = pairwise_scores(ind.clusters(class_name), gold)
             dep_scores = pairwise_scores(dep.clusters(class_name), gold)
-            assert dep_scores.f_measure >= ind_scores.f_measure - 0.02, class_name
+            assert dep_scores.f_measure >= ind_scores.f_measure - slack, class_name
         # The venue two-fold effect.
         ind_venue = pairwise_scores(ind.clusters("Venue"), gold)
         dep_venue = pairwise_scores(dep.clusters("Venue"), gold)
-        assert dep_venue.recall > ind_venue.recall + 0.1
+        assert dep_venue.recall > ind_venue.recall + _tolerance(
+            "Table 7", "Cora venue propagation"
+        )
 
     def test_cora_person_precision(self, tiny_cora):
         gold = tiny_cora.gold.entity_of

@@ -49,3 +49,47 @@ class TestAllForms:
             assert nickname in KNOWN_GIVEN_NAMES
             for formal in formals:
                 assert formal in KNOWN_GIVEN_NAMES
+
+
+def _old_forms(name: str) -> tuple[str, ...]:
+    """The per-call closure the import-time tables replaced."""
+    formal_to_nicknames: dict[str, set[str]] = {}
+    for nickname, formals in NICKNAMES.items():
+        for formal in formals:
+            formal_to_nicknames.setdefault(formal, set()).add(nickname)
+    name = name.lower()
+    forms = {name} | NICKNAMES.get(name, frozenset())
+    for formal in list(forms):
+        forms |= formal_to_nicknames.get(formal, set())
+    return tuple(sorted(forms))
+
+
+def _old_canonical(name: str) -> frozenset[str]:
+    name = name.lower()
+    return NICKNAMES.get(name, frozenset()) | {name}
+
+
+def _every_name() -> list[str]:
+    names = set(NICKNAMES) | {f for formals in NICKNAMES.values() for f in formals}
+    names |= {name.upper() for name in names} | {name.title() for name in names}
+    names |= {"", "x", "Wei", "priya", "ZHANG", "o'brien", "jean-luc"}
+    return sorted(names)
+
+
+class TestTablesMatchTheClosure:
+    def test_all_name_forms(self):
+        for name in _every_name():
+            assert all_name_forms(name) == _old_forms(name), name
+
+    def test_canonical_given_names(self):
+        for name in _every_name():
+            canonical = canonical_given_names(name)
+            assert canonical == _old_canonical(name), name
+            assert isinstance(canonical, frozenset)
+
+    def test_share_canonical_given_name(self):
+        names = _every_name()
+        for left in names:
+            for right in names[::5]:
+                expected = bool(_old_canonical(left) & _old_canonical(right))
+                assert share_canonical_given_name(left, right) == expected, (left, right)

@@ -57,13 +57,11 @@ class TestWorkerTelemetry:
         stats = recorder.pair_stats()
         stats.pair_memo_hits += 3
         stats.pair_memo_misses += 2
-        stats.prefilter_skips += 1
         recorder.absorb_pair_stats(stats)
         payload = recorder.drain()
         assert payload["counters"] == {
             "repro_worker_pair_memo_hits_total": 3,
             "repro_worker_pair_memo_misses_total": 2,
-            "repro_worker_prefilter_skips_total": 1,
         }
 
 

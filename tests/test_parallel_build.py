@@ -19,7 +19,7 @@ from repro.perf.scoring import pair_evidence
 from repro.runtime import SupervisedScorer
 
 # Stats fields that must be identical between serial and parallel runs.
-# Cache/memo/prefilter counters are deliberately excluded: workers keep
+# Cache and memo counters are deliberately excluded: workers keep
 # process-local memos, so those counters describe cache behaviour, not
 # algorithm decisions.
 _DETERMINISTIC_STATS = (

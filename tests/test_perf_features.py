@@ -1,6 +1,6 @@
 """Tests for the performance layer: feature cache, bounded kernels,
-fast-path comparator exactness, prefilter soundness, and the
-fine-grained contact-cache invalidation."""
+fast-path comparator exactness, the pair memo, and the fine-grained
+contact-cache invalidation."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,21 +12,18 @@ from repro.perf import FeatureCache
 from repro.perf.scoring import memoised_score, score_value_pair
 from repro.similarity import (
     clear_similarity_caches,
-    email_features,
     email_similarity,
     email_similarity_features,
-    email_upper_bound,
     name_similarity,
+    parse_email,
     parsed_name_compatibility,
     registered_caches,
     title_features,
     title_similarity,
     title_similarity_features,
-    title_upper_bound,
     venue_features,
     venue_name_similarity,
     venue_similarity_features,
-    venue_upper_bound,
 )
 from repro.similarity.caches import PairMemo
 from repro.similarity.strings import (
@@ -300,32 +297,9 @@ class TestFastPathExactness:
             for right in _EMAILS:
                 slow = email_similarity(left, right)
                 fast = email_similarity_features(
-                    email_features(left), email_features(right), floor
+                    parse_email(left), parse_email(right), floor
                 )
                 assert fast == pytest.approx(slow, abs=1e-12), (left, right)
-
-
-class TestUpperBoundSoundness:
-    """A prefilter bound below the true score would silently drop real
-    evidence; these assert bound >= truth on every pair."""
-
-    def test_title_bound(self):
-        for left in _TITLES:
-            for right in _TITLES:
-                bound = title_upper_bound(title_features(left), title_features(right))
-                assert bound >= title_similarity(left, right) - 1e-12, (left, right)
-
-    def test_venue_bound(self):
-        for left in _VENUES:
-            for right in _VENUES:
-                bound = venue_upper_bound(venue_features(left), venue_features(right))
-                assert bound >= venue_name_similarity(left, right) - 1e-12, (left, right)
-
-    def test_email_bound(self):
-        for left in _EMAILS:
-            for right in _EMAILS:
-                bound = email_upper_bound(email_features(left), email_features(right))
-                assert bound >= email_similarity(left, right) - 1e-12, (left, right)
 
 
 class TestChannelPrefilterNeverExcludes:
@@ -373,14 +347,14 @@ class TestScoreMemo:
         left, right = "query processing", "query processing systems"
         score1, outcome1 = memoised_score(channel, left, right, 0.5, memo)
         score2, outcome2 = memoised_score(channel, left, right, 0.5, memo)
-        assert outcome1 in ("miss", "prefiltered")
+        assert outcome1 == "miss"
         assert outcome2 == "hit"
         assert score2 == score1
         # Raising the floor may reuse the entry; lowering it recomputes.
         score3, outcome3 = memoised_score(channel, left, right, 0.8, memo)
         assert outcome3 == "hit"
         _, outcome4 = memoised_score(channel, left, right, 0.02, memo)
-        assert outcome4 in ("miss", "prefiltered")
+        assert outcome4 == "miss"
         # After the lower-floor recompute the entry serves both floors.
         _, outcome5 = memoised_score(channel, left, right, 0.5, memo)
         assert outcome5 == "hit"

@@ -58,7 +58,6 @@ class FaultyNameDomain(PimDomainModel):
                 channel,
                 comparator=_faulty_name_comparator(channel.comparator),
                 fast_comparator=None,
-                score_upper_bound=None,
             )
             if channel.name == "name"
             else channel
